@@ -1,9 +1,7 @@
 //! Binary CSR format: magic, `u32` vertex count, `u64` target count, the
 //! offsets array, then the targets array (all little-endian). Several of
 //! the published implementations load CSRs directly; the framework
-//! converts once and reuses. The same file doubles as the spill format
-//! behind [`crate::chunked::ChunkedCsr`], which serves both arrays
-//! through a bounded chunk cache instead of loading them whole.
+//! converts once and reuses.
 
 use std::io::{self, Read, Write};
 
@@ -14,7 +12,7 @@ use crate::types::Csr;
 pub const CSR_MAGIC: &[u8; 8] = b"TCCSRv01";
 
 /// Byte offset where the offsets array starts (magic + n + m).
-pub(crate) const CSR_HEADER_BYTES: u64 = 20;
+const CSR_HEADER_BYTES: u64 = 20;
 
 /// Streaming slab size for payload reads (see `io::binary`).
 const SLAB_BYTES: usize = 1 << 20;
@@ -36,59 +34,6 @@ pub fn write_csr<W: Write>(mut w: W, csr: &Csr) -> io::Result<()> {
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// The validated header of a CSR file: vertex count, target count, and
-/// the absolute byte offsets of the two arrays. Shared by the eager
-/// reader below and the chunked out-of-core reader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CsrHeader {
-    pub num_vertices: u32,
-    pub num_targets: u64,
-    /// Byte offset of the offsets array (`num_vertices + 1` words).
-    pub offsets_base: u64,
-    /// Byte offset of the targets array (`num_targets` words).
-    pub targets_base: u64,
-    /// Total file size implied by the header.
-    pub file_len: u64,
-}
-
-pub(crate) fn read_csr_header<R: Read>(r: &mut R) -> io::Result<CsrHeader> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != CSR_MAGIC {
-        return Err(invalid("not a tc-compare CSR file (bad magic)".into()));
-    }
-    let mut b4 = [0u8; 4];
-    read_full_at(r, &mut b4, 8)?;
-    let n = u32::from_le_bytes(b4);
-    let mut b8 = [0u8; 8];
-    read_full_at(r, &mut b8, 12)?;
-    let m = u64::from_le_bytes(b8);
-    // Targets are indexed by u32 offsets, so any m beyond u32::MAX can
-    // never be consistent with the offsets array — reject it before
-    // trusting it to size anything.
-    if m > u32::MAX as u64 {
-        return Err(invalid(format!(
-            "declared target count {m} exceeds the u32 offset space (header at byte offset 12)"
-        )));
-    }
-    let offsets_bytes = (n as u64 + 1)
-        .checked_mul(4)
-        .ok_or_else(|| invalid(format!("offsets size overflows for {n} vertices")))?;
-    let targets_base = CSR_HEADER_BYTES
-        .checked_add(offsets_bytes)
-        .ok_or_else(|| invalid(format!("offsets region overflows for {n} vertices")))?;
-    let file_len = targets_base
-        .checked_add(m * 4)
-        .ok_or_else(|| invalid(format!("targets region overflows for {m} targets")))?;
-    Ok(CsrHeader {
-        num_vertices: n,
-        num_targets: m,
-        offsets_base: CSR_HEADER_BYTES,
-        targets_base,
-        file_len,
-    })
 }
 
 /// Stream `count` little-endian u32 words starting at absolute byte
@@ -122,10 +67,30 @@ fn read_u32s_streamed<R: Read>(r: &mut R, count: u64, base: u64) -> io::Result<V
 /// offset computation is checked; malformed input returns `InvalidData`
 /// with the byte offset, never a panic.
 pub fn read_csr<R: Read>(mut r: R) -> io::Result<Csr> {
-    let header = read_csr_header(&mut r)?;
-    let offsets = read_u32s_streamed(&mut r, header.num_vertices as u64 + 1, header.offsets_base)?;
-    let targets = read_u32s_streamed(&mut r, header.num_targets, header.targets_base)?;
-    validate_offsets(&offsets, header.num_targets)?;
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if &magic != CSR_MAGIC {
+        return Err(invalid("not a tc-compare CSR file (bad magic)".into()));
+    }
+    let mut b4 = [0u8; 4];
+    read_full_at(&mut r, &mut b4, 8)?;
+    let n = u32::from_le_bytes(b4);
+    let mut b8 = [0u8; 8];
+    read_full_at(&mut r, &mut b8, 12)?;
+    let m = u64::from_le_bytes(b8);
+    // Targets are indexed by u32 offsets, so any m beyond u32::MAX can
+    // never be consistent with the offsets array — reject it before
+    // trusting it to size anything.
+    if m > u32::MAX as u64 {
+        return Err(invalid(format!(
+            "declared target count {m} exceeds the u32 offset space (header at byte offset 12)"
+        )));
+    }
+    // n + 1 <= 2^32 words, so the targets base cannot overflow a u64.
+    let targets_base = CSR_HEADER_BYTES + (n as u64 + 1) * 4;
+    let offsets = read_u32s_streamed(&mut r, n as u64 + 1, CSR_HEADER_BYTES)?;
+    let targets = read_u32s_streamed(&mut r, m, targets_base)?;
+    validate_offsets(&offsets, m)?;
     let mut trailer = [0u8; 1];
     if r.read(&mut trailer)? != 0 {
         return Err(invalid("trailing bytes after declared CSR arrays".into()));
@@ -135,7 +100,7 @@ pub fn read_csr<R: Read>(mut r: R) -> io::Result<Csr> {
 
 /// The structural invariants [`Csr::from_parts`] would otherwise assert
 /// on (and panic): checked here so corrupt files surface as `Err`.
-pub(crate) fn validate_offsets(offsets: &[u32], num_targets: u64) -> io::Result<()> {
+fn validate_offsets(offsets: &[u32], num_targets: u64) -> io::Result<()> {
     if offsets.first() != Some(&0)
         || offsets.last().map(|&o| o as u64) != Some(num_targets)
         || offsets.windows(2).any(|w| w[0] > w[1])

@@ -3,10 +3,9 @@
 //! Everything the paper's evaluation framework needs around the GPU
 //! kernels themselves:
 //!
-//! * [`types`] — CSR storage, the cleaned undirected graph type, and the
-//!   [`types::CsrAccess`] trait the pipeline is generic over.
-//! * [`chunked`] — out-of-core CSR: arrays spilled to a versioned file
-//!   and served through a bounded LRU chunk cache.
+//! * [`types`] — CSR storage and the cleaned undirected graph type. The
+//!   whole pipeline runs on resident CSRs: even the largest Table II
+//!   stand-in prepares in well under 100 MB.
 //! * [`clean`] — the paper's data-cleaning pipeline (drop self-loops,
 //!   duplicate edges and isolated vertices; Section IV "Datasets").
 //! * [`orient`] — DAG orientations (by ID, by degree) used by the
@@ -21,7 +20,6 @@
 //!   hash, bitmap, node-iterator, matrix-multiplication and
 //!   subgraph-matching baselines) used as ground truth.
 
-pub mod chunked;
 pub mod clean;
 pub mod cpu_ref;
 pub mod datasets;
@@ -32,10 +30,9 @@ pub mod orient;
 pub mod stats;
 pub mod types;
 
-pub use chunked::{ChunkCacheConfig, ChunkCacheStats, ChunkedCsr};
 pub use clean::{clean_edges, CleanReport};
 pub use datasets::{DatasetSpec, SizeClass, TABLE2_DATASETS};
 pub use kcore::{core_decomposition, CoreDecomposition};
-pub use orient::{orient, orient_access, DagGraph, Orientation};
+pub use orient::{orient, DagGraph, Orientation};
 pub use stats::GraphStats;
-pub use types::{materialize_csr, Csr, CsrAccess, EdgeList, UndirGraph, VertexId};
+pub use types::{Csr, EdgeList, UndirGraph, VertexId};

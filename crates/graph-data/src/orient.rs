@@ -13,7 +13,7 @@
 //!   implementations (TriCore, TRUST, GroupTC) preprocess with.
 //! * **DegreeDesc** — the reverse ordering, kept for ablations.
 
-use crate::types::{materialize_csr, Csr, CsrAccess, UndirGraph, VertexId};
+use crate::types::{Csr, UndirGraph, VertexId};
 
 /// Vertex-ordering rule used to build the DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -97,46 +97,25 @@ impl DagGraph {
 
 /// Orient a cleaned undirected graph into a DAG under the given rule.
 pub fn orient(g: &UndirGraph, orientation: Orientation) -> DagGraph {
-    match orientation {
-        // KCore peels the resident graph directly; the generic path
-        // below would materialize a second copy first.
-        Orientation::KCore => orient_with_order(
-            g.csr(),
-            crate::kcore::core_decomposition(g).order,
-            orientation,
-        ),
-        _ => orient_access(g.csr(), orientation),
-    }
-}
-
-/// [`orient`] over any [`CsrAccess`] — the entry point for out-of-core
-/// graphs ([`crate::chunked::ChunkedCsr`]), which stream through the
-/// same ordering and DAG construction as resident ones. `KCore` is the
-/// one rule that needs the whole graph resident (degeneracy peeling
-/// mutates degrees globally), so it materializes a temporary copy.
-pub fn orient_access<A: CsrAccess + ?Sized>(g: &A, orientation: Orientation) -> DagGraph {
-    let n = g.num_vertices() as usize;
-    // rank[old] = new id.
-    let order: Vec<VertexId> = match orientation {
-        Orientation::ById => (0..n as u32).collect(),
+    let n = g.num_vertices();
+    // new_to_old[new_id] = old_id.
+    let new_to_old: Vec<VertexId> = match orientation {
+        Orientation::ById => (0..n).collect(),
         Orientation::DegreeAsc => {
-            let mut order: Vec<VertexId> = (0..n as u32).collect();
+            let mut order: Vec<VertexId> = (0..n).collect();
             order.sort_by_key(|&v| (g.degree(v), v));
             order
         }
         Orientation::DegreeDesc => {
-            let mut order: Vec<VertexId> = (0..n as u32).collect();
+            let mut order: Vec<VertexId> = (0..n).collect();
             order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
             order
         }
-        Orientation::KCore => {
-            let und = UndirGraph::from_csr(materialize_csr(g));
-            crate::kcore::core_decomposition(&und).order
-        }
+        Orientation::KCore => crate::kcore::core_decomposition(g).order,
         Orientation::Random(seed) => {
             // Fisher–Yates with a splitmix-style generator (no rand
             // dependency needed for a baseline shuffle).
-            let mut order: Vec<VertexId> = (0..n as u32).collect();
+            let mut order: Vec<VertexId> = (0..n).collect();
             let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
             let mut next = || {
                 state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -145,42 +124,28 @@ pub fn orient_access<A: CsrAccess + ?Sized>(g: &A, orientation: Orientation) -> 
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
                 z ^ (z >> 31)
             };
-            for i in (1..n).rev() {
+            for i in (1..n as usize).rev() {
                 let j = (next() % (i as u64 + 1)) as usize;
                 order.swap(i, j);
             }
             order
         }
     };
-    orient_with_order(g, order, orientation)
-}
+    let mut rank = vec![0u32; n as usize];
+    for (new_id, &old) in new_to_old.iter().enumerate() {
+        rank[old as usize] = new_id as u32;
+    }
 
-fn orient_with_order<A: CsrAccess + ?Sized>(
-    g: &A,
-    order: Vec<VertexId>,
-    orientation: Orientation,
-) -> DagGraph {
-    let n = g.num_vertices() as usize;
-    let (rank, new_to_old) = {
-        let mut rank = vec![0u32; n];
-        for (new_id, &old) in order.iter().enumerate() {
-            rank[old as usize] = new_id as u32;
-        }
-        (rank, order)
-    };
-
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for old_u in 0..n as u32 {
-        let nu = rank[old_u as usize];
-        g.for_each_neighbor(old_u, &mut |old_v| {
+    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n as usize];
+    for (old_u, &nu) in rank.iter().enumerate() {
+        let out = &mut adj[nu as usize];
+        for &old_v in g.neighbors(old_u as VertexId) {
             let nv = rank[old_v as usize];
             if nu < nv {
-                adj[nu as usize].push(nv);
+                out.push(nv);
             }
-        });
-    }
-    for list in &mut adj {
-        list.sort_unstable();
+        }
+        out.sort_unstable();
     }
     DagGraph {
         csr: Csr::from_adjacency(&adj),

@@ -1,7 +1,7 @@
 //! Dataset statistics, used to emit Table II and the average-degree
 //! series overlaid on Figure 11.
 
-use crate::types::{CsrAccess, UndirGraph};
+use crate::types::UndirGraph;
 
 /// Summary statistics of a cleaned graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,13 +18,6 @@ pub struct GraphStats {
 
 impl GraphStats {
     pub fn compute(g: &UndirGraph) -> Self {
-        Self::compute_access(g.csr())
-    }
-
-    /// [`GraphStats::compute`] over any [`CsrAccess`] — symmetric CSR
-    /// assumed (stored entries are counted as two per undirected edge),
-    /// whether resident or streamed from a spill file.
-    pub fn compute_access<A: CsrAccess + ?Sized>(g: &A) -> Self {
         let n = g.num_vertices();
         let mut max_degree = 0u32;
         let mut sum = 0f64;
@@ -51,7 +44,7 @@ impl GraphStats {
         };
         GraphStats {
             vertices: n,
-            edges: g.num_entries() / 2,
+            edges: g.num_edges(),
             avg_degree: avg,
             max_degree,
             degree_stddev: var.sqrt(),

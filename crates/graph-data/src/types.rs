@@ -134,62 +134,6 @@ impl Csr {
     }
 }
 
-/// Read access to a CSR adjacency structure, whether fully resident in
-/// memory ([`Csr`]) or served out-of-core from a spill file through a
-/// bounded chunk cache ([`crate::chunked::ChunkedCsr`]). The orientation
-/// and preparation pipeline is generic over this trait, so datasets too
-/// large to hold in memory stream through the same code path.
-pub trait CsrAccess {
-    fn num_vertices(&self) -> u32;
-
-    /// Number of stored (directed) adjacency entries.
-    fn num_entries(&self) -> u64;
-
-    fn degree(&self, v: VertexId) -> u32;
-
-    /// Visit `v`'s neighbours in ascending order.
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId));
-}
-
-impl CsrAccess for Csr {
-    fn num_vertices(&self) -> u32 {
-        Csr::num_vertices(self)
-    }
-
-    fn num_entries(&self) -> u64 {
-        Csr::num_entries(self)
-    }
-
-    fn degree(&self, v: VertexId) -> u32 {
-        Csr::degree(self, v)
-    }
-
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        for &w in self.neighbors(v) {
-            f(w);
-        }
-    }
-}
-
-/// Materialize any [`CsrAccess`] into a fully resident [`Csr`] — the
-/// escape hatch for consumers that need random slice access (e.g. the
-/// k-core decomposition behind [`crate::orient::Orientation::KCore`]).
-pub fn materialize_csr<A: CsrAccess + ?Sized>(g: &A) -> Csr {
-    let n = g.num_vertices();
-    let mut offsets = Vec::with_capacity(n as usize + 1);
-    let mut targets = Vec::with_capacity(g.num_entries() as usize);
-    offsets.push(0u32);
-    for v in 0..n {
-        g.for_each_neighbor(v, &mut |w| targets.push(w));
-        let total: u32 = targets
-            .len()
-            .try_into()
-            .expect("graph exceeds u32 edge-offset space");
-        offsets.push(total);
-    }
-    Csr::from_parts(offsets, targets)
-}
-
 /// A cleaned simple undirected graph: symmetric CSR (every edge stored in
 /// both directions), no self-loops, no duplicates, no isolated vertices.
 /// Produced by [`crate::clean::clean_edges`].

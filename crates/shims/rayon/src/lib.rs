@@ -23,6 +23,24 @@ pub mod prelude {
 /// Live workers across every concurrently-executing `par_*` call.
 static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
+/// A claim on [`ACTIVE_WORKERS`], released on drop — so a worker panic
+/// unwinding out of a `par_*` call still returns the budget, instead of
+/// leaving every later call in the process to run inline.
+struct WorkerBudget(usize);
+
+impl WorkerBudget {
+    fn claim(workers: usize) -> Self {
+        ACTIVE_WORKERS.fetch_add(workers, Ordering::Relaxed);
+        WorkerBudget(workers)
+    }
+}
+
+impl Drop for WorkerBudget {
+    fn drop(&mut self) {
+        ACTIVE_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
 /// Number of worker threads the host offers.
 pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
@@ -63,31 +81,44 @@ where
         let mut state = init();
         return items.into_iter().map(|item| f(&mut state, item)).collect();
     }
-    ACTIVE_WORKERS.fetch_add(workers, Ordering::Relaxed);
+    let _claim = WorkerBudget::claim(workers);
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    let panicked = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut state = init();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let item = slots[i]
+                            .lock()
+                            .expect("rayon shim: item slot poisoned")
+                            .take()
+                            .expect("rayon shim: item taken twice");
+                        let out = f(&mut state, item);
+                        *results[i].lock().expect("rayon shim: result slot poisoned") = Some(out);
                     }
-                    let item = slots[i]
-                        .lock()
-                        .expect("rayon shim: item slot poisoned")
-                        .take()
-                        .expect("rayon shim: item taken twice");
-                    let out = f(&mut state, item);
-                    *results[i].lock().expect("rayon shim: result slot poisoned") = Some(out);
-                }
-            });
+                })
+            })
+            .collect();
+        // Join every worker explicitly so a panic payload survives: like
+        // rayon, re-raise the original panic on the caller's thread.
+        let mut first = None;
+        for h in handles {
+            if let Err(payload) = h.join() {
+                first.get_or_insert(payload);
+            }
         }
+        first
     });
-    ACTIVE_WORKERS.fetch_sub(workers, Ordering::Relaxed);
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     results
         .into_iter()
         .map(|m| {
@@ -318,6 +349,37 @@ mod tests {
         assert_eq!(v, (0..256).map(|i| i * 2).collect::<Vec<_>>());
         // One init per worker (or one inline), never one per item.
         assert!(INITS.load(Ordering::Relaxed) <= super::current_num_threads().max(1));
+    }
+
+    #[test]
+    fn worker_panic_propagates_and_returns_the_budget() {
+        let caught = std::panic::catch_unwind(|| {
+            (0u32..64)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 7 {
+                        panic!("deliberate worker panic");
+                    }
+                    i
+                })
+                .collect::<Vec<u32>>()
+        });
+        let payload = caught.expect_err("the worker panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"deliberate worker panic"),
+            "the original payload is re-raised"
+        );
+        // Concurrent tests may hold workers for a moment, but a leaked
+        // claim never comes back: the budget must drain to zero.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while super::ACTIVE_WORKERS.load(std::sync::atomic::Ordering::Relaxed) != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "worker budget leaked after a panic"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -41,12 +41,10 @@ use std::time::Instant;
 use gpu_sim::Device;
 use tc_bench::bench_json::{self, BenchCell};
 use tc_bench::{datasets_from_args, eprint_progress};
-use tc_core::framework::backend::{
-    run_matrix_backends, run_matrix_backends_parallel, Backend, CpuBackend, SimBackend,
-};
+use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
 use tc_core::framework::partitioned::PartitionedSimBackend;
 use tc_core::framework::registry::all_algorithms;
-use tc_core::framework::runner::RunRecord;
+use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
 fn main() -> Result<(), String> {
     let mut reps: u32 = 3;
@@ -125,9 +123,9 @@ fn main() -> Result<(), String> {
     let run = |label: &str| -> Vec<RunRecord> {
         let started = Instant::now();
         let records = if serial {
-            run_matrix_backends(&backends, &algos, &datasets)
+            run_matrix(&backends, &algos, &datasets)
         } else {
-            run_matrix_backends_parallel(&backends, &algos, &datasets)
+            run_matrix_parallel(&backends, &algos, &datasets)
         };
         eprint_progress(&format!(
             "{label}: {:.1} ms",

@@ -6,10 +6,13 @@
 //! [`RunRecord`]. [`SimBackend`] wraps the existing
 //! [`run_on_dataset`] path; [`CpuBackend`] executes the algorithm's
 //! rayon host kernel ([`TcAlgorithm::count_cpu`]) with the same
-//! preferred-orientation pipeline and the same fault isolation — a
-//! panicking CPU kernel becomes [`RunOutcome::Failed`] in its own cell,
-//! exactly like a device memory fault, instead of tearing down the
-//! sweep.
+//! preferred-orientation pipeline. Both build their records through the
+//! runner's single fault boundary, so a panicking kernel — host or
+//! simulated — becomes [`RunOutcome::Failed`] in its own cell, exactly
+//! like a device memory fault, instead of tearing down the sweep. The
+//! sweep drivers ([`crate::framework::runner::run_matrix`] and
+//! [`crate::framework::runner::run_matrix_parallel`]) take any slice of
+//! backends.
 //!
 //! What the CPU path deliberately does *not* model: cycles, profiling
 //! counters, occupancy — its records carry `kernel_cycles: 0` and
@@ -17,15 +20,10 @@
 //! speed (ROADMAP item 4) and to act as a differential twin for the
 //! simulator; only [`RunRecord::wall`] is meaningful for its timing.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
-
-use gpu_sim::{Device, SimError};
+use gpu_sim::Device;
 use tc_algos::api::TcAlgorithm;
 
-use rayon::prelude::*;
-
-use crate::framework::runner::{run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
+use crate::framework::runner::{run_cell, run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
 
 /// An execution substrate for evaluation cells.
 pub trait Backend: Sync {
@@ -67,90 +65,29 @@ impl Backend for CpuBackend {
 }
 
 /// Run one algorithm's host kernel on one prepared dataset (the
-/// algorithm's preferred orientation) and verify the count.
-///
-/// Fault-isolation parity with the sim path: the kernel runs under
-/// [`catch_unwind`], so an index-out-of-bounds or explicit panic in one
-/// cell surfaces as [`RunOutcome::Failed`] with the panic message, and
-/// the caller's sweep continues.
+/// algorithm's preferred orientation) and verify the count. A panic in
+/// the kernel surfaces as [`RunOutcome::Failed`] with the panic message,
+/// and the caller's sweep continues.
 pub fn run_on_dataset_cpu(algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-    let started = Instant::now();
-    let dag = data.dag(algo.preferred_orientation());
-    let outcome = match catch_unwind(AssertUnwindSafe(|| algo.count_cpu(&dag))) {
-        Ok(triangles) => RunOutcome::Ok {
+    run_cell("cpu", algo, data, || {
+        let triangles = algo.count_cpu(&data.dag(algo.preferred_orientation()));
+        let outcome = RunOutcome::Ok {
             triangles,
             // The CPU path models nothing: no cycles, no counters.
             kernel_cycles: 0,
             counters: Default::default(),
             verified: triangles == data.ground_truth,
-        },
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                s.to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "unknown panic payload".to_string()
-            };
-            RunOutcome::Failed(SimError::KernelFault(format!("cpu kernel panicked: {msg}")))
-        }
-    };
-    RunRecord {
-        algorithm: algo.name().to_string(),
-        dataset: data.spec.name,
-        backend: "cpu",
-        outcome,
-        partition: None,
-        wall: started.elapsed(),
-    }
-}
-
-/// The multi-backend evaluation sweep, serial: dataset-major, then
-/// backend, then algorithm — so one prepared dataset serves every
-/// backend before it is dropped.
-pub fn run_matrix_backends(
-    backends: &[&dyn Backend],
-    algos: &[Box<dyn TcAlgorithm>],
-    datasets: &[graph_data::DatasetSpec],
-) -> Vec<RunRecord> {
-    let mut records = Vec::with_capacity(backends.len() * algos.len() * datasets.len());
-    for spec in datasets {
-        let data = PreparedDataset::prepare(spec);
-        for backend in backends {
-            for algo in algos {
-                records.push(backend.run(algo.as_ref(), &data));
-            }
-        }
-    }
-    records
-}
-
-/// The multi-backend sweep, parallel and fault-isolated: every
-/// (dataset × backend × algorithm) cell fans over the thread pool;
-/// records come back in exactly [`run_matrix_backends`]' order.
-pub fn run_matrix_backends_parallel(
-    backends: &[&dyn Backend],
-    algos: &[Box<dyn TcAlgorithm>],
-    datasets: &[graph_data::DatasetSpec],
-) -> Vec<RunRecord> {
-    let prepared: Vec<PreparedDataset> =
-        datasets.par_iter().map(PreparedDataset::prepare).collect();
-    let cells: Vec<(usize, usize, usize)> = (0..datasets.len())
-        .flat_map(|d| {
-            (0..backends.len()).flat_map(move |b| (0..algos.len()).map(move |a| (d, b, a)))
-        })
-        .collect();
-    cells
-        .into_par_iter()
-        .map(|(d, b, a)| backends[b].run(algos[a].as_ref(), &prepared[d]))
-        .collect()
+        };
+        (outcome, None)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::registry::all_algorithms;
-    use gpu_sim::DeviceMem;
+    use crate::framework::runner::{run_matrix, run_matrix_parallel};
+    use gpu_sim::{DeviceMem, SimError};
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
     use tc_algos::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcOutput};
     use tc_algos::device_graph::DeviceGraph;
@@ -199,14 +136,15 @@ mod tests {
         assert_eq!(via_backend.kernel_cycles(), direct.kernel_cycles());
     }
 
-    /// A CPU kernel that panics: the probe for fault-isolation parity.
+    /// Kernels that panic — the host one and a simulated lane closure:
+    /// the probe for fault-isolation parity across backends.
     struct PanickyAlgo;
 
     impl TcAlgorithm for PanickyAlgo {
         fn meta(&self) -> AlgoMeta {
             AlgoMeta {
                 name: "panic-probe",
-                reference: "synthetic cpu fault probe",
+                reference: "synthetic kernel fault probe",
                 year: 2024,
                 iterator: IteratorKind::Edge,
                 intersection: Intersection::Merge,
@@ -220,8 +158,13 @@ mod tests {
             mem: &mut DeviceMem,
             _g: &DeviceGraph,
         ) -> Result<TcOutput, SimError> {
-            let stats = dev.launch(mem, gpu_sim::KernelConfig::new(1, 32), |blk| {
-                blk.phase(|lane| lane.compute(1));
+            let stats = dev.launch(mem, gpu_sim::KernelConfig::new(8, 32), |blk| {
+                blk.phase(|lane| {
+                    if lane.global_tid() == 100 {
+                        panic!("deliberate sim-kernel bug");
+                    }
+                    lane.compute(1);
+                });
             })?;
             Ok(TcOutput {
                 triangles: 0,
@@ -241,7 +184,7 @@ mod tests {
         let backends: [&dyn Backend; 1] = [&CpuBackend];
         let specs = [tiny_spec()];
         // The panic must not tear down the parallel sweep.
-        let records = run_matrix_backends_parallel(&backends, &algos, &specs);
+        let records = run_matrix_parallel(&backends, &algos, &specs);
         assert_eq!(records.len(), algos.len());
         let failed = records.last().unwrap();
         assert_eq!(failed.algorithm, "panic-probe");
@@ -261,13 +204,44 @@ mod tests {
     }
 
     #[test]
+    fn panicking_sim_kernel_is_isolated_as_failed() {
+        let dev = Device::v100();
+        let mut algos = all_algorithms();
+        algos.push(Box::new(PanickyAlgo));
+        let backends: [&dyn Backend; 1] = [&SimBackend { dev: &dev }];
+        let specs = [tiny_spec()];
+        // The panic unwinds out of a block worker inside `Device::launch`;
+        // it must not tear down the parallel sweep either.
+        let records = run_matrix_parallel(&backends, &algos, &specs);
+        assert_eq!(records.len(), algos.len());
+        let failed = records.last().unwrap();
+        assert_eq!(
+            (failed.algorithm.as_str(), failed.backend),
+            ("panic-probe", "sim")
+        );
+        match &failed.outcome {
+            RunOutcome::Failed(SimError::KernelFault(msg)) => {
+                assert!(
+                    msg.contains("sim kernel panicked: deliberate sim-kernel bug"),
+                    "msg: {msg}"
+                );
+            }
+            other => panic!("expected Failed(KernelFault), got {other:?}"),
+        }
+        assert!(
+            records[..records.len() - 1].iter().all(|r| r.is_verified()),
+            "healthy sim cells still verify"
+        );
+    }
+
+    #[test]
     fn multi_backend_sweep_order_and_parity() {
         let dev = Device::v100();
         let backends: [&dyn Backend; 2] = [&SimBackend { dev: &dev }, &CpuBackend];
         let algos = all_algorithms();
         let specs = [tiny_spec()];
-        let serial = run_matrix_backends(&backends, &algos, &specs);
-        let parallel = run_matrix_backends_parallel(&backends, &algos, &specs);
+        let serial = run_matrix(&backends, &algos, &specs);
+        let parallel = run_matrix_parallel(&backends, &algos, &specs);
         assert_eq!(serial.len(), 2 * algos.len());
         assert_eq!(serial.len(), parallel.len());
         // Backend-major within a dataset: sim block, then cpu block.

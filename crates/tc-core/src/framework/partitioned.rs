@@ -19,15 +19,13 @@
 //! [`gpu_sim::DeviceMem`] images; determinism is inherited from the
 //! simulator, so an N-device sweep is reproducible cycle-for-cycle.
 
-use std::time::Instant;
-
 use gpu_sim::{Device, LaunchStats};
 use tc_algos::api::TcAlgorithm;
 use tc_algos::device_graph::DeviceGraph;
 use tc_algos::partition::PartitionPlan;
 
 use crate::framework::backend::Backend;
-use crate::framework::runner::{PreparedDataset, RunOutcome, RunRecord};
+use crate::framework::runner::{run_cell, run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
 
 /// One simulated device's share of a partitioned run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,81 +84,67 @@ pub fn run_partitioned(
     num_devices: u32,
 ) -> RunRecord {
     if num_devices <= 1 {
-        return crate::framework::runner::run_on_dataset(dev, algo, data);
+        return run_on_dataset(dev, algo, data);
     }
-    let started = Instant::now();
-    let dag = data.dag(algo.preferred_orientation());
-    let plan = PartitionPlan::balanced(dag.csr().offsets(), num_devices);
-    let (_, host_dst) = dag.edge_arrays();
+    run_cell("sim", algo, data, || {
+        let dag = data.dag(algo.preferred_orientation());
+        let plan = PartitionPlan::balanced(dag.csr().offsets(), num_devices);
+        let (_, host_dst) = dag.edge_arrays();
 
-    let mut per_device = Vec::with_capacity(num_devices as usize);
-    let mut triangles = 0u64;
-    let mut agg = LaunchStats::default();
-    for d in 0..num_devices as usize {
-        // Each device is a fresh memory image: nothing carries over.
-        let mut mem = gpu_sim::DeviceMem::new(dev);
-        let outcome = DeviceGraph::upload(&dag, &mut mem).and_then(|mut dg| {
-            let (lo, hi) = plan.pivot_range(d);
-            dg.restrict_to_pivots(lo, hi);
-            algo.count(dev, &mut mem, &dg)
-        });
-        let out = match outcome {
-            Ok(out) => out,
-            Err(e) => {
-                return RunRecord {
-                    algorithm: algo.name().to_string(),
-                    dataset: data.spec.name,
-                    backend: "sim",
-                    outcome: RunOutcome::Failed(e),
-                    partition: None,
-                    wall: started.elapsed(),
-                }
-            }
-        };
-        let link_bytes = plan.remote_bytes(dag.csr().offsets(), &host_dst, d);
-        per_device.push(DeviceStats {
-            device: d as u32,
-            triangles: out.triangles,
-            kernel_cycles: out.stats.kernel_cycles,
-            link_bytes,
-            link_cycles: dev.config().cost.link_transfer_cycles(link_bytes),
-        });
-        triangles += out.triangles;
-        agg += out.stats;
-    }
+        let mut per_device = Vec::with_capacity(num_devices as usize);
+        let mut triangles = 0u64;
+        let mut agg = LaunchStats::default();
+        for d in 0..num_devices as usize {
+            // Each device is a fresh memory image: nothing carries over.
+            let mut mem = gpu_sim::DeviceMem::new(dev);
+            let outcome = DeviceGraph::upload(&dag, &mut mem).and_then(|mut dg| {
+                let (lo, hi) = plan.pivot_range(d);
+                dg.restrict_to_pivots(lo, hi);
+                algo.count(dev, &mut mem, &dg)
+            });
+            let out = match outcome {
+                Ok(out) => out,
+                Err(e) => return (RunOutcome::Failed(e), None),
+            };
+            let link_bytes = plan.remote_bytes(dag.csr().offsets(), &host_dst, d);
+            per_device.push(DeviceStats {
+                device: d as u32,
+                triangles: out.triangles,
+                kernel_cycles: out.stats.kernel_cycles,
+                link_bytes,
+                link_cycles: dev.config().cost.link_transfer_cycles(link_bytes),
+            });
+            triangles += out.triangles;
+            agg += out.stats;
+        }
 
-    let makespan_cycles = per_device
-        .iter()
-        .map(DeviceStats::total_cycles)
-        .max()
-        .unwrap_or(0);
-    let total_link_bytes = per_device.iter().map(|d| d.link_bytes).sum();
-    let partition = PartitionStats {
-        num_devices,
-        per_device,
-        makespan_cycles,
-        total_link_bytes,
-    };
-    RunRecord {
-        algorithm: algo.name().to_string(),
-        dataset: data.spec.name,
-        backend: "sim",
-        outcome: RunOutcome::Ok {
+        let makespan_cycles = per_device
+            .iter()
+            .map(DeviceStats::total_cycles)
+            .max()
+            .unwrap_or(0);
+        let total_link_bytes = per_device.iter().map(|d| d.link_bytes).sum();
+        let outcome = RunOutcome::Ok {
             triangles,
             // The headline cycle figure of a partitioned cell is its
             // makespan: concurrent devices, slowest wins.
             kernel_cycles: makespan_cycles,
             counters: agg.counters,
             verified: triangles == data.ground_truth,
-        },
-        partition: Some(partition),
-        wall: started.elapsed(),
-    }
+        };
+        let partition = PartitionStats {
+            num_devices,
+            per_device,
+            makespan_cycles,
+            total_link_bytes,
+        };
+        (outcome, Some(partition))
+    })
 }
 
 /// The N-device sim backend: [`run_partitioned`] behind the common
-/// [`Backend`] surface, so multi-device sweeps reuse the existing
-/// matrix drivers unchanged.
+/// [`Backend`] surface, so multi-device sweeps reuse the common matrix
+/// drivers unchanged.
 pub struct PartitionedSimBackend<'d> {
     pub dev: &'d Device,
     pub num_devices: u32,
@@ -180,7 +164,6 @@ impl Backend for PartitionedSimBackend<'_> {
 mod tests {
     use super::*;
     use crate::framework::registry::all_algorithms;
-    use crate::framework::runner::run_on_dataset;
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
 
     fn tiny_spec() -> DatasetSpec {

@@ -4,14 +4,17 @@
 //! reference. This produces the raw matrix behind Figures 11, 12, 13
 //! and 15.
 //!
-//! Two sweep drivers share the same per-cell code: [`run_matrix`]
-//! (serial, dataset-major) and [`run_matrix_parallel`], which fans the
-//! (algorithm x dataset) cells over a thread pool and returns records in
-//! the exact same order, with faulting cells isolated as
-//! [`RunOutcome::Failed`] instead of aborting the sweep.
+//! One sweep-driver pair runs every execution [`Backend`]:
+//! [`run_matrix`] (serial, dataset-major) and [`run_matrix_parallel`],
+//! which fans the (dataset x backend x algorithm) cells over a thread
+//! pool and returns records in the exact same order. Every cell is built
+//! by [`run_cell`], the single fault boundary: device faults and panics
+//! alike become [`RunOutcome::Failed`] in their own cell instead of
+//! aborting the sweep.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, ProfileCounters, SimError};
@@ -20,6 +23,9 @@ use tc_algos::api::TcAlgorithm;
 use tc_algos::device_graph::DeviceGraph;
 
 use rayon::prelude::*;
+
+use crate::framework::backend::Backend;
+use crate::framework::partitioned::PartitionStats;
 
 /// A dataset after the preparation pipeline: generated (or loaded),
 /// cleaned, with statistics, ground truth, and oriented variants cached.
@@ -114,7 +120,7 @@ pub struct RunRecord {
     /// Multi-device aggregate when the cell ran partitioned (see
     /// [`crate::framework::partitioned`]); `None` for every
     /// single-device cell, leaving CSV emission untouched.
-    pub partition: Option<crate::framework::partitioned::PartitionStats>,
+    pub partition: Option<PartitionStats>,
     /// Host wall-clock time spent simulating this cell (upload, kernels
     /// and verification). Unlike `outcome` this is measured, not
     /// modelled: it varies run to run and is deliberately excluded from
@@ -142,27 +148,65 @@ impl RunRecord {
     }
 }
 
+/// Build one cell's record around `body`, which runs the cell and
+/// returns its outcome (plus multi-device stats, if any).
+///
+/// This is every backend's fault boundary. Device faults already come
+/// back as `Err` values; a panic anywhere in `body` — a host kernel, a
+/// simulated kernel closure, a host-side accessor — is caught here and
+/// recorded as `Failed(KernelFault("<backend> kernel panicked: …"))`,
+/// so the caller's sweep continues.
+pub(crate) fn run_cell(
+    backend: &'static str,
+    algo: &dyn TcAlgorithm,
+    data: &PreparedDataset,
+    body: impl FnOnce() -> (RunOutcome, Option<PartitionStats>),
+) -> RunRecord {
+    let started = Instant::now();
+    let (outcome, partition) = catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            s.to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "unknown panic payload".to_string()
+        };
+        let fault = SimError::KernelFault(format!("{backend} kernel panicked: {msg}"));
+        (RunOutcome::Failed(fault), None)
+    });
+    let wall = started.elapsed();
+    RunRecord {
+        algorithm: algo.name().to_string(),
+        dataset: data.spec.name,
+        backend,
+        outcome,
+        partition,
+        wall,
+    }
+}
+
 /// Run one algorithm on one prepared dataset (fresh device memory, the
 /// algorithm's preferred orientation) and verify the count.
 ///
 /// Faults are isolated per cell: a kernel that accesses device memory
-/// out of bounds, overflows a fixed structure or exhausts device memory
-/// produces [`RunOutcome::Failed`] here and the caller's sweep continues.
+/// out of bounds, overflows a fixed structure, exhausts device memory or
+/// panics produces [`RunOutcome::Failed`] here and the caller's sweep
+/// continues.
 pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-    let started = Instant::now();
-    let ground_truth = data.ground_truth;
-    let dataset = data.spec.name;
-    let dag = data.dag(algo.preferred_orientation());
-    let mut mem = gpu_sim::DeviceMem::new(dev);
-    let outcome =
-        match DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(dev, &mut mem, &dg)) {
+    run_cell("sim", algo, data, || {
+        let dag = data.dag(algo.preferred_orientation());
+        let mut mem = gpu_sim::DeviceMem::new(dev);
+        let outcome = match DeviceGraph::upload(&dag, &mut mem)
+            .and_then(|dg| algo.count(dev, &mut mem, &dg))
+        {
             Ok(out) => {
                 // Tightened invariant: a successful count on a graph with
-                // edges must have cost at least one modelled cycle; only the
-                // empty graph may report a zero-cycle kernel. An algorithm
-                // that "succeeds" without doing modelled work is a bug in
-                // its instrumentation, and recording it as failed keeps
-                // downstream `kernel_cycles > 0` assumptions honest.
+                // edges must have cost at least one modelled cycle; only
+                // the empty graph may report a zero-cycle kernel. An
+                // algorithm that "succeeds" without doing modelled work
+                // is a bug in its instrumentation, and recording it as
+                // failed keeps downstream `kernel_cycles > 0` assumptions
+                // honest.
                 if out.stats.kernel_cycles == 0 && dag.num_edges() > 0 {
                     RunOutcome::Failed(SimError::KernelFault(format!(
                         "{} reported zero kernel cycles on a non-empty graph",
@@ -173,64 +217,64 @@ pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDatas
                         triangles: out.triangles,
                         kernel_cycles: out.stats.kernel_cycles,
                         counters: out.stats.counters,
-                        verified: out.triangles == ground_truth,
+                        verified: out.triangles == data.ground_truth,
                     }
                 }
             }
             Err(e) => RunOutcome::Failed(e),
         };
-    RunRecord {
-        algorithm: algo.name().to_string(),
-        dataset,
-        backend: "sim",
-        outcome,
-        partition: None,
-        wall: started.elapsed(),
-    }
+        (outcome, None)
+    })
 }
 
-/// The full evaluation sweep: every algorithm on every dataset, serially,
-/// dataset-major. Returns one record per cell.
+/// The evaluation sweep, serially: dataset-major, then backend, then
+/// algorithm — so one prepared dataset serves every backend before it is
+/// dropped. Returns one record per cell.
 pub fn run_matrix(
-    dev: &Device,
+    backends: &[&dyn Backend],
     algos: &[Box<dyn TcAlgorithm>],
     datasets: &[DatasetSpec],
 ) -> Vec<RunRecord> {
-    let mut records = Vec::with_capacity(algos.len() * datasets.len());
+    let mut records = Vec::with_capacity(backends.len() * algos.len() * datasets.len());
     for spec in datasets {
         let data = PreparedDataset::prepare(spec);
-        for algo in algos {
-            records.push(run_on_dataset(dev, algo.as_ref(), &data));
+        for backend in backends {
+            for algo in algos {
+                records.push(backend.run(algo.as_ref(), &data));
+            }
         }
     }
     records
 }
 
-/// The full evaluation sweep, parallel and fault-isolated: datasets are
-/// prepared concurrently, then every (algorithm, dataset) cell is fanned
-/// over the thread pool. Records come back in exactly [`run_matrix`]'s
-/// order (dataset-major), and because the simulator is deterministic the
-/// modelled outcomes are identical to the serial sweep's — only the
-/// measured [`RunRecord::wall`] fields differ.
+/// The evaluation sweep, parallel: datasets are prepared concurrently,
+/// then every (dataset x backend x algorithm) cell is fanned over the
+/// thread pool. Records come back in exactly [`run_matrix`]'s order, and
+/// because the simulator is deterministic the modelled outcomes are
+/// identical to the serial sweep's — only the measured
+/// [`RunRecord::wall`] fields differ.
 pub fn run_matrix_parallel(
-    dev: &Device,
+    backends: &[&dyn Backend],
     algos: &[Box<dyn TcAlgorithm>],
     datasets: &[DatasetSpec],
 ) -> Vec<RunRecord> {
     let prepared: Vec<PreparedDataset> =
         datasets.par_iter().map(PreparedDataset::prepare).collect();
-    let cells: Vec<(usize, usize)> = (0..datasets.len())
-        .flat_map(|d| (0..algos.len()).map(move |a| (d, a)))
+    let cells: Vec<(usize, usize, usize)> = (0..datasets.len())
+        .flat_map(|d| {
+            (0..backends.len()).flat_map(move |b| (0..algos.len()).map(move |a| (d, b, a)))
+        })
         .collect();
     cells
         .into_par_iter()
-        .map(|(d, a)| run_on_dataset(dev, algos[a].as_ref(), &prepared[d]))
+        .map(|(d, b, a)| backends[b].run(algos[a].as_ref(), &prepared[d]))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::backend::SimBackend;
     use crate::framework::registry::all_algorithms;
     use graph_data::datasets::{GenSpec, SizeClass};
 
@@ -279,7 +323,7 @@ mod tests {
         let dev = Device::v100();
         let algos = all_algorithms();
         let specs = [tiny_spec()];
-        let records = run_matrix(&dev, &algos, &specs);
+        let records = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
         assert_eq!(records.len(), algos.len());
         assert!(records.iter().all(|r| r.is_verified()));
         assert!(records.iter().all(|r| r.kernel_cycles().unwrap() > 0));
@@ -309,8 +353,8 @@ mod tests {
         let dev = Device::v100();
         let algos = all_algorithms();
         let specs = [tiny_spec()];
-        let serial = run_matrix(&dev, &algos, &specs);
-        let parallel = run_matrix_parallel(&dev, &algos, &specs);
+        let serial = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
+        let parallel = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.algorithm, p.algorithm);
@@ -600,7 +644,7 @@ mod tests {
         let mut algos = all_algorithms();
         algos.push(Box::new(OobAlgo));
         let specs = [tiny_spec()];
-        let records = run_matrix_parallel(&dev, &algos, &specs);
+        let records = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
         assert_eq!(records.len(), algos.len());
         let failed: Vec<&RunRecord> = records
             .iter()

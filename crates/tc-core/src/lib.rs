@@ -10,17 +10,15 @@
 //!   toggleable for the ablation benches.
 //! * [`framework`] — the unified testing framework of Section IV:
 //!   dataset preparation pipeline, the algorithm registry (the eight
-//!   published implementations plus GroupTC), the evaluation runner that
-//!   produces every figure's underlying matrix, and report formatting.
+//!   published implementations, cover-edge counting and GroupTC), the
+//!   execution backends and the one sweep-driver pair that produces
+//!   every figure's underlying matrix, and report formatting.
 
 pub mod framework;
 pub mod grouptc;
 pub mod grouptc_hybrid;
 
-pub use framework::backend::{
-    run_matrix_backends, run_matrix_backends_parallel, run_on_dataset_cpu, Backend, CpuBackend,
-    SimBackend,
-};
+pub use framework::backend::{run_on_dataset_cpu, Backend, CpuBackend, SimBackend};
 pub use framework::conformance::{run_conformance, run_conformance_suite, ConformanceReport};
 pub use framework::registry::all_algorithms;
 pub use framework::runner::{

@@ -13,7 +13,7 @@
 use tc_compare::algos::conformance::{generator_cases, run_checked};
 use tc_compare::core::framework::csv;
 use tc_compare::core::{
-    all_algorithms, run_matrix_backends, Backend, CpuBackend, PreparedDataset, SimBackend,
+    all_algorithms, run_matrix, Backend, CpuBackend, PreparedDataset, SimBackend,
 };
 use tc_compare::graph::datasets::{DatasetSpec, GenSpec, SizeClass};
 use tc_compare::graph::{clean_edges, cpu_ref, orient};
@@ -82,7 +82,7 @@ fn multi_backend_sweep_verifies_and_tags_its_csv() {
     let dev = Device::v100();
     let backends: [&dyn Backend; 2] = [&SimBackend { dev: &dev }, &CpuBackend];
     let algos = all_algorithms();
-    let records = run_matrix_backends(&backends, &algos, &[spec]);
+    let records = run_matrix(&backends, &algos, &[spec]);
     assert_eq!(records.len(), 2 * algos.len());
     assert!(
         records.iter().all(|r| r.is_verified()),

@@ -7,7 +7,7 @@ use tc_compare::algos::api::{AlgoMeta, Granularity, Intersection, IteratorKind, 
 use tc_compare::algos::DeviceGraph;
 use tc_compare::core::framework::csv::write_records;
 use tc_compare::core::framework::registry::all_algorithms;
-use tc_compare::core::{run_matrix, run_matrix_parallel, RunOutcome, RunRecord};
+use tc_compare::core::{run_matrix, run_matrix_parallel, RunOutcome, RunRecord, SimBackend};
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};
 use tc_compare::sim::{Device, DeviceMem, KernelConfig, SimError};
@@ -71,8 +71,8 @@ fn parallel_matrix_matches_serial_record_for_record() {
     let dev = Device::v100();
     let algos = all_algorithms();
     let specs = fixture_specs();
-    let serial = run_matrix(&dev, &algos, &specs);
-    let parallel = run_matrix_parallel(&dev, &algos, &specs);
+    let serial = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
+    let parallel = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
     assert_eq!(serial.len(), algos.len() * specs.len());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -153,7 +153,7 @@ fn faulting_algorithm_yields_failed_cells_while_sweep_continues() {
     let mut algos = all_algorithms();
     algos.push(Box::new(OobAlgo));
     let specs = fixture_specs();
-    let records = run_matrix_parallel(&dev, &algos, &specs);
+    let records = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
     assert_eq!(records.len(), algos.len() * specs.len());
 
     let failed: Vec<&RunRecord> = records

@@ -1,107 +1,16 @@
-//! The differential wall for this PR's two new subsystems:
-//!
-//! 1. **Out-of-core CSR** — a [`ChunkedCsr`] spilled to disk must be
-//!    indistinguishable from the in-memory [`Csr`] it came from: same
-//!    accessors, same orientations, same downstream triangle counts
-//!    (property-tested over Erdős–Rényi, Barabási–Albert and R-MAT
-//!    families).
-//! 2. **Partitioned multi-device execution** — for every registry entry
-//!    and every conformance graph, the N-device count must equal the
-//!    single-device count exactly at N ∈ {2, 4, 8}, with the race
-//!    detector and SimSan forced on, and per-device stats must be an
-//!    exact split (triangles sum, link charges only off-diagonal).
-
-use proptest::prelude::*;
+//! The partitioned multi-device wall: for every registry entry and
+//! every conformance graph, the N-device count must equal the
+//! single-device count exactly at N ∈ {2, 4, 8}, with the race detector
+//! and SimSan forced on, and per-device stats must be an exact split
+//! (triangles sum, link charges only off-diagonal).
 
 use tc_compare::algos::conformance::generator_cases;
 use tc_compare::core::framework::partitioned::run_partitioned;
 use tc_compare::core::framework::registry::all_algorithms;
 use tc_compare::core::framework::runner::{run_on_dataset, PreparedDataset, RunOutcome};
+use tc_compare::graph::clean_edges;
 use tc_compare::graph::datasets::{DatasetSpec, GenSpec, SizeClass};
-use tc_compare::graph::{
-    clean_edges, gen, orient_access, ChunkCacheConfig, ChunkedCsr, Orientation,
-};
 use tc_compare::sim::Device;
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "tc-partitioned-{tag}-{}-{n}.csr",
-        std::process::id()
-    ))
-}
-
-/// A cache so small that every multi-chunk graph evicts: the equivalence
-/// holds regardless of residency.
-fn tiny_cache() -> ChunkCacheConfig {
-    ChunkCacheConfig {
-        chunk_words: 8,
-        max_resident: 3,
-        pinned_chunks: 1,
-    }
-}
-
-fn assert_chunked_equivalent(edges: tc_compare::graph::EdgeList, tag: &str) {
-    let (g, _) = clean_edges(&edges);
-    let csr = g.csr();
-    let path = temp_path(tag);
-    let chunked = ChunkedCsr::spill_with(csr, &path, tiny_cache()).expect("spill");
-
-    // Accessor equivalence, vertex by vertex.
-    assert_eq!(chunked.num_vertices(), csr.num_vertices());
-    assert_eq!(chunked.num_entries(), csr.num_entries());
-    for v in 0..csr.num_vertices() {
-        assert_eq!(chunked.degree(v), csr.degree(v), "degree({v})");
-        assert_eq!(chunked.neighbors(v), csr.neighbors(v), "neighbors({v})");
-    }
-
-    // Orientation equivalence — the PreparedDataset pipeline over the
-    // chunked accessor must produce the same DAG, hence the same counts.
-    for o in [
-        Orientation::ById,
-        Orientation::DegreeAsc,
-        Orientation::DegreeDesc,
-        Orientation::KCore,
-        Orientation::Random(9),
-    ] {
-        let from_mem = orient_access(csr, o);
-        let from_chunk = orient_access(&chunked, o);
-        assert_eq!(
-            from_mem.csr().offsets(),
-            from_chunk.csr().offsets(),
-            "{o:?} offsets diverge"
-        );
-        assert_eq!(
-            from_mem.csr().targets(),
-            from_chunk.csr().targets(),
-            "{o:?} targets diverge"
-        );
-    }
-    drop(chunked);
-    let _ = std::fs::remove_file(&path);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn chunked_matches_in_memory_on_er(n in 2u32..120, m in 1usize..500, seed in 0u64..1000) {
-        assert_chunked_equivalent(gen::erdos_renyi(n, m, seed), "er");
-    }
-
-    #[test]
-    fn chunked_matches_in_memory_on_ba(n in 5u32..150, k in 1u32..6, seed in 0u64..1000) {
-        assert_chunked_equivalent(gen::barabasi_albert(n, k, 0.4, seed), "ba");
-    }
-
-    #[test]
-    fn chunked_matches_in_memory_on_rmat(scale in 4u32..8, m in 10usize..800, seed in 0u64..1000) {
-        assert_chunked_equivalent(gen::rmat(scale, m, 0.45, 0.22, 0.22, 0.11, seed), "rmat");
-    }
-}
 
 /// Conformance cases wrapped as prepared datasets (the partitioned
 /// runner's input type).

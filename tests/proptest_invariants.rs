@@ -54,11 +54,19 @@ proptest! {
     }
 
     #[test]
-    fn orientation_preserves_edges_and_degrees_sum(raw in raw_edges()) {
+    fn orientation_preserves_edges_and_degrees_sum(raw in raw_edges(), seed in 0u64..1000) {
         let (g, _) = clean_edges(&raw);
-        for o in [Orientation::ById, Orientation::DegreeAsc, Orientation::DegreeDesc] {
+        let expected = cpu_ref::node_iterator(&g);
+        for o in [
+            Orientation::ById,
+            Orientation::DegreeAsc,
+            Orientation::DegreeDesc,
+            Orientation::KCore,
+            Orientation::Random(seed),
+        ] {
             let dag = orient(&g, o);
             prop_assert_eq!(dag.num_edges(), g.num_edges());
+            prop_assert_eq!(cpu_ref::forward_merge(&dag), expected, "{:?}", o);
             // Every DAG edge ascends.
             for (u, v) in dag.csr().edge_iter() {
                 prop_assert!(u < v);
