@@ -1,3 +1,5 @@
+use std::sync::Mutex;
+
 use crate::counters::{LaunchStats, ProfileCounters};
 use crate::exec::{run_block, BlockCtx, BlockScratch, KernelConfig};
 use crate::lint::{build_report, LintConfig, LintObserver};
@@ -204,32 +206,40 @@ impl Device {
 
         // Each block runs independently; each rayon worker carries one
         // BlockScratch arena across every block it simulates, so the
-        // steady-state replay loop allocates nothing.
-        let results: Result<Vec<(u64, ProfileCounters, Option<LintObserver>)>, SimError> = (0..cfg
-            .grid_dim)
+        // steady-state replay loop allocates nothing. Under SimLint each
+        // block folds its observations into `lint_acc` as it finishes;
+        // the fold is order-independent (commutative sums, lowest-block
+        // witness on ties), so the report is deterministic regardless of
+        // rayon scheduling and only one accumulator outlives its block.
+        let lint_acc =
+            (cfg.lint || self.config.force_lints).then(|| Mutex::new(LintObserver::default()));
+        let per_block = (0..cfg.grid_dim)
             .into_par_iter()
             .map_init(BlockScratch::default, |scratch, block_idx| {
-                run_block(self, mem, &cfg, block_idx, &kernel, scratch)
+                run_block(
+                    self,
+                    mem,
+                    &cfg,
+                    block_idx,
+                    &kernel,
+                    scratch,
+                    lint_acc.as_ref(),
+                )
             })
-            .collect();
-        let per_block = results?;
+            .collect::<Result<Vec<(u64, ProfileCounters)>, SimError>>()?;
 
         let mut counters = ProfileCounters::default();
         let mut cycles = Vec::with_capacity(per_block.len());
-        // Lint observers fold in block order (the collect above preserves
-        // it), so the merged per-phase aggregates — and the report built
-        // from them — are deterministic regardless of rayon scheduling.
-        let mut merged_lint: Option<LintObserver> = None;
-        for (c, pc, obs) in per_block {
+        for (c, pc) in per_block {
             cycles.push(c);
             counters += pc;
-            match (&mut merged_lint, obs) {
-                (Some(acc), Some(o)) => acc.fold(&o),
-                (acc @ None, Some(o)) => *acc = Some(o),
-                (_, None) => {}
-            }
         }
-        let lint = merged_lint.map(|obs| build_report(&obs, mem, &LintConfig::default()));
+        let lint = lint_acc.map(|acc| {
+            let obs = acc
+                .into_inner()
+                .expect("a block panicked while folding SimLint observations");
+            build_report(&obs, mem, &LintConfig::default())
+        });
 
         let parallel_slots = (self.config.num_sms * self.resident_blocks_per_sm(&cfg)) as usize;
         let compute_cycles = schedule_blocks(&cycles, parallel_slots);
@@ -412,6 +422,91 @@ mod tests {
             .unwrap();
         assert_eq!(stats.counters.dram_load_sectors, 4);
         assert_eq!(stats.kernel_cycles, 1);
+    }
+
+    /// Each host worker recycles one set of race, SimSan and barrier
+    /// tables across the blocks it runs. Only the last block misbehaves,
+    /// after its worker has run earlier blocks that touched the same
+    /// state, and each finding must still be reported, with
+    /// block-local phase numbers.
+    #[test]
+    fn recycled_analysis_state_is_block_local() {
+        const GRID: u32 = 64;
+        const LAST: u32 = GRID - 1;
+        let dev = Device::v100();
+        let mem = DeviceMem::new(&dev);
+        let cfg = KernelConfig::new(GRID, 32).with_shared_words(8);
+
+        // SimSan: every other block writes shared[5] before reading it;
+        // the last block reads it uninitialized.
+        let err = dev
+            .launch(&mem, cfg.with_sanitizer(true), |blk| {
+                let last = blk.block_idx() == LAST;
+                blk.phase(|lane| {
+                    if lane.tid() == 0 && !last {
+                        lane.st_shared(5, 1);
+                    }
+                });
+                blk.phase(|lane| {
+                    if lane.tid() == 0 {
+                        lane.ld_shared(5);
+                    }
+                });
+            })
+            .unwrap_err();
+        match err {
+            SimError::Sanitizer { kind, pc_hint, .. } => {
+                assert_eq!(kind, crate::SanitizerKind::UninitRead);
+                assert_eq!(pc_hint, "phase 2, shared[5]");
+            }
+            other => panic!("expected an uninit-read report, got {other:?}"),
+        }
+
+        // Race detector: only the last block races, in its second phase.
+        let err = dev
+            .launch(&mem, cfg.with_race_detection(true), |blk| {
+                let last = blk.block_idx() == LAST;
+                blk.phase(|lane| lane.st_shared(lane.tid() as usize % 8, 1));
+                blk.phase(|lane| {
+                    if last && lane.tid() < 2 {
+                        lane.st_shared(3, 2 + lane.tid());
+                    }
+                });
+            })
+            .unwrap_err();
+        match err {
+            SimError::DataRace { lanes, pc_hint, .. } => {
+                assert_eq!(lanes, (0, 1));
+                assert_eq!(pc_hint, "phase 2, shared[3]");
+            }
+            other => panic!("expected a data race, got {other:?}"),
+        }
+
+        // Barrier verifier: lane 5 retires early everywhere but in the
+        // last block, where it skips the barrier its siblings reach.
+        let err = dev
+            .launch(&mem, cfg.with_lints(true), |blk| {
+                let last = blk.block_idx() == LAST;
+                blk.phase(|lane| {
+                    if lane.tid() == 5 && !last {
+                        lane.retire();
+                    }
+                });
+                blk.phase(|lane| {
+                    if lane.tid() != 5 {
+                        lane.sync_threads();
+                    }
+                });
+            })
+            .unwrap_err();
+        match err {
+            SimError::BarrierDivergence(d) => {
+                assert_eq!(d.block, Some(LAST));
+                assert_eq!(d.pc_hint, "phase 2");
+                assert_eq!(d.lanes.map(|(_, stray)| stray), Some(5));
+            }
+            other => panic!("expected barrier divergence, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use std::sync::Mutex;
+
 use crate::counters::ProfileCounters;
 use crate::device::Device;
 use crate::lint::{BarrierLint, LintObserver};
@@ -109,6 +111,12 @@ pub fn global_thread_id(block_idx: u32, block_dim: u32, tid: u32) -> u64 {
 /// capacity, and the shared/L1/cursor buffers are `clear()`+`resize()`d
 /// in place.
 ///
+/// The checked path recycles the same way: the race detector, SimSan,
+/// the barrier verifier and the SimLint observer live here too and are
+/// reset (tables keep their capacity) only on launches that enable
+/// them. The observer is folded into the launch's accumulator as each
+/// block finishes, so no per-block lint state outlives its block.
+///
 /// Under the default fused engine `traces` holds one warp's worth of
 /// lane buffers (≤ 32), recycled across every warp of every phase —
 /// that tiny working set is what keeps trace words L1-resident between
@@ -123,6 +131,12 @@ pub struct BlockScratch {
     /// Per-lane retirement flags (see [`LaneCtx::retire`]): a retired
     /// lane is skipped by every later phase of its block.
     retired: Vec<bool>,
+    /// Per-block analysis state: `run_block` resets each one at block
+    /// start, and only on launches that enable its analysis.
+    race: RaceTracker,
+    san: SanTracker,
+    barrier: BarrierLint,
+    lint: LintObserver,
 }
 
 impl BlockScratch {
@@ -341,14 +355,14 @@ pub struct BlockCtx<'a> {
     /// Phase-based data-race detector (`Some` when the launch enabled
     /// detection): records this block's shared and plain-global accesses
     /// between barriers and poisons the block on a cross-lane conflict.
-    race: Option<RaceTracker>,
+    race: Option<&'a mut RaceTracker>,
     /// SimSan (`Some` when the launch enabled the sanitizer): vets every
     /// access against the shadow state and poisons the block on a report.
-    san: Option<SanTracker>,
+    san: Option<&'a mut SanTracker>,
     /// SimLint barrier-divergence verifier (`Some` when the launch
     /// enabled lints): tracks per-lane barrier arrivals each phase and
     /// poisons the block when live lanes disagree on reaching a barrier.
-    lint: Option<BarrierLint>,
+    lint: Option<&'a mut BarrierLint>,
     /// Per-lane retirement flags: a lane that called [`LaneCtx::retire`]
     /// is skipped by every later phase (it has exited the kernel).
     retired: &'a mut Vec<bool>,
@@ -415,9 +429,9 @@ impl<'a> BlockCtx<'a> {
                     mem: self.mem,
                     shared: self.shared,
                     trace: self.sink.lane_trace(tid),
-                    race: &mut self.race,
-                    san: &mut self.san,
-                    lint: &mut self.lint,
+                    race: self.race.as_deref_mut(),
+                    san: self.san.as_deref_mut(),
+                    lint: self.lint.as_deref_mut(),
                     retired: &mut self.retired[tid as usize],
                     l1: &mut self.l1[l1_base..l1_base + self.l1_slice],
                     buf_cache: None,
@@ -469,9 +483,9 @@ pub struct LaneCtx<'a, 'b> {
     mem: &'a DeviceMem,
     shared: &'b mut Vec<u32>,
     trace: &'b mut LaneTrace,
-    race: &'b mut Option<RaceTracker>,
-    san: &'b mut Option<SanTracker>,
-    lint: &'b mut Option<BarrierLint>,
+    race: Option<&'b mut RaceTracker>,
+    san: Option<&'b mut SanTracker>,
+    lint: Option<&'b mut BarrierLint>,
     /// This lane's retirement flag (see [`LaneCtx::retire`]).
     retired: &'b mut bool,
     l1: &'b mut [u64],
@@ -1064,7 +1078,9 @@ impl<'a> LaneCtx<'a, '_> {
 
 /// Execute one block and return its (cycles, counters). The caller owns
 /// the [`BlockScratch`] arena (one per rayon worker) so consecutive
-/// blocks reuse every buffer.
+/// blocks reuse every buffer. `lint_acc` is the launch's SimLint
+/// accumulator (`Some` exactly when the launch enables lints): a block
+/// that completes folds its observations into it before returning.
 pub(crate) fn run_block<F>(
     dev: &Device,
     mem: &DeviceMem,
@@ -1072,7 +1088,8 @@ pub(crate) fn run_block<F>(
     block_idx: u32,
     kernel: &F,
     scratch: &mut BlockScratch,
-) -> Result<(u64, ProfileCounters, Option<LintObserver>), SimError>
+    lint_acc: Option<&Mutex<LintObserver>>,
+) -> Result<(u64, ProfileCounters), SimError>
 where
     F: Fn(&mut BlockCtx<'_>) + Sync,
 {
@@ -1103,17 +1120,22 @@ where
         l1,
         replay,
         retired,
+        race,
+        san,
+        barrier,
+        lint,
     } = scratch;
     let cost = dev.config().cost;
-    let lint_on = cfg.lint || dev.config().force_lints;
-    let mut lint_obs = lint_on.then(LintObserver::new);
+    let shared_words = cfg.shared_words as usize;
+    let lint_on = lint_acc.is_some();
+    let mut lint_obs = lint_on.then(|| lint.reset());
     let mut fused;
     let mut two_pass;
     let sink: &mut dyn PhaseSink = if retained {
-        two_pass = RetainedSink::new(traces, replay, cost, lint_obs.as_mut());
+        two_pass = RetainedSink::new(traces, replay, cost, lint_obs.as_deref_mut());
         &mut two_pass
     } else {
-        fused = FusedSink::new(traces, replay, cost, lint_obs.as_mut());
+        fused = FusedSink::new(traces, replay, cost, lint_obs.as_deref_mut());
         &mut fused
     };
     let mut blk = BlockCtx {
@@ -1124,10 +1146,9 @@ where
         shared,
         sink,
         race: (cfg.race_detect || dev.config().force_race_detection)
-            .then(|| RaceTracker::new(cfg.shared_words as usize)),
-        san: (cfg.sanitize || dev.config().force_sanitizer)
-            .then(|| SanTracker::new(cfg.shared_words as usize)),
-        lint: lint_on.then(|| BarrierLint::new(cfg.block_dim)),
+            .then(|| race.reset(shared_words)),
+        san: (cfg.sanitize || dev.config().force_sanitizer).then(|| san.reset(shared_words)),
+        lint: lint_on.then(|| barrier.reset(cfg.block_dim)),
         retired,
         l1,
         l1_slice,
@@ -1152,10 +1173,15 @@ where
     if let Some(err) = fault {
         return Err(err);
     }
-    if let Some(obs) = &lint_obs {
+    if let (Some(acc), Some(obs)) = (lint_acc, lint_obs) {
         counters.lint_checks += obs.checks;
+        // The lock is held only for the fold, which never panics on
+        // valid observers; a poisoned lock is a simulator bug.
+        acc.lock()
+            .expect("a block panicked while folding SimLint observations")
+            .fold(obs, block_idx);
     }
-    Ok((cycles, counters, lint_obs))
+    Ok((cycles, counters))
 }
 
 /// A warp holds at most [`WARP_SIZE`] lanes and each lane contributes at

@@ -247,8 +247,9 @@ impl Default for LintConfig {
 /// sequential phase model lets us count *concrete* barrier arrivals per
 /// lane and compare them at the phase end, where real hardware would
 /// either reconverge or hang.
+#[derive(Default)]
 pub(crate) struct BarrierLint {
-    /// 1-based phase counter, aligned with the race/SimSan epochs (and
+    /// 1-based phase counter, aligned with the race/SimSan phases (and
     /// with every `pc_hint` the simulator emits).
     phase: u64,
     /// Barrier arrivals per lane in the current phase.
@@ -262,13 +263,23 @@ pub(crate) struct BarrierLint {
 }
 
 impl BarrierLint {
-    pub(crate) fn new(block_dim: u32) -> Self {
-        BarrierLint {
-            phase: 1,
-            arrivals: vec![0; block_dim as usize],
-            retired_at: vec![0; block_dim as usize],
-            checks: 0,
-        }
+    #[cfg(test)]
+    fn new(block_dim: u32) -> Self {
+        let mut t = BarrierLint::default();
+        t.reset(block_dim);
+        t
+    }
+
+    /// Start a new block: phase 1, no arrivals, no retirements. The
+    /// per-lane tables keep their capacity across the blocks of a worker.
+    pub(crate) fn reset(&mut self, block_dim: u32) -> &mut Self {
+        self.phase = 1;
+        self.arrivals.clear();
+        self.arrivals.resize(block_dim as usize, 0);
+        self.retired_at.clear();
+        self.retired_at.resize(block_dim as usize, 0);
+        self.checks = 0;
+        self
     }
 
     pub(crate) fn arrive(&mut self, tid: u32) {
@@ -351,6 +362,9 @@ struct SiteAgg {
     /// slot for buffer attribution in the report.
     worst: u64,
     worst_site: u64,
+    /// Block that supplied the `worst` witness (set by [`SiteAgg::fold`];
+    /// meaningless while `worst` is 0).
+    worst_block: u32,
 }
 
 impl SiteAgg {
@@ -364,14 +378,18 @@ impl SiteAgg {
         }
     }
 
-    fn fold(&mut self, o: &SiteAgg) {
+    /// Fold block `block`'s aggregate in. The sums commute, and the
+    /// witness is the maximum of `(worst, lowest block index)`, so any
+    /// fold order yields the same aggregate.
+    fn fold(&mut self, o: &SiteAgg, block: u32) {
         self.requests += o.requests;
         self.units += o.units;
-        // Strict `>` keeps the first (lowest block index) witness on
-        // ties, so the merged report is deterministic.
-        if o.worst > self.worst {
+        if o.worst > self.worst
+            || (o.worst == self.worst && o.worst > 0 && block < self.worst_block)
+        {
             self.worst = o.worst;
             self.worst_site = o.worst_site;
+            self.worst_block = block;
         }
     }
 }
@@ -409,12 +427,12 @@ impl Default for PhaseAgg {
 }
 
 impl PhaseAgg {
-    fn fold(&mut self, o: &PhaseAgg) {
-        self.gld.fold(&o.gld);
-        self.gst.fold(&o.gst);
-        self.gatom.fold(&o.gatom);
-        self.satom.fold(&o.satom);
-        self.shared.fold(&o.shared);
+    fn fold(&mut self, o: &PhaseAgg, block: u32) {
+        self.gld.fold(&o.gld, block);
+        self.gst.fold(&o.gst, block);
+        self.gatom.fold(&o.gatom, block);
+        self.satom.fold(&o.satom, block);
+        self.shared.fold(&o.shared, block);
         for (h, &oh) in self.bank_hist.iter_mut().zip(&o.bank_hist) {
             *h += oh;
         }
@@ -423,16 +441,20 @@ impl PhaseAgg {
     }
 }
 
-/// The replay-side collector. One observer lives per block (fed by the
-/// replay's slot passes through whichever [`PhaseSink`] is active — the
-/// fused and retained engines replay phase P's warps in the same order,
-/// so attribution is engine-identical); `Device::launch` folds the
-/// per-block observers in block order and renders the merged result
-/// into a [`LintReport`].
+/// The replay-side collector, in two roles. Each rayon worker keeps one
+/// per-block observer in its `BlockScratch`, fed by the replay's slot
+/// passes through whichever `PhaseSink` is active (the fused and
+/// retained engines replay phase P's warps in the same order, so
+/// attribution is engine-identical) and [`reset`](Self::reset) between
+/// blocks. As each block finishes, `run_block` folds it into the one
+/// launch-level accumulator `Device::launch` owns, which is rendered
+/// into a [`LintReport`] once the grid is done. Live aggregates are
+/// therefore O(workers × phases), not O(blocks × phases).
 ///
 /// Observation is read-only over values the replay already computed
 /// (sector counts, conflict ways, collision depth, slot totals): the
 /// zero-perturbation guarantee is structural, not aspirational.
+#[derive(Default)]
 pub(crate) struct LintObserver {
     /// 0-based index of the phase currently being replayed.
     cur: usize,
@@ -443,14 +465,15 @@ pub(crate) struct LintObserver {
 }
 
 impl LintObserver {
-    pub(crate) fn new() -> Self {
-        LintObserver {
-            cur: 0,
-            phases: Vec::new(),
-            last_issued: 0,
-            last_active: 0,
-            checks: 0,
-        }
+    /// Start a new block: no phases observed, running totals at zero.
+    /// The phase table keeps its capacity across the blocks of a worker.
+    pub(crate) fn reset(&mut self) -> &mut Self {
+        self.cur = 0;
+        self.phases.clear();
+        self.last_issued = 0;
+        self.last_active = 0;
+        self.checks = 0;
+        self
     }
 
     #[inline]
@@ -511,15 +534,19 @@ impl LintObserver {
         self.cur += 1;
     }
 
-    /// Fold another block's observations in (phase-wise; all commutative
-    /// sums and first-witness maxima, called in block order).
-    pub(crate) fn fold(&mut self, other: &LintObserver) {
+    /// Fold block `block`'s observations in, phase-wise. Every field is
+    /// a commutative sum except the worst-slot witnesses, where a tie
+    /// goes to the lowest block index; blocks may therefore arrive in
+    /// any order (as rayon finishes them) and the merged aggregates —
+    /// and the report built from them — are identical.
+    pub(crate) fn fold(&mut self, other: &LintObserver, block: u32) {
         self.checks += other.checks;
-        while self.phases.len() < other.phases.len() {
-            self.phases.push(PhaseAgg::default());
+        if self.phases.len() < other.phases.len() {
+            self.phases
+                .resize_with(other.phases.len(), PhaseAgg::default);
         }
         for (p, o) in self.phases.iter_mut().zip(&other.phases) {
-            p.fold(o);
+            p.fold(o, block);
         }
     }
 }
@@ -767,7 +794,7 @@ mod tests {
     fn report_flags_uncoalesced_loads_above_threshold_only() {
         let mem = mem_with(64);
         let cfg = LintConfig::default();
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         // 16 perfectly coalesced slots (4 sectors each): clean.
         for _ in 0..16 {
             obs.global_load(4, 16);
@@ -776,7 +803,7 @@ mod tests {
         assert!(build_report(&obs, &mem, &cfg).is_clean());
         // 16 fully scattered slots (32 sectors each): flagged, with the
         // worst slot's address resolved to the owning buffer.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         for _ in 0..16 {
             obs.global_load(32, 20);
         }
@@ -795,7 +822,7 @@ mod tests {
     #[test]
     fn report_needs_the_request_floor_before_flagging() {
         let mem = mem_with(64);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         // Worst-possible coalescing, but only 3 requests: not a pattern.
         for _ in 0..3 {
             obs.global_load(32, 0);
@@ -807,7 +834,7 @@ mod tests {
     #[test]
     fn report_flags_bank_conflicts_with_histogram() {
         let mem = mem_with(8);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         obs.shared_access(1, 0);
         obs.shared_access(32, 5);
         obs.end_phase(2, 64);
@@ -826,7 +853,7 @@ mod tests {
     #[test]
     fn report_flags_atomic_contention_global_and_shared() {
         let mem = mem_with(16);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         obs.global_atomic(32, 8);
         obs.shared_atomic(9, 3);
         obs.end_phase(2, 64);
@@ -841,17 +868,17 @@ mod tests {
         let mem = mem_with(1);
         let cfg = LintConfig::default();
         // 1000 slots at 2 active lanes each: efficiency 2/32 < 0.25.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         obs.end_phase(1000, 2000);
         let report = build_report(&obs, &mem, &cfg);
         assert_eq!(report.count(LintRule::LowOccupancy), 1);
         assert!(report.diags[0].detail.contains("0.06"));
         // Same shape under the floor: too small to call a phase.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         obs.end_phase(100, 200);
         assert!(build_report(&obs, &mem, &cfg).is_clean());
         // Busy and efficient: clean.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         obs.end_phase(1000, 32_000);
         assert!(build_report(&obs, &mem, &cfg).is_clean());
     }
@@ -859,29 +886,105 @@ mod tests {
     #[test]
     fn phase_attribution_survives_folding_blocks() {
         let mem = mem_with(64);
-        let mut a = LintObserver::new();
+        let mut a = LintObserver::default();
         for _ in 0..10 {
             a.global_load(32, 16);
         }
         a.end_phase(10, 320);
-        let mut b = LintObserver::new();
+        let mut b = LintObserver::default();
         for _ in 0..10 {
             b.global_load(32, 16);
         }
         b.end_phase(10, 320);
-        a.fold(&b);
-        let report = build_report(&a, &mem, &LintConfig::default());
+        let mut acc = LintObserver::default();
+        acc.fold(&a, 0);
+        acc.fold(&b, 1);
+        let report = build_report(&acc, &mem, &LintConfig::default());
         // 20 requests across two blocks of the same phase: one finding.
         assert_eq!(report.count(LintRule::UncoalescedGlobal), 1);
         assert!(report.diags[0].detail.contains("20 requests"));
-        assert_eq!(a.checks, 20);
+        assert_eq!(acc.checks, 20);
+    }
+
+    /// Block `b` of a synthetic launch: `1 + b % 3` phases, each with
+    /// the same worst value on every site at a block-specific address
+    /// (odd blocks reach a deeper bank conflict), so only the
+    /// lowest-block tie-break decides the witnesses.
+    fn tied_block_observer(b: u32) -> LintObserver {
+        let site = 256 * (b as u64 + 1);
+        let mut obs = LintObserver::default();
+        let (mut issued, mut active) = (0, 0);
+        for _ in 0..1 + b % 3 {
+            for _ in 0..8 {
+                obs.global_load(16, site);
+                obs.global_store(12, site + 4);
+                obs.global_atomic(9, site + 8);
+            }
+            obs.shared_access(8 + (b as u64 % 2) * 8, b as u64);
+            obs.shared_atomic(10, b as u64 + 1);
+            issued += 300;
+            active += 300 + 100 * b as u64;
+            obs.end_phase(issued, active);
+        }
+        obs
+    }
+
+    #[test]
+    fn fold_is_order_independent_with_lowest_block_witnesses() {
+        let mem = mem_with(1024);
+        let blocks: Vec<LintObserver> = (0..8).map(tied_block_observer).collect();
+        let fold_in = |order: [u32; 8]| {
+            let mut acc = LintObserver::default();
+            for b in order {
+                acc.fold(&blocks[b as usize], b);
+            }
+            (acc.checks, build_report(&acc, &mem, &LintConfig::default()))
+        };
+        let forward = fold_in([0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(forward, fold_in([7, 6, 5, 4, 3, 2, 1, 0]));
+        assert_eq!(forward, fold_in([5, 2, 7, 0, 3, 6, 1, 4]));
+        let (checks, report) = forward;
+        assert_eq!(checks, blocks.iter().map(|o| o.checks).sum::<u64>());
+        // Phase p runs blocks {b : b % 3 >= p - 1}; each witness is the
+        // lowest such block with the phase's worst value.
+        let mut expected = Vec::new();
+        for (phase, lowest, lowest_odd) in [(1, 0, 1), (2, 1, 1), (3, 2, 5)] {
+            let site = 256 * (lowest as u64 + 1);
+            let shared = |idx| SourceLoc::Shared { phase, idx }.to_string();
+            expected.extend([
+                (LintRule::UncoalescedGlobal, global_site(&mem, phase, site)),
+                (
+                    LintRule::UncoalescedGlobal,
+                    global_site(&mem, phase, site + 4),
+                ),
+                (LintRule::BankConflict, shared(lowest_odd)),
+                (
+                    LintRule::AtomicContention,
+                    global_site(&mem, phase, site + 8),
+                ),
+                (LintRule::AtomicContention, shared(lowest + 1)),
+                (
+                    LintRule::LowOccupancy,
+                    SourceLoc::Phase { phase }.to_string(),
+                ),
+            ]);
+        }
+        expected.sort();
+        let mut got: Vec<(LintRule, String)> = report
+            .diags
+            .iter()
+            .map(|d| (d.rule, d.pc_hint.clone()))
+            .collect();
+        got.sort();
+        assert_eq!(got, expected);
+        assert!(got[0].1.contains("`probe`"), "{}", got[0].1);
     }
 
     #[test]
     fn unresolvable_addresses_fall_back_to_raw_hex() {
         let dev = crate::Device::v100();
         let mem = DeviceMem::new(&dev);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::default();
         for _ in 0..16 {
             obs.global_load(32, 0xdead_0000);
         }

@@ -104,8 +104,8 @@ pub(crate) enum Access {
 const NO_LANE: u32 = u32::MAX;
 
 /// Per-word access record for the current phase. `epoch` stamps which
-/// phase the record belongs to, so per-phase reset is O(1) instead of
-/// O(shared words).
+/// phase the record belongs to, so per-phase (and per-block) reset is
+/// O(1) instead of O(shared words).
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
     epoch: u64,
@@ -184,11 +184,18 @@ impl SlotState {
 }
 
 /// The per-block race detector: shared-word and global-word access
-/// tables for the current barrier phase, plus running statistics.
-#[derive(Debug)]
+/// tables for the current barrier phase, plus running statistics. One
+/// tracker lives in each worker's `BlockScratch` and is
+/// [`reset`](Self::reset) per block, so its tables keep their capacity.
+#[derive(Debug, Default)]
 pub(crate) struct RaceTracker {
-    /// Current phase number (1-based; 0 marks untouched slots).
+    /// Current phase number within the block (1-based), for diagnostics.
     phase: u64,
+    /// Stamp of the current phase in the slot tables. Unlike `phase` it
+    /// keeps counting across the blocks a tracker serves, so a new block
+    /// or phase invalidates every slot without touching it (0 marks
+    /// untouched slots).
+    epoch: u64,
     /// Dense table over the block's shared words, epoch-stamped.
     shared: Vec<SlotState>,
     /// Sparse table over the global byte addresses the block touched
@@ -201,20 +208,30 @@ pub(crate) struct RaceTracker {
 }
 
 impl RaceTracker {
-    pub fn new(shared_words: usize) -> Self {
-        RaceTracker {
-            phase: 1,
-            shared: vec![SlotState::FRESH; shared_words],
-            global: HashMap::new(),
-            checks: 0,
-            races: 0,
-        }
+    #[cfg(test)]
+    fn new(shared_words: usize) -> Self {
+        let mut t = RaceTracker::default();
+        t.reset(shared_words);
+        t
+    }
+
+    /// Start a new block with `shared_words` words of shared memory:
+    /// phase 1, no access records, zeroed statistics.
+    pub fn reset(&mut self, shared_words: usize) -> &mut Self {
+        self.phase = 1;
+        self.epoch += 1;
+        self.shared.resize(shared_words, SlotState::FRESH);
+        self.global.clear();
+        self.checks = 0;
+        self.races = 0;
+        self
     }
 
     /// Advance past a barrier: all access records of the finished phase
     /// become irrelevant.
     pub fn end_phase(&mut self) {
         self.phase += 1;
+        self.epoch += 1;
         self.global.clear();
     }
 
@@ -222,10 +239,9 @@ impl RaceTracker {
     /// block with on conflict.
     pub fn check_shared(&mut self, lane: u32, idx: usize, access: Access) -> Option<SimError> {
         self.checks += 1;
-        let phase = self.phase;
         let slot = &mut self.shared[idx];
-        if slot.epoch != phase {
-            slot.reset(phase);
+        if slot.epoch != self.epoch {
+            slot.reset(self.epoch);
         }
         let (other, read_write) = slot.check(lane, access)?;
         self.races += 1;
@@ -238,7 +254,11 @@ impl RaceTracker {
             addr: idx as u64,
             kind,
             lanes: (other, lane),
-            pc_hint: SourceLoc::Shared { phase, idx }.to_string(),
+            pc_hint: SourceLoc::Shared {
+                phase: self.phase,
+                idx,
+            }
+            .to_string(),
         })
     }
 
@@ -253,10 +273,9 @@ impl RaceTracker {
         access: Access,
     ) -> Option<SimError> {
         self.checks += 1;
-        let phase = self.phase;
         let slot = self.global.entry(addr).or_insert(SlotState::FRESH);
-        if slot.epoch != phase {
-            slot.reset(phase);
+        if slot.epoch != self.epoch {
+            slot.reset(self.epoch);
         }
         let (other, read_write) = slot.check(lane, access)?;
         self.races += 1;
@@ -269,7 +288,12 @@ impl RaceTracker {
             addr,
             kind,
             lanes: (other, lane),
-            pc_hint: SourceLoc::Global { phase, buffer, idx }.to_string(),
+            pc_hint: SourceLoc::Global {
+                phase: self.phase,
+                buffer,
+                idx,
+            }
+            .to_string(),
         })
     }
 }

@@ -116,8 +116,10 @@ pub(crate) enum ShadowState {
 }
 
 /// Per-block sanitizer state: the shared-memory shadow (global shadow
-/// lives with the buffers in `DeviceMem`) plus running statistics.
-#[derive(Debug)]
+/// lives with the buffers in `DeviceMem`) plus running statistics. One
+/// tracker lives in each worker's `BlockScratch` and is
+/// [`reset`](Self::reset) per block, so the shadow keeps its capacity.
+#[derive(Debug, Default)]
 pub(crate) struct SanTracker {
     /// Current barrier-phase number (1-based), for diagnostics only.
     phase: u64,
@@ -131,13 +133,22 @@ pub(crate) struct SanTracker {
 }
 
 impl SanTracker {
-    pub fn new(shared_words: usize) -> Self {
-        SanTracker {
-            phase: 1,
-            shared_init: vec![false; shared_words],
-            checks: 0,
-            reports: 0,
-        }
+    #[cfg(test)]
+    fn new(shared_words: usize) -> Self {
+        let mut t = SanTracker::default();
+        t.reset(shared_words);
+        t
+    }
+
+    /// Start a new block with `shared_words` words of shared memory, all
+    /// born `Uninit`: phase 1, zeroed statistics.
+    pub fn reset(&mut self, shared_words: usize) -> &mut Self {
+        self.phase = 1;
+        self.shared_init.clear();
+        self.shared_init.resize(shared_words, false);
+        self.checks = 0;
+        self.reports = 0;
+        self
     }
 
     /// Advance past a barrier (shared-init state persists: initialization

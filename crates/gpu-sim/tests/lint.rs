@@ -6,6 +6,9 @@
 //! and the barrier-divergence rule is fatal while the performance rules
 //! are advisory findings on [`LaunchStats::lint`].
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
 use gpu_sim::{Device, DeviceMem, KernelConfig, LintRule, SimError};
 
 /// A linted launch on a fresh V100 with a scratch buffer of `words`.
@@ -387,4 +390,64 @@ fn perf_lints_are_advisory_and_stable_across_accumulation() {
     let report_before = a.lint.clone().unwrap();
     a += b;
     assert_eq!(a.lint.unwrap(), report_before);
+}
+
+/// Blocks finish in whatever order the host workers reach them, and the
+/// launch folds each block's observations as it finishes. With every
+/// block's worst uncoalesced load tied at 32 sectors but on a
+/// block-specific address, only the lowest-block tie-break keeps the
+/// witness (and the rendered `pc_hint`) independent of that order.
+#[test]
+fn tied_worst_slots_name_block_zero_in_any_finish_order() {
+    const BLOCKS: u32 = 256;
+    const BLOCK_WORDS: usize = 1024;
+    const BASE: usize = 64;
+    /// Later blocks block 0 waits for: each host worker runs its blocks
+    /// one at a time, so once this many kernel bodies have returned,
+    /// all but (workers - 1) of those blocks have also been folded.
+    const HEAD_START: usize = 64;
+    let (dev, mem, buf) = device_and_buffer(BASE + BLOCKS as usize * BLOCK_WORDS);
+    let dev = dev.with_lints();
+    let cfg = KernelConfig::new(BLOCKS, 32);
+    let others_done = AtomicUsize::new(0);
+    let kernel = |blk: &mut gpu_sim::BlockCtx<'_>| {
+        let b = blk.block_idx();
+        if b == 0 {
+            // Hold block 0 back until later blocks have been folded, so a
+            // first-to-arrive fold would keep one of their witnesses. The
+            // deadline covers a single-worker host, where block 0 runs
+            // first and nothing else can make progress.
+            let deadline = Instant::now() + Duration::from_millis(200);
+            while others_done.load(Ordering::SeqCst) < HEAD_START && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        let base = BASE + b as usize * BLOCK_WORDS;
+        blk.phase(move |lane| {
+            // Stride-32 words: one sector per lane, 32 per request.
+            lane.ld_global(buf, base + lane.tid() as usize * 32);
+        });
+        if b != 0 {
+            others_done.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    let launch = || {
+        others_done.store(0, Ordering::SeqCst);
+        dev.launch(&mem, cfg, kernel).unwrap().lint.unwrap()
+    };
+    let first = launch();
+    let diag = first
+        .diags
+        .iter()
+        .find(|d| d.rule == LintRule::UncoalescedGlobal)
+        .expect("uncoalesced finding");
+    assert_eq!(diag.pc_hint, format!("phase 1, `scratch`[{BASE}]"));
+    assert!(
+        diag.detail.contains("worst slot touched 32 sectors"),
+        "detail: {}",
+        diag.detail
+    );
+    for _ in 0..4 {
+        assert_eq!(launch(), first, "report must not depend on finish order");
+    }
 }
