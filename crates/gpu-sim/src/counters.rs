@@ -43,7 +43,7 @@ pub struct ProfileCounters {
     /// Sum over issued slots of the number of active lanes.
     pub active_thread_slots: u64,
     /// Conflict checks performed by the data-race detector (zero unless
-    /// the launch enabled race detection); a nonzero value on a clean
+    /// the device enables race detection); a nonzero value on a clean
     /// run is the evidence the kernel actually ran under the detector.
     pub race_checks: u64,
     /// Races the detector found. Normally reported through
@@ -51,7 +51,7 @@ pub struct ProfileCounters {
     /// launch), so this stays zero on successful launches.
     pub races_detected: u64,
     /// Accesses vetted by SimSan (see `gpu_sim::sanitize`); zero unless
-    /// the launch enabled the sanitizer — a nonzero value on a clean run
+    /// the device enables the sanitizer — a nonzero value on a clean run
     /// is the evidence the kernel actually ran sanitized.
     pub sanitizer_checks: u64,
     /// Sanitizer reports raised. Like `races_detected`, the first report
@@ -60,7 +60,7 @@ pub struct ProfileCounters {
     pub sanitizer_reports: u64,
     /// Observations made by SimLint (see `gpu_sim::lint`): barrier
     /// arrivals vetted plus replay slots aggregated for the performance
-    /// rules. Zero unless the launch enabled lints — like `race_checks`
+    /// rules. Zero unless the device enables lints — like `race_checks`
     /// and `sanitizer_checks`, a nonzero value on a clean run is the
     /// evidence the kernel actually ran under the linter.
     pub lint_checks: u64,

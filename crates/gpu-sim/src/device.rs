@@ -9,6 +9,25 @@ use crate::{CostModel, SimError};
 
 use rayon::prelude::*;
 
+/// The analyses a device runs on every launch. All are off by default,
+/// so benchmark launches pay ~zero cost (one predictable branch per
+/// access). A device-wide switch also covers the launches that
+/// algorithms configure internally, which is how the conformance suite,
+/// `lint_sweep` and the test fixtures run every kernel checked. None of
+/// them perturbs results: counters and cycles are byte-identical with
+/// any set of checks on or off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Checks {
+    /// The phase-based data-race detector (see `gpu_sim::race`).
+    pub race: bool,
+    /// SimSan (see `gpu_sim::sanitize`): shadow tracking for
+    /// uninit-read, use-after-free and redzone accesses.
+    pub san: bool,
+    /// SimLint (see `gpu_sim::lint`): the barrier-divergence verifier
+    /// plus the performance lints that watch the replay stream.
+    pub lint: bool,
+}
+
 /// Static configuration of the simulated GPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceConfig {
@@ -24,28 +43,8 @@ pub struct DeviceConfig {
     pub l1_sectors_per_sm: u32,
     /// Global memory capacity, in 4-byte words.
     pub global_mem_words: u64,
-    /// Force the data-race detector on for *every* launch on this device,
-    /// regardless of each launch's [`KernelConfig::race_detect`] flag.
-    /// Test harnesses use this to run algorithms that build their own
-    /// launch configurations internally under the detector.
-    pub force_race_detection: bool,
-    /// Force SimSan (see `gpu_sim::sanitize`) on for every launch on
-    /// this device, regardless of each launch's
-    /// [`KernelConfig::sanitize`] flag — the sanitizer counterpart of
-    /// `force_race_detection`.
-    pub force_sanitizer: bool,
-    /// Force the retained two-pass trace engine (see
-    /// [`KernelConfig::retained_trace`]) for every launch on this
-    /// device. Differential harnesses use this to run algorithms that
-    /// build their own launch configurations internally under the
-    /// reference engine and compare against the default fused one.
-    pub force_retained_trace: bool,
-    /// Force SimLint (see `gpu_sim::lint`) on for every launch on this
-    /// device, regardless of each launch's [`KernelConfig::lint`] flag —
-    /// the lint counterpart of `force_race_detection`. Conformance
-    /// harnesses use this to run algorithms that build their own launch
-    /// configurations internally under the diagnostics engine.
-    pub force_lints: bool,
+    /// The analyses every launch on this device runs under.
+    pub checks: Checks,
     pub cost: CostModel,
 }
 
@@ -64,10 +63,7 @@ impl DeviceConfig {
             shared_mem_words: 48 * 1024 / 4,
             l1_sectors_per_sm: 128 * 1024 / 32,
             global_mem_words: 16 * 1024 * 1024, // 64 MiB => 16 GB / 256
-            force_race_detection: false,
-            force_sanitizer: false,
-            force_retained_trace: false,
-            force_lints: false,
+            checks: Checks::default(),
             cost: CostModel::v100(),
         }
     }
@@ -83,10 +79,7 @@ impl DeviceConfig {
             shared_mem_words: 128 * 1024 / 4,
             l1_sectors_per_sm: 128 * 1024 / 32,
             global_mem_words: 24 * 1024 * 1024,
-            force_race_detection: false,
-            force_sanitizer: false,
-            force_retained_trace: false,
-            force_lints: false,
+            checks: Checks::default(),
             cost: CostModel::rtx4090(),
         }
     }
@@ -121,31 +114,21 @@ impl Device {
         Device::new(cfg)
     }
 
-    /// Force the data-race detector on for every launch on this device
-    /// (see [`DeviceConfig::force_race_detection`]).
+    /// Run the data-race detector on every launch on this device.
     pub fn with_race_detection(mut self) -> Self {
-        self.config.force_race_detection = true;
+        self.config.checks.race = true;
         self
     }
 
-    /// Force SimSan on for every launch on this device (see
-    /// [`DeviceConfig::force_sanitizer`]).
+    /// Run SimSan on every launch on this device.
     pub fn with_sanitizer(mut self) -> Self {
-        self.config.force_sanitizer = true;
+        self.config.checks.san = true;
         self
     }
 
-    /// Force the retained two-pass trace engine on for every launch on
-    /// this device (see [`DeviceConfig::force_retained_trace`]).
-    pub fn with_retained_trace(mut self) -> Self {
-        self.config.force_retained_trace = true;
-        self
-    }
-
-    /// Force SimLint on for every launch on this device (see
-    /// [`DeviceConfig::force_lints`]).
+    /// Run SimLint on every launch on this device.
     pub fn with_lints(mut self) -> Self {
-        self.config.force_lints = true;
+        self.config.checks.lint = true;
         self
     }
 
@@ -211,8 +194,11 @@ impl Device {
         // the fold is order-independent (commutative sums, lowest-block
         // witness on ties), so the report is deterministic regardless of
         // rayon scheduling and only one accumulator outlives its block.
-        let lint_acc =
-            (cfg.lint || self.config.force_lints).then(|| Mutex::new(LintObserver::default()));
+        let lint_acc = self
+            .config
+            .checks
+            .lint
+            .then(|| Mutex::new(LintObserver::default()));
         let per_block = (0..cfg.grid_dim)
             .into_par_iter()
             .map_init(BlockScratch::default, |scratch, block_idx| {
@@ -440,7 +426,9 @@ mod tests {
         // SimSan: every other block writes shared[5] before reading it;
         // the last block reads it uninitialized.
         let err = dev
-            .launch(&mem, cfg.with_sanitizer(true), |blk| {
+            .clone()
+            .with_sanitizer()
+            .launch(&mem, cfg, |blk| {
                 let last = blk.block_idx() == LAST;
                 blk.phase(|lane| {
                     if lane.tid() == 0 && !last {
@@ -464,7 +452,9 @@ mod tests {
 
         // Race detector: only the last block races, in its second phase.
         let err = dev
-            .launch(&mem, cfg.with_race_detection(true), |blk| {
+            .clone()
+            .with_race_detection()
+            .launch(&mem, cfg, |blk| {
                 let last = blk.block_idx() == LAST;
                 blk.phase(|lane| lane.st_shared(lane.tid() as usize % 8, 1));
                 blk.phase(|lane| {
@@ -485,7 +475,9 @@ mod tests {
         // Barrier verifier: lane 5 retires early everywhere but in the
         // last block, where it skips the barrier its siblings reach.
         let err = dev
-            .launch(&mem, cfg.with_lints(true), |blk| {
+            .clone()
+            .with_lints()
+            .launch(&mem, cfg, |blk| {
                 let last = blk.block_idx() == LAST;
                 blk.phase(|lane| {
                     if lane.tid() == 5 && !last {

@@ -10,44 +10,15 @@ use crate::trace::{LaneTrace, Op, PackedOp, TAG_COMPUTE, TAG_CONVERGE, TAG_SATOM
 use crate::{CostModel, SimError, SHARED_BANKS, WARP_SIZE};
 
 /// Launch geometry: `grid_dim` blocks of `block_dim` threads, each block
-/// carrying `shared_words` words of shared memory — plus the per-launch
-/// data-race-detection and sanitizer toggles.
+/// carrying `shared_words` words of shared memory. Which analyses run is
+/// a property of the device, not the launch (see [`crate::Checks`]), so
+/// kernels that build their own configurations internally are checked
+/// exactly like hand-written launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     pub grid_dim: u32,
     pub block_dim: u32,
     pub shared_words: u32,
-    /// Run this launch under the phase-based data-race detector (see
-    /// `gpu_sim::race`). Off by default so benchmark launches pay ~zero
-    /// cost (a single predictable branch per access); the detector is
-    /// also forced on for every launch on a
-    /// [`Device::with_race_detection`] device.
-    pub race_detect: bool,
-    /// Run this launch under SimSan (see `gpu_sim::sanitize`): shadow
-    /// tracking for uninit-read, use-after-free and redzone accesses.
-    /// Off by default like `race_detect`; also forced on for every
-    /// launch on a [`Device::with_sanitizer`] device.
-    pub sanitize: bool,
-    /// Replay with the retained two-pass engine: record every lane of
-    /// the block into block-lifetime traces, then replay them all at the
-    /// barrier — the pre-fusion execution order, kept as a debug /
-    /// differential reference. Off by default: the fused engine replays
-    /// each warp the moment its 32 lanes finish a phase, so trace words
-    /// are consumed while still cache-hot. Both engines are
-    /// bit-identical by construction (same lane order, same replay
-    /// rules); `tests/fused_vs_twopass.rs` locks that equivalence. Also
-    /// forced on for every launch on a [`Device::with_retained_trace`]
-    /// device.
-    pub retained_trace: bool,
-    /// Run this launch under SimLint (see `gpu_sim::lint`): the
-    /// barrier-divergence verifier plus the performance lint pass that
-    /// watches the replay stream for uncoalesced access, bank-conflict,
-    /// atomic-contention and low-occupancy hotspots. Off by default like
-    /// the other analyses; also forced on for every launch on a
-    /// [`Device::with_lints`] device. Zero-perturbation: lint observers
-    /// only read values the replay already computed, so counters and
-    /// cycles are byte-identical with lints on or off.
-    pub lint: bool,
 }
 
 impl KernelConfig {
@@ -56,40 +27,11 @@ impl KernelConfig {
             grid_dim,
             block_dim,
             shared_words: 0,
-            race_detect: false,
-            sanitize: false,
-            retained_trace: false,
-            lint: false,
         }
     }
 
     pub fn with_shared_words(mut self, words: u32) -> Self {
         self.shared_words = words;
-        self
-    }
-
-    /// Toggle the data-race detector for this launch.
-    pub fn with_race_detection(mut self, on: bool) -> Self {
-        self.race_detect = on;
-        self
-    }
-
-    /// Toggle SimSan for this launch.
-    pub fn with_sanitizer(mut self, on: bool) -> Self {
-        self.sanitize = on;
-        self
-    }
-
-    /// Toggle the retained two-pass trace engine for this launch (see
-    /// [`KernelConfig::retained_trace`]).
-    pub fn with_retained_trace(mut self, on: bool) -> Self {
-        self.retained_trace = on;
-        self
-    }
-
-    /// Toggle SimLint for this launch.
-    pub fn with_lints(mut self, on: bool) -> Self {
-        self.lint = on;
         self
     }
 }
@@ -111,17 +53,16 @@ pub fn global_thread_id(block_idx: u32, block_dim: u32, tid: u32) -> u64 {
 /// capacity, and the shared/L1/cursor buffers are `clear()`+`resize()`d
 /// in place.
 ///
+/// `traces` holds one warp's worth of lane buffers (≤ 32), recycled
+/// across every warp of every phase: each warp is replayed the moment
+/// its lanes finish recording, so that tiny working set keeps trace
+/// words L1-resident between record and replay.
+///
 /// The checked path recycles the same way: the race detector, SimSan,
 /// the barrier verifier and the SimLint observer live here too and are
-/// reset (tables keep their capacity) only on launches that enable
+/// reset (tables keep their capacity) only on devices that enable
 /// them. The observer is folded into the launch's accumulator as each
 /// block finishes, so no per-block lint state outlives its block.
-///
-/// Under the default fused engine `traces` holds one warp's worth of
-/// lane buffers (≤ 32), recycled across every warp of every phase —
-/// that tiny working set is what keeps trace words L1-resident between
-/// record and replay. The retained engine sizes it to the full
-/// `block_dim` instead.
 #[derive(Default)]
 pub struct BlockScratch {
     shared: Vec<u32>,
@@ -132,7 +73,7 @@ pub struct BlockScratch {
     /// lane is skipped by every later phase of its block.
     retired: Vec<bool>,
     /// Per-block analysis state: `run_block` resets each one at block
-    /// start, and only on launches that enable its analysis.
+    /// start, and only on devices that enable its analysis.
     race: RaceTracker,
     san: SanTracker,
     barrier: BarrierLint,
@@ -140,16 +81,17 @@ pub struct BlockScratch {
 }
 
 impl BlockScratch {
-    fn reset(&mut self, shared_words: usize, trace_lanes: usize, l1_len: usize, block_dim: usize) {
+    fn reset(&mut self, shared_words: usize, l1_len: usize, block_dim: usize) {
         self.shared.clear();
         self.shared.resize(shared_words, 0);
         // Keep the per-lane op buffers (the hot allocation) alive across
         // blocks; only their lengths reset.
-        self.traces.truncate(trace_lanes);
+        let lanes = block_dim.min(WARP_SIZE);
+        self.traces.truncate(lanes);
         for t in &mut self.traces {
             t.clear();
         }
-        self.traces.resize_with(trace_lanes, LaneTrace::default);
+        self.traces.resize_with(lanes, LaneTrace::default);
         self.l1.clear();
         self.l1.resize(l1_len, u64::MAX);
         self.retired.clear();
@@ -158,47 +100,17 @@ impl BlockScratch {
 }
 
 /// The consumer side of the record/replay split: lanes *generate*
-/// `PackedOp` words into buffers the sink hands out, and the sink
-/// decides when those buffers are *consumed* (replayed into cycles and
-/// counters). The two implementations differ only in consumption
-/// timing, never in replay rules, so their results are bit-identical:
-///
-/// * [`FusedSink`] (default) replays each warp's slice of the phase the
-///   moment its ≤ 32 lanes finish recording it, then immediately
-///   recycles the same 32 buffers for the next warp. Trace words are
-///   written and read back while still cache-hot, and no block-lifetime
-///   trace ever exists.
-/// * [`RetainedSink`] keeps one buffer per lane of the block and
-///   replays them all at the phase barrier — the original two-pass
-///   engine, preserved behind [`KernelConfig::retained_trace`] as the
-///   differential reference.
+/// `PackedOp` words into the buffers this sink hands out, and the sink
+/// *consumes* them (replays them into cycles and counters) as soon as a
+/// warp's ≤ 32 lanes finish recording their slice of the phase. The
+/// same 32 buffers are then recycled for the next warp, so trace words
+/// are written and read back while still cache-hot and no
+/// block-lifetime trace ever exists.
 ///
 /// The race detector and SimSan are *not* sink clients: they hook the
 /// record side (checks run at access time inside [`LaneCtx`]) and are
-/// phase-scoped via their own `end_phase`, so they see the exact same
-/// access interleaving under either sink.
-pub(crate) trait PhaseSink {
-    /// The buffer lane `tid` records the current phase into. The fused
-    /// sink maps `tid` to its warp-local slot; the retained sink to the
-    /// lane's block-lifetime trace.
-    fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace;
-
-    /// All lanes of one warp have finished recording the current phase
-    /// (called in warp order). The fused sink replays and recycles its
-    /// warp buffers here; the retained sink does nothing.
-    fn warp_complete(&mut self);
-
-    /// Block-wide barrier: the phase is over. Folds the phase's cycle
-    /// cost (max over the block's warps — they run concurrently, the
-    /// barrier waits for the slowest) into the block total. The
-    /// retained sink replays every lane trace here first.
-    fn end_phase(&mut self);
-
-    /// The block is done: yield its accumulated (cycles, counters).
-    fn finish(&mut self) -> (u64, ProfileCounters);
-}
-
-/// Streaming sink: replay each warp phase as soon as it is recorded.
+/// phase-scoped via their own `end_phase`. SimLint's performance
+/// observer is the one analysis fed from the replay side.
 pub(crate) struct FusedSink<'a> {
     /// One buffer per warp lane (≤ 32), shared by every warp in turn.
     traces: &'a mut [LaneTrace],
@@ -208,10 +120,8 @@ pub(crate) struct FusedSink<'a> {
     cycles: u64,
     /// Max replay cycles over the warps seen so far this phase.
     phase_cycles: u64,
-    /// SimLint performance observer (`Some` when the launch enabled
-    /// lints): fed per replay slot, phase-advanced at the barrier. Both
-    /// sinks replay a phase's warps in the same order and advance the
-    /// observer at the same point, so the reports are engine-identical.
+    /// SimLint performance observer (`Some` when the device enables
+    /// lints): fed per replay slot, phase-advanced at the barrier.
     lint: Option<&'a mut LintObserver>,
 }
 
@@ -232,14 +142,16 @@ impl<'a> FusedSink<'a> {
             lint,
         }
     }
-}
 
-impl PhaseSink for FusedSink<'_> {
+    /// The buffer lane `tid` records the current phase into: its
+    /// warp-local slot.
     #[inline]
     fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace {
         &mut self.traces[tid as usize % WARP_SIZE]
     }
 
+    /// All lanes of one warp have finished recording the current phase
+    /// (called in warp order): replay the warp and recycle its buffers.
     fn warp_complete(&mut self) {
         let (cycles, counters) = replay_warp(
             self.traces,
@@ -254,6 +166,9 @@ impl PhaseSink for FusedSink<'_> {
         }
     }
 
+    /// Block-wide barrier: the phase is over. Folds the phase's cycle
+    /// cost (max over the block's warps — they run concurrently, the
+    /// barrier waits for the slowest) into the block total.
     fn end_phase(&mut self) {
         self.cycles += self.phase_cycles;
         self.phase_cycles = 0;
@@ -265,71 +180,8 @@ impl PhaseSink for FusedSink<'_> {
         }
     }
 
-    fn finish(&mut self) -> (u64, ProfileCounters) {
-        (self.cycles, self.counters)
-    }
-}
-
-/// Two-pass sink: record the whole block, replay at the barrier.
-pub(crate) struct RetainedSink<'a> {
-    /// One block-lifetime buffer per lane of the block.
-    traces: &'a mut [LaneTrace],
-    replay: &'a mut ReplayScratch,
-    cost: CostModel,
-    counters: ProfileCounters,
-    cycles: u64,
-    /// SimLint performance observer, fed exactly like [`FusedSink`]'s:
-    /// same warp order, same phase-advance point, identical reports.
-    lint: Option<&'a mut LintObserver>,
-}
-
-impl<'a> RetainedSink<'a> {
-    fn new(
-        traces: &'a mut [LaneTrace],
-        replay: &'a mut ReplayScratch,
-        cost: CostModel,
-        lint: Option<&'a mut LintObserver>,
-    ) -> Self {
-        RetainedSink {
-            traces,
-            replay,
-            cost,
-            counters: ProfileCounters::default(),
-            cycles: 0,
-            lint,
-        }
-    }
-}
-
-impl PhaseSink for RetainedSink<'_> {
-    #[inline]
-    fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace {
-        &mut self.traces[tid as usize]
-    }
-
-    fn warp_complete(&mut self) {}
-
-    fn end_phase(&mut self) {
-        let mut phase_cycles = 0u64;
-        for warp in self.traces.chunks(WARP_SIZE) {
-            let (cycles, counters) =
-                replay_warp(warp, &self.cost, self.replay, self.lint.as_deref_mut());
-            phase_cycles = phase_cycles.max(cycles);
-            self.counters += counters;
-        }
-        self.cycles += phase_cycles;
-        for t in self.traces.iter_mut() {
-            t.clear();
-        }
-        if let Some(obs) = self.lint.as_deref_mut() {
-            obs.end_phase(
-                self.counters.issued_slots,
-                self.counters.active_thread_slots,
-            );
-        }
-    }
-
-    fn finish(&mut self) -> (u64, ProfileCounters) {
+    /// The block is done: yield its accumulated (cycles, counters).
+    fn finish(&self) -> (u64, ProfileCounters) {
         (self.cycles, self.counters)
     }
 }
@@ -339,10 +191,9 @@ impl PhaseSink for RetainedSink<'_> {
 /// A kernel structures its work as a sequence of [`BlockCtx::phase`]
 /// calls; each phase runs every lane of the block to completion (in lane
 /// order) and ends with an implicit block-wide barrier. Lane traces are
-/// replayed warp-by-warp for profiling and timing — by default the
-/// moment each warp finishes recording its slice of the phase (see
-/// [`PhaseSink`]). All growable state lives in the borrowed
-/// [`BlockScratch`] arena.
+/// replayed warp-by-warp for profiling and timing, the moment each warp
+/// finishes recording its slice of the phase. All growable state lives
+/// in the borrowed [`BlockScratch`] arena.
 pub struct BlockCtx<'a> {
     mem: &'a DeviceMem,
     block_idx: u32,
@@ -350,17 +201,17 @@ pub struct BlockCtx<'a> {
     grid_dim: u32,
     shared: &'a mut Vec<u32>,
     /// Consumes recorded ops: hands out recording buffers and replays
-    /// them (per warp when fused, per phase when retained).
-    sink: &'a mut dyn PhaseSink,
-    /// Phase-based data-race detector (`Some` when the launch enabled
+    /// them warp by warp.
+    sink: FusedSink<'a>,
+    /// Phase-based data-race detector (`Some` when the device enables
     /// detection): records this block's shared and plain-global accesses
     /// between barriers and poisons the block on a cross-lane conflict.
     race: Option<&'a mut RaceTracker>,
-    /// SimSan (`Some` when the launch enabled the sanitizer): vets every
+    /// SimSan (`Some` when the device enables the sanitizer): vets every
     /// access against the shadow state and poisons the block on a report.
     san: Option<&'a mut SanTracker>,
-    /// SimLint barrier-divergence verifier (`Some` when the launch
-    /// enabled lints): tracks per-lane barrier arrivals each phase and
+    /// SimLint barrier-divergence verifier (`Some` when the device
+    /// enables lints): tracks per-lane barrier arrivals each phase and
     /// poisons the block when live lanes disagree on reaching a barrier.
     lint: Option<&'a mut BarrierLint>,
     /// Per-lane retirement flags: a lane that called [`LaneCtx::retire`]
@@ -446,15 +297,15 @@ impl<'a> BlockCtx<'a> {
                 lane.flush_compute();
                 tid += 1;
             }
-            // The warp's slice of the phase is fully recorded: the fused
-            // sink replays it here, while its trace words are still hot.
+            // The warp's slice of the phase is fully recorded: replay it
+            // here, while its trace words are still hot.
             self.sink.warp_complete();
         }
         self.barrier();
     }
 
     /// End the phase: close the analysis epochs and fold the phase's
-    /// replay cycles (the retained sink also replays here).
+    /// replay cycles.
     fn barrier(&mut self) {
         if let Some(t) = self.race.as_mut() {
             t.end_phase();
@@ -579,7 +430,7 @@ impl<'a> LaneCtx<'a, '_> {
     }
 
     /// Run one shared-memory access through the race detector (if the
-    /// launch enabled it); a conflict poisons the block. Out-of-range
+    /// device enables it); a conflict poisons the block. Out-of-range
     /// indices are skipped so the subsequent data access reports the
     /// bounds fault with its usual message.
     ///
@@ -631,7 +482,7 @@ impl<'a> LaneCtx<'a, '_> {
     }
 
     /// Vet one shared-memory access against the SimSan shadow (if the
-    /// launch enabled the sanitizer); a report poisons the block. Checks
+    /// device enables the sanitizer); a report poisons the block. Checks
     /// never touch the lane trace or the cost model, so a clean kernel's
     /// counters and cycles are identical sanitizer-on and -off.
     #[inline(always)]
@@ -677,7 +528,7 @@ impl<'a> LaneCtx<'a, '_> {
 
     /// Record `n` arithmetic instructions (comparisons, address math...).
     /// Run-length encoded: adjacent calls merge into one trace word (see
-    /// [`LaneTrace::push_compute`] and [`LaneCtx::pending_compute`]).
+    /// `LaneTrace::push_compute` and `LaneCtx::pending_compute`).
     #[inline]
     pub fn compute(&mut self, n: u32) {
         self.pending_compute += n;
@@ -1079,7 +930,7 @@ impl<'a> LaneCtx<'a, '_> {
 /// Execute one block and return its (cycles, counters). The caller owns
 /// the [`BlockScratch`] arena (one per rayon worker) so consecutive
 /// blocks reuse every buffer. `lint_acc` is the launch's SimLint
-/// accumulator (`Some` exactly when the launch enables lints): a block
+/// accumulator (`Some` exactly when the device enables lints): a block
 /// that completes folds its observations into it before returning.
 pub(crate) fn run_block<F>(
     dev: &Device,
@@ -1100,17 +951,8 @@ where
         .max(16)
         .next_power_of_two() as usize;
     let warps = (cfg.block_dim as usize).div_ceil(WARP_SIZE);
-    let retained = cfg.retained_trace || dev.config().force_retained_trace;
-    // The fused engine recycles one warp's worth of lane buffers; the
-    // retained engine records the whole block before replaying.
-    let trace_lanes = if retained {
-        cfg.block_dim as usize
-    } else {
-        (cfg.block_dim as usize).min(WARP_SIZE)
-    };
     scratch.reset(
         cfg.shared_words as usize,
-        trace_lanes,
         warps * l1_slice,
         cfg.block_dim as usize,
     );
@@ -1125,30 +967,19 @@ where
         barrier,
         lint,
     } = scratch;
-    let cost = dev.config().cost;
+    let checks = dev.config().checks;
     let shared_words = cfg.shared_words as usize;
-    let lint_on = lint_acc.is_some();
-    let mut lint_obs = lint_on.then(|| lint.reset());
-    let mut fused;
-    let mut two_pass;
-    let sink: &mut dyn PhaseSink = if retained {
-        two_pass = RetainedSink::new(traces, replay, cost, lint_obs.as_deref_mut());
-        &mut two_pass
-    } else {
-        fused = FusedSink::new(traces, replay, cost, lint_obs.as_deref_mut());
-        &mut fused
-    };
+    let mut lint_obs = checks.lint.then(|| lint.reset());
     let mut blk = BlockCtx {
         mem,
         block_idx,
         block_dim: cfg.block_dim,
         grid_dim: cfg.grid_dim,
         shared,
-        sink,
-        race: (cfg.race_detect || dev.config().force_race_detection)
-            .then(|| race.reset(shared_words)),
-        san: (cfg.sanitize || dev.config().force_sanitizer).then(|| san.reset(shared_words)),
-        lint: lint_on.then(|| barrier.reset(cfg.block_dim)),
+        sink: FusedSink::new(traces, replay, dev.config().cost, lint_obs.as_deref_mut()),
+        race: checks.race.then(|| race.reset(shared_words)),
+        san: checks.san.then(|| san.reset(shared_words)),
+        lint: checks.lint.then(|| barrier.reset(cfg.block_dim)),
         retired,
         l1,
         l1_slice,

@@ -33,7 +33,7 @@
 //! barrier is deterministic. Reading a value another lane wrote in the
 //! *same* phase is a data race in CUDA and is unsupported here too: the
 //! phase-based race detector (see [`race`](crate::RaceKind) and
-//! [`KernelConfig::with_race_detection`]) turns such conflicts into
+//! [`Device::with_race_detection`]) turns such conflicts into
 //! [`SimError::DataRace`] failures instead of silently reporting whichever
 //! interleaving the sequential lane order happened to produce.
 //!
@@ -74,7 +74,7 @@ mod trace;
 
 pub use cost::CostModel;
 pub use counters::{LaunchStats, ProfileCounters};
-pub use device::{Device, DeviceConfig};
+pub use device::{Checks, Device, DeviceConfig};
 pub use error::SimError;
 pub use exec::{global_thread_id, BlockCtx, BlockScratch, KernelConfig, LaneCtx};
 pub use lint::{Diag, LintConfig, LintReport, LintRule};

@@ -30,8 +30,7 @@
 //!   [`LaunchStats`](crate::LaunchStats).
 //!
 //! Like the race detector and SimSan, SimLint is off by default
-//! (per-launch [`KernelConfig::with_lints`](crate::KernelConfig::with_lints),
-//! per-device [`Device::with_lints`](crate::Device::with_lints)) and is
+//! (enabled per device by [`Device::with_lints`](crate::Device::with_lints)) and is
 //! zero-perturbation: observers only *read* values the replay already
 //! computed, so counters and cycles are byte-identical lints-on vs
 //! lints-off.
@@ -149,7 +148,7 @@ pub struct Diag {
     /// Witness lane pair (agreeing lane, diverging lane) for barrier
     /// diagnostics.
     pub lanes: Option<(u32, u32)>,
-    /// Where: the shared [`SourceLoc`] rendering ("phase N, `buf`[i]").
+    /// Where: the shared `SourceLoc` rendering (`` phase N, `buf`[i] ``).
     pub pc_hint: String,
     /// What: a human-readable, deterministic one-liner.
     pub detail: String,
@@ -443,9 +442,7 @@ impl PhaseAgg {
 
 /// The replay-side collector, in two roles. Each rayon worker keeps one
 /// per-block observer in its `BlockScratch`, fed by the replay's slot
-/// passes through whichever `PhaseSink` is active (the fused and
-/// retained engines replay phase P's warps in the same order, so
-/// attribution is engine-identical) and [`reset`](Self::reset) between
+/// passes as each warp is replayed and [`reset`](Self::reset) between
 /// blocks. As each block finishes, `run_block` folds it into the one
 /// launch-level accumulator `Device::launch` owns, which is rendered
 /// into a [`LintReport`] once the grid is done. Live aggregates are

@@ -343,7 +343,7 @@ impl DeviceMem {
     /// End-of-run leak check: every buffer must have been freed. Returns
     /// [`SimError::Sanitizer`] with [`SanitizerKind::Leak`] naming the
     /// still-live buffers otherwise. Like double-free detection this is
-    /// not gated on the per-launch sanitizer toggle — the conformance
+    /// not gated on the device's sanitizer switch — the conformance
     /// harness calls it after every algorithm run.
     pub fn leak_check(&self) -> Result<(), SimError> {
         if self.allocated_words == 0 {

@@ -36,9 +36,7 @@
 //! which are exempt by design.
 //!
 //! Detection is off by default (a launch pays ~zero cost: one branch per
-//! access) and is enabled per launch via
-//! [`KernelConfig::with_race_detection`](crate::KernelConfig::with_race_detection)
-//! or for every launch on a device via
+//! access) and is enabled for every launch on a device via
 //! [`Device::with_race_detection`](crate::Device::with_race_detection).
 //! A detected race poisons the block like a memory fault and surfaces as
 //! [`SimError::DataRace`].

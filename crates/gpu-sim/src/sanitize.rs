@@ -36,9 +36,8 @@
 //! unsanitized launches, so enabling the sanitizer later never
 //! false-positives on state written while it was off.
 //!
-//! Like race detection, lane-side checking is off by default and toggles
-//! per launch ([`KernelConfig::with_sanitizer`](crate::KernelConfig::with_sanitizer))
-//! or per device ([`Device::with_sanitizer`](crate::Device::with_sanitizer)).
+//! Like race detection, lane-side checking is off by default and is
+//! enabled per device ([`Device::with_sanitizer`](crate::Device::with_sanitizer)).
 //! A report poisons the block exactly like `MemoryFault`/`DataRace` and
 //! surfaces as [`SimError::Sanitizer`](crate::SimError::Sanitizer);
 //! `sanitizer_checks`/`sanitizer_reports` land in

@@ -9,7 +9,7 @@
 /// `replay_warp`). Addresses are byte addresses in the flat device
 /// address space (global) or word indices (shared).
 ///
-/// In memory each op is a single [`PackedOp`] word, not this enum: the
+/// In memory each op is a single `PackedOp` word, not this enum: the
 /// trace streams are the simulator's dominant memory traffic (billions
 /// of op units on a medium-graph sweep), and 8 bytes/op instead of the
 /// enum's padded 16 halves what the record and replay loops pull
@@ -33,7 +33,7 @@ pub enum Op {
     /// Shared-memory atomic read-modify-write.
     SAtomic(u32),
     /// A run of `n >= 1` consecutive arithmetic/logic instructions
-    /// (comparisons, adds, address math...). [`LaneTrace::push_compute`]
+    /// (comparisons, adds, address math...). `LaneTrace::push_compute`
     /// merges adjacent runs, so a merge loop that calls
     /// `lane.compute(1)` per iteration between loads still records one
     /// word per run rather than one per instruction.

@@ -1,19 +1,18 @@
 //! SimLint seeded-bug wall: one deliberately broken kernel per lint
 //! rule, each caught with the *right* rule, plus a clean twin for every
 //! bug proving the thresholds do not flag idiomatic code. Also pins the
-//! toggle semantics: lints are off by default, per-launch via
-//! [`KernelConfig::with_lints`], per-device via [`Device::with_lints`],
-//! and the barrier-divergence rule is fatal while the performance rules
-//! are advisory findings on [`LaunchStats::lint`].
+//! toggle semantics: lints are off by default and enabled per device via
+//! [`Device::with_lints`], and the barrier-divergence rule is fatal while
+//! the performance rules are advisory findings on [`LaunchStats::lint`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LintRule, SimError};
 
-/// A linted launch on a fresh V100 with a scratch buffer of `words`.
+/// A linted V100 with a scratch buffer of `words`.
 fn device_and_buffer(words: usize) -> (Device, DeviceMem, gpu_sim::BufId) {
-    let dev = Device::v100();
+    let dev = Device::v100().with_lints();
     let mut mem = DeviceMem::new(&dev);
     let buf = mem.alloc_zeroed(words, "scratch").unwrap();
     (dev, mem, buf)
@@ -26,7 +25,7 @@ fn device_and_buffer(words: usize) -> (Device, DeviceMem, gpu_sim::BufId) {
 #[test]
 fn divergent_barrier_is_a_fatal_barrier_divergence() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     // The classic bug: half the block takes a branch that skips the
     // barrier the other half arrives at. On hardware the arrived lanes
     // wait forever.
@@ -60,7 +59,7 @@ fn divergent_barrier_is_a_fatal_barrier_divergence() {
 #[test]
 fn uniform_barrier_arrivals_are_clean() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(2, 64).with_lints(true);
+    let cfg = KernelConfig::new(2, 64);
     let stats = dev
         .launch(&mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -79,7 +78,7 @@ fn uniform_barrier_arrivals_are_clean() {
 #[test]
 fn retire_while_siblings_wait_at_a_barrier_is_divergence() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     let err = dev
         .launch(&mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -105,7 +104,7 @@ fn retire_while_siblings_wait_at_a_barrier_is_divergence() {
 #[test]
 fn clean_early_retire_skips_later_phases_without_divergence() {
     let (dev, mem, buf) = device_and_buffer(2);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     // Lanes 16.. retire in a phase that places no barrier after their
     // exit: legal, and the retired lanes must sit out phase 2 entirely.
     let stats = dev
@@ -138,7 +137,7 @@ const STRIDE_BLOCKS: u32 = 16;
 #[test]
 fn strided_loads_are_flagged_uncoalesced_at_the_access_site() {
     let (dev, mem, buf) = device_and_buffer(32 * 32);
-    let cfg = KernelConfig::new(STRIDE_BLOCKS, 32).with_lints(true);
+    let cfg = KernelConfig::new(STRIDE_BLOCKS, 32);
     // Stride-32 words = one 32-byte sector per lane: 32 transactions per
     // request, the textbook uncoalesced scan.
     let stats = dev
@@ -170,7 +169,7 @@ fn strided_loads_are_flagged_uncoalesced_at_the_access_site() {
 #[test]
 fn coalesced_loads_are_clean() {
     let (dev, mem, buf) = device_and_buffer(32);
-    let cfg = KernelConfig::new(STRIDE_BLOCKS, 32).with_lints(true);
+    let cfg = KernelConfig::new(STRIDE_BLOCKS, 32);
     // Consecutive words: 4 sectors per 32-lane request, well under the
     // 8.0 transactions/request threshold.
     let stats = dev
@@ -191,9 +190,7 @@ fn coalesced_loads_are_clean() {
 #[test]
 fn stride_32_shared_stencil_is_flagged_as_bank_conflict() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(1, 32)
-        .with_shared_words(32 * 32)
-        .with_lints(true);
+    let cfg = KernelConfig::new(1, 32).with_shared_words(32 * 32);
     // Column-major access of a 32x32 shared tile: every lane lands in
     // bank 0, a 32-way serialization.
     let stats = dev
@@ -225,9 +222,7 @@ fn stride_32_shared_stencil_is_flagged_as_bank_conflict() {
 #[test]
 fn stride_1_shared_access_is_clean() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(1, 32)
-        .with_shared_words(32)
-        .with_lints(true);
+    let cfg = KernelConfig::new(1, 32).with_shared_words(32);
     let stats = dev
         .launch(&mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -246,7 +241,7 @@ fn stride_1_shared_access_is_clean() {
 #[test]
 fn single_address_atomic_storm_is_flagged() {
     let (dev, mem, buf) = device_and_buffer(32);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     // All 32 lanes hammer one counter word: 32-deep serialization.
     let stats = dev
         .launch(&mem, cfg, |blk| {
@@ -273,7 +268,7 @@ fn single_address_atomic_storm_is_flagged() {
 #[test]
 fn spread_atomics_are_clean() {
     let (dev, mem, buf) = device_and_buffer(32);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     let stats = dev
         .launch(&mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -292,7 +287,7 @@ fn spread_atomics_are_clean() {
 #[test]
 fn single_lane_doing_all_the_work_is_flagged_low_occupancy() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     // One lane grinds through 300 instructions while 31 siblings idle:
     // 300 issued slots, 300 active-thread slots, efficiency ~0.03.
     let stats = dev
@@ -311,7 +306,7 @@ fn single_lane_doing_all_the_work_is_flagged_low_occupancy() {
 #[test]
 fn balanced_compute_is_clean() {
     let (dev, mem, _) = device_and_buffer(1);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     let stats = dev
         .launch(&mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -329,7 +324,9 @@ fn balanced_compute_is_clean() {
 
 #[test]
 fn lints_are_off_by_default() {
-    let (dev, mem, buf) = device_and_buffer(32 * 32);
+    let dev = Device::v100();
+    let mut mem = DeviceMem::new(&dev);
+    let buf = mem.alloc_zeroed(32 * 32, "scratch").unwrap();
     // The strided seeded bug again, but without the toggle: no report,
     // no checks, and the divergent-barrier kernel below even *passes*
     // (the verifier is not running).
@@ -354,28 +351,9 @@ fn lints_are_off_by_default() {
 }
 
 #[test]
-fn device_level_force_lints_covers_internal_launches() {
-    let dev = Device::v100().with_lints();
-    let mut mem = DeviceMem::new(&dev);
-    let buf = mem.alloc_zeroed(32 * 32, "scratch").unwrap();
-    // Plain KernelConfig — the device flag alone must engage the pass,
-    // exactly like force_race_detection / force_sanitizer.
-    let stats = dev
-        .launch(&mem, KernelConfig::new(STRIDE_BLOCKS, 32), |blk| {
-            blk.phase(|lane| {
-                lane.ld_global(buf, lane.tid() as usize * 32);
-            });
-        })
-        .unwrap();
-    let report = stats.lint.expect("force_lints => report attached");
-    assert_eq!(report.count(LintRule::UncoalescedGlobal), 1);
-    assert!(stats.counters.lint_checks > 0);
-}
-
-#[test]
 fn perf_lints_are_advisory_and_stable_across_accumulation() {
     let (dev, mem, buf) = device_and_buffer(32);
-    let cfg = KernelConfig::new(1, 32).with_lints(true);
+    let cfg = KernelConfig::new(1, 32);
     let kernel = |blk: &mut gpu_sim::BlockCtx<'_>| {
         blk.phase(|lane| {
             lane.atomic_add_global(buf, 0, 1);
@@ -407,7 +385,6 @@ fn tied_worst_slots_name_block_zero_in_any_finish_order() {
     /// all but (workers - 1) of those blocks have also been folded.
     const HEAD_START: usize = 64;
     let (dev, mem, buf) = device_and_buffer(BASE + BLOCKS as usize * BLOCK_WORDS);
-    let dev = dev.with_lints();
     let cfg = KernelConfig::new(BLOCKS, 32);
     let others_done = AtomicUsize::new(0);
     let kernel = |blk: &mut gpu_sim::BlockCtx<'_>| {

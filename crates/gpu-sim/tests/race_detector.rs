@@ -38,11 +38,9 @@ fn synced_neighbour_exchange(blk: &mut gpu_sim::BlockCtx<'_>) {
 
 #[test]
 fn racy_kernel_fails_with_data_race() {
-    let dev = Device::v100();
+    let dev = Device::v100().with_race_detection();
     let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(1, 32)
-        .with_shared_words(32)
-        .with_race_detection(true);
+    let cfg = KernelConfig::new(1, 32).with_shared_words(32);
     let err = dev.launch(&mem, cfg, racy_neighbour_exchange).unwrap_err();
     match err {
         SimError::DataRace {
@@ -61,11 +59,9 @@ fn racy_kernel_fails_with_data_race() {
 
 #[test]
 fn synchronized_twin_passes_and_was_actually_checked() {
-    let dev = Device::v100();
+    let dev = Device::v100().with_race_detection();
     let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(2, 32)
-        .with_shared_words(32)
-        .with_race_detection(true);
+    let cfg = KernelConfig::new(2, 32).with_shared_words(32);
     let stats = dev.launch(&mem, cfg, synced_neighbour_exchange).unwrap();
     assert!(
         stats.counters.race_checks > 0,
@@ -79,11 +75,9 @@ fn write_after_foreign_read_is_caught_regardless_of_lane_order() {
     // Lane 0 reads slot 5 first; lane 1 writes it later in the same
     // phase. Hardware could have ordered the write before the read, so
     // this must race even though the simulated order looks harmless.
-    let dev = Device::v100();
+    let dev = Device::v100().with_race_detection();
     let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(1, 2)
-        .with_shared_words(8)
-        .with_race_detection(true);
+    let cfg = KernelConfig::new(1, 2).with_shared_words(8);
     let err = dev
         .launch(&mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -110,11 +104,9 @@ fn write_after_foreign_read_is_caught_regardless_of_lane_order() {
 
 #[test]
 fn conflicting_shared_writes_race_but_same_value_flags_do_not() {
-    let dev = Device::v100();
+    let dev = Device::v100().with_race_detection();
     let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(1, 32)
-        .with_shared_words(4)
-        .with_race_detection(true);
+    let cfg = KernelConfig::new(1, 32).with_shared_words(4);
 
     // Many lanes raising the same flag: the benign idiom must pass.
     let stats = dev
@@ -146,11 +138,9 @@ fn conflicting_shared_writes_race_but_same_value_flags_do_not() {
 
 #[test]
 fn shared_atomics_are_exempt_but_mixing_with_plain_stores_races() {
-    let dev = Device::v100();
+    let dev = Device::v100().with_race_detection();
     let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(1, 64)
-        .with_shared_words(2)
-        .with_race_detection(true);
+    let cfg = KernelConfig::new(1, 64).with_shared_words(2);
 
     // All lanes atomicAdd one slot: fine.
     let stats = dev
@@ -179,10 +169,10 @@ fn shared_atomics_are_exempt_but_mixing_with_plain_stores_races() {
 
 #[test]
 fn plain_global_stores_race_within_a_block_but_atomics_do_not() {
-    let dev = Device::v100();
+    let dev = Device::v100().with_race_detection();
     let mut mem = DeviceMem::new(&dev);
     let buf = mem.alloc_zeroed(4, "accum").unwrap();
-    let cfg = KernelConfig::new(1, 32).with_race_detection(true);
+    let cfg = KernelConfig::new(1, 32);
 
     // atomicAdd from every lane: exempt.
     let stats = dev
@@ -218,7 +208,7 @@ fn plain_global_stores_race_within_a_block_but_atomics_do_not() {
 fn detection_off_by_default_and_costs_nothing() {
     let dev = Device::v100();
     let mem = DeviceMem::new(&dev);
-    // Default KernelConfig: the racy kernel runs to completion (the
+    // Default device: the racy kernel runs to completion (the
     // pre-detector behaviour benchmarks rely on) and no checks happen.
     let cfg = KernelConfig::new(1, 32).with_shared_words(32);
     let stats = dev.launch(&mem, cfg, racy_neighbour_exchange).unwrap();
@@ -227,23 +217,10 @@ fn detection_off_by_default_and_costs_nothing() {
 }
 
 #[test]
-fn device_can_force_detection_for_every_launch() {
-    // Algorithms build their own KernelConfigs internally; a harness can
-    // still run them under the detector by forcing it at device level.
+fn race_error_message_is_actionable() {
     let dev = Device::v100().with_race_detection();
     let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(1, 32).with_shared_words(32); // race_detect: false
-    let err = dev.launch(&mem, cfg, racy_neighbour_exchange).unwrap_err();
-    assert!(matches!(err, SimError::DataRace { .. }));
-}
-
-#[test]
-fn race_error_message_is_actionable() {
-    let dev = Device::v100();
-    let mem = DeviceMem::new(&dev);
-    let cfg = KernelConfig::new(1, 4)
-        .with_shared_words(8)
-        .with_race_detection(true);
+    let cfg = KernelConfig::new(1, 4).with_shared_words(8);
     let err = dev.launch(&mem, cfg, racy_neighbour_exchange).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("data race"), "{msg}");

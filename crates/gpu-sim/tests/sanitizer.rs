@@ -259,7 +259,7 @@ fn clean_twin_initializes_shared_before_the_barrier() {
 // --- toggles and counters -------------------------------------------------
 
 #[test]
-fn sanitizer_is_off_by_default_and_toggles_per_launch() {
+fn sanitizer_is_off_by_default_and_toggles_per_device() {
     let dev = Device::v100();
     let mut mem = DeviceMem::new(&dev);
     let buf = mem.alloc_uninit(32, "raw").unwrap();
@@ -272,9 +272,12 @@ fn sanitizer_is_off_by_default_and_toggles_per_launch() {
         })
         .unwrap();
     assert_eq!(stats.counters.sanitizer_checks, 0);
-    // On (per launch): the same kernel is refused.
+    // On (a sanitized device over the same memory): the same kernel is
+    // refused.
     let err = dev
-        .launch(&mem, KernelConfig::new(1, 32).with_sanitizer(true), |blk| {
+        .clone()
+        .with_sanitizer()
+        .launch(&mem, KernelConfig::new(1, 32), |blk| {
             blk.phase(|lane| {
                 lane.ld_global(buf, lane.tid() as usize);
             });

@@ -8,7 +8,7 @@
 //!   stand-in prepares in well under 100 MB.
 //! * [`clean`] — the paper's data-cleaning pipeline (drop self-loops,
 //!   duplicate edges and isolated vertices; Section IV "Datasets").
-//! * [`orient`] — DAG orientations (by ID, by degree) used by the
+//! * [`orient`](mod@orient) — DAG orientations (by ID, by degree) used by the
 //!   intersection-based counters so each triangle is found exactly once.
 //! * [`io`] — SNAP text and binary edge-list formats plus auto-detection
 //!   (the paper's "data transformation tools").

@@ -8,8 +8,8 @@
 //! stride the longer list and probe. The table is stored **row-major**
 //! ("row-order"): the i-th element of all buckets is contiguous, so
 //! lanes probing different buckets at the same row coalesce. The first
-//! [`SHARED_ROWS`] rows live in shared memory; deeper rows spill to a
-//! global arena. A bucket deeper than [`MAX_ROWS`] is a hard failure —
+//! `SHARED_ROWS` rows live in shared memory; deeper rows spill to a
+//! global arena. A bucket deeper than `MAX_ROWS` is a hard failure —
 //! the fixed-size table is exactly what breaks H-INDEX on the large
 //! high-degree datasets (the paper's red crosses / "too many hash
 //! collisions").

@@ -2,7 +2,7 @@
 //!
 //! The `lint_sweep` binary runs every registry algorithm over the
 //! conformance corpus with SimLint forced on and serializes the merged
-//! [`LintReport`](gpu_sim::LintReport) of each (algorithm × dataset)
+//! [`LintReport`] of each (algorithm × dataset)
 //! cell. The committed file is a *golden snapshot* of the registry's
 //! performance-lint findings: which algorithms are lint-clean, which
 //! carry known findings, and exactly what those findings say.

@@ -8,7 +8,7 @@
 //! [`run_matrix`] (serial, dataset-major) and [`run_matrix_parallel`],
 //! which fans the (dataset x backend x algorithm) cells over a thread
 //! pool and returns records in the exact same order. Every cell is built
-//! by [`run_cell`], the single fault boundary: device faults and panics
+//! by `run_cell`, the single fault boundary: device faults and panics
 //! alike become [`RunOutcome::Failed`] in their own cell instead of
 //! aborting the sweep.
 

@@ -15,7 +15,7 @@
 //! ```
 
 use tc_compare::algos::conformance::generator_cases;
-use tc_compare::algos::DeviceGraph;
+use tc_compare::algos::{DeviceGraph, TcOutput};
 use tc_compare::core::framework::registry::all_algorithms;
 use tc_compare::graph::{clean_edges, orient};
 use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
@@ -38,9 +38,9 @@ pub struct Pin {
 
 include!("replay_equivalence/pins.rs");
 
-#[test]
-fn every_algorithm_replays_bit_identically_to_the_pinned_engine() {
-    let dev = Device::v100();
+/// Run every pinned cell on `dev` and hand each outcome, with its pin
+/// and a context string, to `check`. Asserts every pin was exercised.
+fn for_each_pinned_cell(dev: &Device, mut check: impl FnMut(&Pin, &TcOutput, &str)) {
     let algos = all_algorithms();
     let cases = generator_cases();
     let mut checked = 0;
@@ -52,27 +52,67 @@ fn every_algorithm_replays_bit_identically_to_the_pinned_engine() {
                 .find(|p| p.algorithm == algo.name() && p.case == case.name)
                 .unwrap_or_else(|| panic!("no pin for {} on {}", algo.name(), case.name));
             let dag = orient(&g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(&dev);
+            let mut mem = DeviceMem::new(dev);
             let dg = DeviceGraph::upload(&dag, &mut mem).expect("upload");
             let out = algo
-                .count(&dev, &mut mem, &dg)
+                .count(dev, &mut mem, &dg)
                 .unwrap_or_else(|e| panic!("{} failed on {}: {e}", algo.name(), case.name));
-            let ctx = format!("{} on {}", algo.name(), case.name);
-            assert_eq!(out.triangles, pin.triangles, "triangles drifted: {ctx}");
-            assert_eq!(
-                out.stats.kernel_cycles, pin.kernel_cycles,
-                "kernel_cycles drifted: {ctx}"
-            );
-            assert_eq!(
-                out.stats.total_block_cycles, pin.total_block_cycles,
-                "total_block_cycles drifted: {ctx}"
-            );
-            assert_eq!(out.stats.blocks, pin.blocks, "blocks drifted: {ctx}");
-            assert_eq!(out.stats.counters, pin.counters, "counters drifted: {ctx}");
+            check(pin, &out, &format!("{} on {}", algo.name(), case.name));
             checked += 1;
         }
     }
     // Every pin was exercised: 10 algorithms x 3 graphs.
     assert_eq!(checked, PINS.len());
     assert_eq!(checked, 30);
+}
+
+/// The pinned fields other than the counters.
+fn assert_pinned_outcome(pin: &Pin, out: &TcOutput, ctx: &str) {
+    assert_eq!(out.triangles, pin.triangles, "triangles drifted: {ctx}");
+    assert_eq!(
+        out.stats.kernel_cycles, pin.kernel_cycles,
+        "kernel_cycles drifted: {ctx}"
+    );
+    assert_eq!(
+        out.stats.total_block_cycles, pin.total_block_cycles,
+        "total_block_cycles drifted: {ctx}"
+    );
+    assert_eq!(out.stats.blocks, pin.blocks, "blocks drifted: {ctx}");
+}
+
+#[test]
+fn every_algorithm_replays_bit_identically_to_the_pinned_engine() {
+    for_each_pinned_cell(&Device::v100(), |pin, out, ctx| {
+        assert_pinned_outcome(pin, out, ctx);
+        assert_eq!(out.stats.counters, pin.counters, "counters drifted: {ctx}");
+    });
+}
+
+/// The same cells with the race detector, SimSan and SimLint all on:
+/// every analysis only observes, so the modelled outcome must equal the
+/// plain pin once the analyses' own check counters are masked out, and
+/// each analysis must have actually run.
+#[test]
+fn every_algorithm_replays_bit_identically_under_every_check() {
+    let dev = Device::v100()
+        .with_race_detection()
+        .with_sanitizer()
+        .with_lints();
+    for_each_pinned_cell(&dev, |pin, out, ctx| {
+        assert_pinned_outcome(pin, out, ctx);
+        let c = &out.stats.counters;
+        assert!(c.race_checks > 0, "race detector did not run: {ctx}");
+        assert!(c.sanitizer_checks > 0, "SimSan did not run: {ctx}");
+        assert!(c.lint_checks > 0, "SimLint did not run: {ctx}");
+        assert!(out.stats.lint.is_some(), "no LintReport attached: {ctx}");
+        let masked = ProfileCounters {
+            race_checks: 0,
+            races_detected: 0,
+            sanitizer_checks: 0,
+            sanitizer_reports: 0,
+            lint_checks: 0,
+            ..*c
+        };
+        assert_eq!(masked, pin.counters, "counters drifted: {ctx}");
+    });
 }
