@@ -5,6 +5,7 @@ use rayon::prelude::*;
 
 use super::intersect::{intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge};
 use crate::orient::DagGraph;
+use crate::types::VertexId;
 
 /// The CPU Forward algorithm (Schank & Wagner; the basis of Polak):
 /// for every DAG edge (u,v), merge-intersect the out-lists of u and v.
@@ -15,18 +16,30 @@ pub fn forward_merge(g: &DagGraph) -> u64 {
         .sum()
 }
 
-/// Rayon-parallel Forward (one task per vertex).
-pub fn forward_merge_parallel(g: &DagGraph) -> u64 {
+/// Rayon-parallel Forward with a caller-chosen intersection: one task
+/// per vertex `u`, summing `intersect(N⁺(u), N⁺(v))` over its out-edges
+/// `(u,v)`. The out-list of `u` is always the first argument. The
+/// native host kernels (`TcAlgorithm::count_cpu` in `tc-algos`) share
+/// this loop and differ only in the `intersect` they pass.
+pub fn forward_parallel(
+    g: &DagGraph,
+    intersect: impl Fn(&[VertexId], &[VertexId]) -> u64 + Sync,
+) -> u64 {
     let csr = g.csr();
     (0..csr.num_vertices())
         .into_par_iter()
         .map(|u| {
-            csr.neighbors(u)
-                .iter()
-                .map(|&v| intersect_merge(csr.neighbors(u), csr.neighbors(v)))
+            let a = csr.neighbors(u);
+            a.iter()
+                .map(|&v| intersect(a, csr.neighbors(v)))
                 .sum::<u64>()
         })
         .sum()
+}
+
+/// Rayon-parallel Forward with the merge primitive.
+pub fn forward_merge_parallel(g: &DagGraph) -> u64 {
+    forward_parallel(g, intersect_merge)
 }
 
 /// Forward with the binary-search primitive.
@@ -103,6 +116,16 @@ mod tests {
         assert_eq!(binsearch_count(&g), expected);
         assert_eq!(hash_count(&g), expected);
         assert_eq!(bitmap_count(&g), expected);
+    }
+
+    #[test]
+    fn forward_parallel_passes_the_source_list_first() {
+        let g = figure1_graph();
+        let csr = g.csr();
+        // Summing |N⁺(u)| per edge proves which list comes first.
+        let first_len: u64 = csr.edge_iter().map(|(u, _)| csr.degree(u) as u64).sum();
+        assert_eq!(forward_parallel(&g, |a, _| a.len() as u64), first_len);
+        assert_eq!(forward_parallel(&g, intersect_binsearch), forward_merge(&g));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The framework-facing algorithm interface: every counter — the eight
-//! published ones here and GroupTC in `tc-core` — implements
-//! [`TcAlgorithm`].
+//! The framework-facing algorithm interface: every counter in this crate
+//! implements [`TcAlgorithm`], and `tc-core`'s runner and backends drive
+//! them through it alone.
 
 use gpu_sim::{Device, DeviceMem, LaunchStats, SimError};
 use graph_data::{DagGraph, Orientation};
@@ -52,7 +52,9 @@ pub struct TcOutput {
     pub stats: LaunchStats,
 }
 
-/// A GPU triangle-counting implementation under test.
+/// A GPU triangle-counting implementation under test. The counters
+/// under evaluation all live in this crate, and [`crate::all_algorithms`]
+/// is the one list the framework sweeps.
 pub trait TcAlgorithm: Sync {
     /// Short display name (Table I / figure legend).
     fn name(&self) -> &'static str {
@@ -81,7 +83,8 @@ pub trait TcAlgorithm: Sync {
 
     /// Count the triangles of the same oriented DAG natively on the
     /// host: a rayon-parallel CPU kernel mirroring the implementation's
-    /// iterator/intersection strategy (see [`crate::cpu`]). This is the
+    /// iterator/intersection strategy, usually as the intersection it
+    /// passes to [`graph_data::cpu_ref::forward_parallel`]. This is the
     /// `Backend::Cpu` execution path — it models nothing (no cycles, no
     /// counters), it just produces the exact count at wall-clock speed.
     ///

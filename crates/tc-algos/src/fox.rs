@@ -18,6 +18,7 @@
 //! Figure 13(b) shows.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LaneCtx, LaunchStats, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -151,7 +152,18 @@ impl TcAlgorithm for Fox {
     /// estimate as the GPU binning prepass, minus the bins (rayon
     /// schedules; the bins only exist to match thread groups to work).
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_edge_adaptive(dag)
+        cpu_ref::forward_parallel(dag, |a, b| {
+            let (du, dv) = (a.len() as u32, b.len() as u32);
+            let small = du.min(dv) as u64;
+            let large = u64::from(du.max(dv).max(1));
+            let bsearch = small * (64 - large.leading_zeros() as u64);
+            let merge = du as u64 + dv as u64;
+            if bsearch < merge {
+                cpu_ref::intersect_binsearch(a, b)
+            } else {
+                cpu_ref::intersect_merge(a, b)
+            }
+        })
     }
 }
 

@@ -14,6 +14,7 @@
 //! exceeds the merge itself, so Green lands at the bottom of Figure 11.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -127,7 +128,7 @@ impl TcAlgorithm for Green {
     /// Host kernel: Green's merge-path partitioning only balances device
     /// lanes; on the CPU the same work is a plain parallel forward merge.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_edge_merge(dag)
+        cpu_ref::forward_parallel(dag, cpu_ref::intersect_merge)
     }
 }
 

@@ -15,6 +15,7 @@
 //! collisions").
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -168,7 +169,7 @@ impl TcAlgorithm for HIndex {
     /// Host kernel: 32-bucket chained hash per edge — the same bucket
     /// count as the warp-mode shared-memory table.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_edge_hash(dag, BUCKETS as usize)
+        cpu_ref::forward_parallel(dag, |a, b| cpu_ref::intersect_hash(a, b, BUCKETS as usize))
     }
 }
 

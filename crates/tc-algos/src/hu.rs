@@ -15,6 +15,7 @@
 //! every vertex is a search key.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LaneCtx, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -158,7 +159,7 @@ impl TcAlgorithm for Hu {
     /// Host kernel: vertex-iterator binary search (Hu's shared-memory
     /// cache is a device optimization with no host analogue).
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_edge_binsearch(dag)
+        cpu_ref::forward_parallel(dag, cpu_ref::intersect_binsearch)
     }
 }
 

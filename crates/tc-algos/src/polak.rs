@@ -14,6 +14,7 @@
 //! warp issues per step are scattered).
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -112,7 +113,7 @@ impl TcAlgorithm for Polak {
     /// Host kernel: one rayon task per vertex, sequential two-pointer
     /// merge per out-edge — the CPU Forward algorithm Polak ports.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_edge_merge(dag)
+        cpu_ref::forward_parallel(dag, cpu_ref::intersect_merge)
     }
 }
 

@@ -1,16 +1,20 @@
-//! Registry of the eight published implementations, in Table I order
-//! (chronological).
+//! The one registry of every counter under evaluation: the eight
+//! published implementations in Table I order (chronological), then
+//! GroupTC (as in Figure 15), then the cover-edge counter (PAPERS.md
+//! follow-on work).
+//!
+//! GroupTC-H, the paper's Section VI future work, is deliberately not
+//! registered: every sweep, figure and pin runs these ten. It has its
+//! own conformance run next to the registry sweep.
 
 use crate::api::TcAlgorithm;
 use crate::{
-    bisson::Bisson, fox::Fox, green::Green, hindex::HIndex, hu::Hu, polak::Polak, tricore::TriCore,
-    trust::Trust,
+    bisson::Bisson, coveredge::CoverEdge, fox::Fox, green::Green, grouptc::GroupTc, hindex::HIndex,
+    hu::Hu, polak::Polak, tricore::TriCore, trust::Trust,
 };
 
-/// All eight published implementations the paper evaluates,
-/// chronologically as in Table I. (GroupTC, the paper's own algorithm,
-/// is added by `tc-core`'s registry.)
-pub fn published_algorithms() -> Vec<Box<dyn TcAlgorithm>> {
+/// All ten counters: Table I order, then GroupTC, then CoverEdge.
+pub fn all_algorithms() -> Vec<Box<dyn TcAlgorithm>> {
     vec![
         Box::new(Green),
         Box::new(Polak),
@@ -20,7 +24,16 @@ pub fn published_algorithms() -> Vec<Box<dyn TcAlgorithm>> {
         Box::new(Hu),
         Box::new(HIndex),
         Box::new(Trust),
+        Box::new(GroupTc::default()),
+        Box::new(CoverEdge),
     ]
+}
+
+/// Look an algorithm up by (case-insensitive) name.
+pub fn algorithm_by_name(name: &str) -> Option<Box<dyn TcAlgorithm>> {
+    all_algorithms()
+        .into_iter()
+        .find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
@@ -28,24 +41,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_matches_table1() {
-        let algos = published_algorithms();
-        assert_eq!(algos.len(), 8);
-        let years: Vec<u16> = algos.iter().map(|a| a.meta().year).collect();
-        assert_eq!(years, vec![2014, 2016, 2017, 2018, 2018, 2019, 2019, 2021]);
-        let names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
+    fn registry_pins_the_ten_names_and_years_in_order() {
+        let algos = all_algorithms();
+        let rows: Vec<(&str, u16)> = algos.iter().map(|a| (a.name(), a.meta().year)).collect();
         assert_eq!(
-            names,
-            vec!["Green", "Polak", "Bisson", "TriCore", "Fox", "Hu", "H-INDEX", "TRUST"]
+            rows,
+            vec![
+                ("Green", 2014),
+                ("Polak", 2016),
+                ("Bisson", 2017),
+                ("TriCore", 2018),
+                ("Fox", 2018),
+                ("Hu", 2019),
+                ("H-INDEX", 2019),
+                ("TRUST", 2021),
+                ("GroupTC", 2024),
+                ("CoverEdge", 2024),
+            ]
         );
+        let mut names: Vec<&str> = rows.iter().map(|r| r.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 10, "names must be unique");
     }
 
     #[test]
-    fn names_are_unique() {
-        let algos = published_algorithms();
-        let mut names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 8);
+    fn lookup_is_case_insensitive_and_registry_only() {
+        assert!(algorithm_by_name("grouptc").is_some());
+        assert!(algorithm_by_name("TRUST").is_some());
+        assert!(algorithm_by_name("coveredge").is_some());
+        assert!(algorithm_by_name("polak").is_some());
+        assert!(algorithm_by_name("GroupTC-H").is_none());
+        assert!(algorithm_by_name("cuGraph").is_none());
     }
 }

@@ -14,6 +14,7 @@
 //! high-degree graphs, where TriCore is among the leaders.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LaneCtx, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -179,7 +180,7 @@ impl TcAlgorithm for TriCore {
     /// Host kernel: binary-search intersection per edge (the tree-top
     /// cache is a device-memory optimization with no host analogue).
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_edge_binsearch(dag)
+        cpu_ref::forward_parallel(dag, cpu_ref::intersect_binsearch)
     }
 }
 

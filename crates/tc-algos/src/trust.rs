@@ -26,6 +26,7 @@
 //! combination" handling) so the count stays exact.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LaneCtx, LaunchStats, SimError};
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -104,12 +105,14 @@ impl TcAlgorithm for Trust {
     /// switch — vertices above the block-degree threshold hash into the
     /// wide table, the rest into the 32-bucket one.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        crate::cpu::par_vertex_hash(
-            dag,
-            BLOCK_DEGREE,
-            WARP_BUCKETS as usize,
-            BLOCK_BUCKETS as usize,
-        )
+        cpu_ref::forward_parallel(dag, |a, b| {
+            let buckets = if a.len() as u32 > BLOCK_DEGREE {
+                BLOCK_BUCKETS
+            } else {
+                WARP_BUCKETS
+            };
+            cpu_ref::intersect_hash(a, b, buckets as usize)
+        })
     }
 }
 

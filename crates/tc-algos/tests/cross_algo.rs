@@ -1,11 +1,12 @@
 //! Cross-algorithm integration tests at the crate level: pairwise
 //! agreement on structured and random graphs, resource-failure modes,
-//! and stats sanity for every published implementation.
+//! stats sanity, and host-kernel exactness for every registered
+//! implementation (and GroupTC-H's host kernel).
 
 use gpu_sim::{Device, DeviceMem, SimError};
 use graph_data::{clean_edges, cpu_ref, gen, orient, EdgeList, Orientation};
 use tc_algos::device_graph::DeviceGraph;
-use tc_algos::published_algorithms;
+use tc_algos::{all_algorithms, GroupTcHybrid, TcAlgorithm};
 
 fn fixtures() -> Vec<(&'static str, EdgeList)> {
     vec![
@@ -18,7 +19,7 @@ fn fixtures() -> Vec<(&'static str, EdgeList)> {
 }
 
 #[test]
-fn all_published_algorithms_agree_on_every_fixture() {
+fn all_registered_algorithms_agree_on_every_fixture() {
     let dev = Device::v100();
     for (name, raw) in fixtures() {
         let (g, _) = clean_edges(&raw);
@@ -26,7 +27,7 @@ fn all_published_algorithms_agree_on_every_fixture() {
             let dag = orient(&g, Orientation::DegreeAsc);
             cpu_ref::forward_merge(&dag)
         };
-        for algo in published_algorithms() {
+        for algo in all_algorithms() {
             let dag = orient(&g, algo.preferred_orientation());
             let mut mem = DeviceMem::new(&dev);
             let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
@@ -49,7 +50,7 @@ fn every_algorithm_reports_work_proportional_stats() {
     let dev = Device::v100();
     let (small, _) = clean_edges(&gen::rmat(10, 5_000, 0.57, 0.19, 0.19, 0.05, 81));
     let (large, _) = clean_edges(&gen::rmat(13, 40_000, 0.57, 0.19, 0.19, 0.05, 81));
-    for algo in published_algorithms() {
+    for algo in all_algorithms() {
         let run = |g: &graph_data::UndirGraph| {
             let dag = orient(g, algo.preferred_orientation());
             let mut mem = DeviceMem::new(&dev);
@@ -80,7 +81,7 @@ fn algorithms_fail_cleanly_when_auxiliary_memory_does_not_fit() {
     let graph_words = (dag.csr().offsets().len() + 3 * dag.csr().targets().len()) as u64;
     let dev = Device::with_memory_words(graph_words + 256);
     let mut failures = 0;
-    for algo in published_algorithms() {
+    for algo in all_algorithms() {
         let mut mem = DeviceMem::new(&dev);
         let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
         match algo.count(&dev, &mut mem, &dg) {
@@ -102,4 +103,48 @@ fn algorithms_fail_cleanly_when_auxiliary_memory_does_not_fit() {
         failures > 0,
         "at least the arena-hungry implementations should OOM (red crosses)"
     );
+}
+
+/// Every registered algorithm plus GroupTC-H: the set whose `count_cpu`
+/// serves `CpuBackend` cells.
+fn host_kernels() -> Vec<Box<dyn TcAlgorithm>> {
+    let mut algos = all_algorithms();
+    algos.push(Box::new(GroupTcHybrid::default()));
+    algos
+}
+
+#[test]
+fn all_host_kernels_agree_with_the_oracle() {
+    for (label, edges) in [
+        ("rmat", gen::rmat(8, 2500, 0.57, 0.19, 0.19, 0.05, 31)),
+        ("er", gen::erdos_renyi(150, 900, 32)),
+        ("ba", gen::barabasi_albert(200, 5, 0.5, 33)),
+    ] {
+        let (g, _) = clean_edges(&edges);
+        let expected = cpu_ref::node_iterator(&g);
+        for o in [
+            Orientation::ById,
+            Orientation::DegreeAsc,
+            Orientation::DegreeDesc,
+        ] {
+            let dag = orient(&g, o);
+            for algo in host_kernels() {
+                assert_eq!(
+                    algo.count_cpu(&dag),
+                    expected,
+                    "{} on {label} {o:?}",
+                    algo.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_graph_counts_zero_on_every_kernel() {
+    let (g, _) = clean_edges(&EdgeList::new(vec![(0, 1)]));
+    let dag = orient(&g, Orientation::ById);
+    for algo in host_kernels() {
+        assert_eq!(algo.count_cpu(&dag), 0, "{}", algo.name());
+    }
 }

@@ -19,9 +19,9 @@
 
 use std::time::Instant;
 
+use tc_algos::all_algorithms;
 use tc_bench::bench_json::{self, BenchCell};
 use tc_bench::{datasets_from_args, eprint_progress, sweep_serial};
-use tc_core::framework::registry::all_algorithms;
 
 fn main() -> Result<(), String> {
     let mut reps: u32 = 3;

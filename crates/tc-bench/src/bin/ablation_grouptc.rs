@@ -3,8 +3,8 @@
 //! individually, plus a chunk-size sweep — all verified-exact runs.
 
 use tc_algos::api::TcAlgorithm;
+use tc_algos::{GroupTc, GroupTcConfig};
 use tc_core::framework::report::{extract, wall_summary, MatrixView};
-use tc_core::{GroupTc, GroupTcConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -2,7 +2,7 @@
 //! the Figure 15 subset with speedups) from a single run — the cheapest
 //! way to regenerate the whole evaluation section.
 
-use tc_core::framework::registry::all_algorithms;
+use tc_algos::all_algorithms;
 use tc_core::framework::report::{extract, format_sig, wall_summary, MatrixView, Table};
 use tc_core::framework::runner::RunOutcome;
 

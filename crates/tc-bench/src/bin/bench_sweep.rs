@@ -39,11 +39,11 @@
 use std::time::Instant;
 
 use gpu_sim::Device;
+use tc_algos::all_algorithms;
 use tc_bench::bench_json::{self, BenchCell};
 use tc_bench::{datasets_from_args, eprint_progress};
 use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
 use tc_core::framework::partitioned::PartitionedSimBackend;
-use tc_core::framework::registry::all_algorithms;
 use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
 fn main() -> Result<(), String> {

@@ -2,8 +2,8 @@
 //! single dataset — handy when calibrating the cost model.
 use gpu_sim::{Device, DeviceMem};
 use graph_data::{orient, DatasetSpec};
+use tc_algos::all_algorithms;
 use tc_algos::device_graph::DeviceGraph;
-use tc_core::framework::registry::all_algorithms;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "Com-Lj".into());

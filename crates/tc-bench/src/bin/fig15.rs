@@ -4,9 +4,8 @@
 //! 1.09–2.92x on small/medium, 0.94–1.01x on large).
 
 use tc_algos::api::TcAlgorithm;
-use tc_algos::{polak::Polak, trust::Trust};
+use tc_algos::{polak::Polak, trust::Trust, GroupTc};
 use tc_core::framework::report::{extract, format_sig, MatrixView, Table};
-use tc_core::GroupTc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -4,8 +4,8 @@
 
 use tc_algos::api::TcAlgorithm;
 use tc_algos::trust::Trust;
+use tc_algos::{GroupTc, GroupTcHybrid};
 use tc_core::framework::report::{extract, format_sig, MatrixView, Table};
-use tc_core::{GroupTc, GroupTcHybrid};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -13,9 +13,9 @@
 
 use gpu_sim::{Device, DeviceMem, LintReport};
 use graph_data::{clean_edges, orient};
+use tc_algos::all_algorithms;
 use tc_algos::conformance::generator_cases;
 use tc_algos::device_graph::DeviceGraph;
-use tc_core::framework::registry::all_algorithms;
 
 use tc_bench::lint_json::{compare_snapshot, render, LintCell};
 

@@ -16,10 +16,9 @@ use gpu_sim::{Device, DeviceMem};
 use graph_data::Orientation;
 use tc_algos::api::TcAlgorithm;
 use tc_algos::device_graph::DeviceGraph;
-use tc_algos::{polak::Polak, trust::Trust};
+use tc_algos::{polak::Polak, trust::Trust, GroupTc};
 use tc_core::framework::report::{cycles_to_ms, Table};
 use tc_core::framework::runner::PreparedDataset;
-use tc_core::GroupTc;
 
 const ORIENTATIONS: [Orientation; 5] = [
     Orientation::ById,

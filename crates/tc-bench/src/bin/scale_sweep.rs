@@ -17,9 +17,9 @@
 //! exits non-zero.
 
 use gpu_sim::Device;
+use tc_algos::all_algorithms;
 use tc_bench::{datasets_from_args, eprint_progress};
 use tc_core::framework::partitioned::run_partitioned;
-use tc_core::framework::registry::all_algorithms;
 use tc_core::framework::runner::{PreparedDataset, RunOutcome};
 
 fn main() -> Result<(), String> {

@@ -2,8 +2,8 @@
 //! (reference, year, iterator, intersection method, granularity), plus
 //! the GroupTC row.
 
+use tc_algos::all_algorithms;
 use tc_algos::api::{Granularity, Intersection, IteratorKind};
-use tc_core::framework::registry::all_algorithms;
 use tc_core::framework::report::Table;
 
 fn main() {

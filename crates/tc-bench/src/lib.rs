@@ -1,7 +1,7 @@
 //! # tc-bench — benchmark harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index) plus Criterion benches. The binaries share [`sweep`] /
+//! index). The binaries share [`sweep`] /
 //! [`full_sweep`], which run the evaluation matrix and return the records
 //! the figures are printed from.
 //!
@@ -15,9 +15,9 @@ pub mod lint_json;
 
 use gpu_sim::Device;
 use graph_data::{DatasetSpec, SizeClass, TABLE2_DATASETS};
+use tc_algos::all_algorithms;
 use tc_algos::api::TcAlgorithm;
 use tc_core::framework::backend::SimBackend;
-use tc_core::framework::registry::all_algorithms;
 use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
 /// Run the given algorithms over the given datasets on a simulated V100.

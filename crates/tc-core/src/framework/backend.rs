@@ -85,10 +85,10 @@ pub fn run_on_dataset_cpu(algo: &dyn TcAlgorithm, data: &PreparedDataset) -> Run
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::registry::all_algorithms;
     use crate::framework::runner::{run_matrix, run_matrix_parallel};
     use gpu_sim::{DeviceMem, SimError};
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
+    use tc_algos::all_algorithms;
     use tc_algos::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcOutput};
     use tc_algos::device_graph::DeviceGraph;
 

@@ -163,8 +163,8 @@ impl Backend for PartitionedSimBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::registry::all_algorithms;
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
+    use tc_algos::all_algorithms;
 
     fn tiny_spec() -> DatasetSpec {
         DatasetSpec {

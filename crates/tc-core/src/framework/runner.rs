@@ -44,8 +44,8 @@ pub struct PreparedDataset {
 }
 
 /// The orientations precomputed for every prepared dataset: the three
-/// standard relabelings, which cover every algorithm in the extended
-/// registry. Exotic orientations (`KCore`, `Random`) stay available
+/// standard relabelings, which cover every registered algorithm and
+/// GroupTC-H. Exotic orientations (`KCore`, `Random`) stay available
 /// through [`PreparedDataset::dag`]'s compute-on-demand fallback.
 const PRECOMPUTED_ORIENTATIONS: [Orientation; 3] = [
     Orientation::ById,
@@ -275,8 +275,8 @@ pub fn run_matrix_parallel(
 mod tests {
     use super::*;
     use crate::framework::backend::SimBackend;
-    use crate::framework::registry::all_algorithms;
     use graph_data::datasets::{GenSpec, SizeClass};
+    use tc_algos::all_algorithms;
 
     fn tiny_spec() -> DatasetSpec {
         DatasetSpec {

@@ -1,28 +1,19 @@
-//! # tc-core — the paper's contribution
+//! # tc-core — the unified evaluation framework
 //!
-//! Two things live here:
-//!
-//! * [`grouptc`] — **GroupTC**, the new algorithm of Section V:
-//!   edge-centric, binary-search based, processing *chunks* of
-//!   consecutive edges per thread block so every lane always has work,
-//!   with the paper's three optimizations (partial 2-hop search,
-//!   resume offsets, and search-table flipping), each individually
-//!   toggleable for the ablation benches.
-//! * [`framework`] — the unified testing framework of Section IV:
-//!   dataset preparation pipeline, the algorithm registry (the eight
-//!   published implementations, cover-edge counting and GroupTC), the
-//!   execution backends and the one sweep-driver pair that produces
-//!   every figure's underlying matrix, and report formatting.
+//! [`framework`] is the testing framework of the paper's Section IV:
+//! the dataset preparation pipeline, the execution backends, the one
+//! sweep-driver pair that produces every figure's underlying matrix,
+//! report formatting, CSV, the paper-claim checks and the partitioned
+//! multi-device runner. It implements no counter itself: every
+//! algorithm, GroupTC included, lives in `tc-algos` behind
+//! [`tc_algos::all_algorithms`].
 
 pub mod framework;
-pub mod grouptc;
-pub mod grouptc_hybrid;
 
 pub use framework::backend::{run_on_dataset_cpu, Backend, CpuBackend, SimBackend};
-pub use framework::conformance::{run_conformance, run_conformance_suite, ConformanceReport};
-pub use framework::registry::all_algorithms;
 pub use framework::runner::{
     run_matrix, run_matrix_parallel, run_on_dataset, PreparedDataset, RunOutcome, RunRecord,
 };
-pub use grouptc::{GroupTc, GroupTcConfig};
-pub use grouptc_hybrid::GroupTcHybrid;
+// The repository benchmark (`perfbench/`) imports the registry from this
+// path and is kept unchanged, so the framework re-exports it.
+pub use tc_algos::all_algorithms;

@@ -6,7 +6,7 @@
 //! cargo run --release --example algorithm_comparison [dataset-name]
 //! ```
 
-use tc_compare::core::framework::registry::all_algorithms;
+use tc_compare::algos::all_algorithms;
 use tc_compare::core::framework::report::{cycles_to_ms, Table};
 use tc_compare::core::{run_on_dataset, PreparedDataset, RunOutcome};
 use tc_compare::graph::DatasetSpec;

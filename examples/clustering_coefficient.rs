@@ -9,8 +9,7 @@
 //! cargo run --release --example clustering_coefficient [dataset-name]
 //! ```
 
-use tc_compare::algos::{DeviceGraph, TcAlgorithm};
-use tc_compare::core::GroupTc;
+use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
 use tc_compare::graph::{orient, DatasetSpec, Orientation};
 use tc_compare::sim::{Device, DeviceMem};
 

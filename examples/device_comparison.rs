@@ -8,9 +8,8 @@
 //! ```
 
 use tc_compare::algos::{polak::Polak, tricore::TriCore, trust::Trust};
-use tc_compare::algos::{DeviceGraph, TcAlgorithm};
+use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
 use tc_compare::core::framework::report::{cycles_to_ms, Table};
-use tc_compare::core::GroupTc;
 use tc_compare::graph::{orient, DatasetSpec};
 use tc_compare::sim::{Device, DeviceMem};
 

@@ -8,8 +8,7 @@
 //! list, or a binary CSR (auto-detected). Without one, a small synthetic
 //! social network is generated.
 
-use tc_compare::algos::{DeviceGraph, TcAlgorithm};
-use tc_compare::core::GroupTc;
+use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
 use tc_compare::graph::{clean_edges, gen, io, orient, Orientation};
 use tc_compare::sim::{Device, DeviceMem};
 

@@ -7,16 +7,15 @@
 //! * [`sim`] — the deterministic SIMT GPU simulator substrate.
 //! * [`graph`] — graph formats, cleaning, generators, dataset registry and
 //!   CPU reference triangle counters.
-//! * [`algos`] — the eight published GPU ITC algorithms (Polak, Green,
-//!   Bisson, TriCore, Fox, Hu, H-INDEX, TRUST).
-//! * [`core`] — the unified evaluation framework and the paper's new
-//!   GroupTC algorithm.
+//! * [`algos`] — every counter behind one registry: the eight published
+//!   GPU ITC algorithms (Polak, Green, Bisson, TriCore, Fox, Hu, H-INDEX,
+//!   TRUST), the paper's new GroupTC, CoverEdge, and GroupTC-H.
+//! * [`core`] — the unified evaluation framework that runs them.
 //!
 //! See `examples/quickstart.rs` for a five-line triangle count.
 //!
 //! ```
-//! use tc_compare::algos::{DeviceGraph, TcAlgorithm};
-//! use tc_compare::core::GroupTc;
+//! use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
 //! use tc_compare::graph::{clean_edges, orient, EdgeList, Orientation};
 //! use tc_compare::sim::{Device, DeviceMem};
 //!

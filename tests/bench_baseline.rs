@@ -4,7 +4,7 @@
 //! the baseline dataset. Future PRs regress their sweep numbers against
 //! this file, so CI fails fast if it rots.
 
-use tc_compare::core::framework::registry::all_algorithms;
+use tc_compare::algos::all_algorithms;
 
 #[test]
 fn committed_bench_baseline_is_valid_and_complete() {

@@ -1,54 +1,61 @@
 //! The cross-algorithm conformance suite: every *registered* algorithm —
-//! the list comes from the framework registry, so new algorithms enroll
-//! automatically — must agree with the CPU reference on every generator
-//! family and satisfy the metamorphic invariants (orientation and
-//! vertex-relabeling invariance), all with the simulator's data-race
-//! detector and SimSan forced on, and an end-of-run leak check per run.
+//! the list comes from `tc_algos::all_algorithms`, so new algorithms
+//! enroll automatically — and GroupTC-H must agree with the CPU
+//! reference on every generator family and satisfy the metamorphic
+//! invariants (orientation and vertex-relabeling invariance), all with
+//! the simulator's data-race detector and SimSan forced on, and an
+//! end-of-run leak check per run.
 //!
 //! A failure anywhere in here panics with a paste-able generator
 //! one-liner (e.g. `let edges = gen::rmat(9, 3000, 0.57, 0.19, 0.19,
 //! 0.05, 104);`) identifying the exact failing graph.
 
 use tc_compare::algos::conformance::{
-    check_cleaning_idempotence, check_differential, generator_cases,
+    check_cleaning_idempotence, check_differential, generator_cases, run_all, ConformanceStats,
 };
-use tc_compare::core::framework::conformance::run_conformance;
-use tc_compare::core::{all_algorithms, run_conformance_suite};
+use tc_compare::algos::{all_algorithms, GroupTc, GroupTcHybrid, TcAlgorithm};
+
+/// Run the whole suite for `algo` and assert that every analysis was
+/// live and every sim run had a host-kernel twin.
+fn run_and_check_live(algo: &dyn TcAlgorithm) -> ConformanceStats {
+    let name = algo.name();
+    let stats = run_all(algo);
+    assert!(stats.runs > 0, "{name}: no conformance runs");
+    assert_eq!(
+        stats.cpu_runs, stats.runs,
+        "{name}: every sim run must have a native host-kernel twin"
+    );
+    assert!(
+        stats.race_checks > 0,
+        "{name}: race detector never engaged — the suite is not actually \
+         checking for races"
+    );
+    assert!(
+        stats.sanitizer_checks > 0,
+        "{name}: SimSan never engaged — the suite is not actually \
+         checking memory state"
+    );
+    assert!(
+        stats.lint_checks > 0,
+        "{name}: SimLint never engaged — the suite is not actually \
+         running the diagnostics engine"
+    );
+    stats
+}
 
 #[test]
 fn every_registered_algorithm_passes_differential_and_metamorphic_checks() {
-    let reports = run_conformance_suite();
-    assert_eq!(
-        reports.len(),
-        all_algorithms().len(),
-        "the suite must cover the whole registry"
-    );
-    for r in &reports {
-        assert!(r.stats.runs > 0, "{}: no conformance runs", r.algorithm);
-        assert_eq!(
-            r.stats.cpu_runs, r.stats.runs,
-            "{}: every sim run must have a native host-kernel twin",
-            r.algorithm
-        );
-        assert!(
-            r.stats.race_checks > 0,
-            "{}: race detector never engaged — the suite is not actually \
-             checking for races",
-            r.algorithm
-        );
-        assert!(
-            r.stats.sanitizer_checks > 0,
-            "{}: SimSan never engaged — the suite is not actually \
-             checking memory state",
-            r.algorithm
-        );
-        assert!(
-            r.stats.lint_checks > 0,
-            "{}: SimLint never engaged — the suite is not actually \
-             running the diagnostics engine",
-            r.algorithm
-        );
+    for algo in all_algorithms() {
+        run_and_check_live(algo.as_ref());
     }
+}
+
+/// GroupTC-H is not in the registry (every sweep runs the ten), so it
+/// joins the wall here. No corpus case yields a heavy edge, so its hash
+/// kernel is checked by its own heavy-fixture unit test.
+#[test]
+fn grouptc_hybrid_passes_differential_and_metamorphic_checks() {
+    run_and_check_live(&GroupTcHybrid::default());
 }
 
 #[test]
@@ -62,7 +69,7 @@ fn cleaning_is_invariant_and_idempotent_on_the_conformance_corpus() {
 fn differential_failures_carry_a_reproduction_one_liner() {
     // A deliberately wrong "algorithm": reports one triangle too many.
     struct OffByOne;
-    impl tc_compare::algos::TcAlgorithm for OffByOne {
+    impl TcAlgorithm for OffByOne {
         fn meta(&self) -> tc_compare::algos::AlgoMeta {
             tc_compare::algos::AlgoMeta {
                 name: "off-by-one",
@@ -79,8 +86,8 @@ fn differential_failures_carry_a_reproduction_one_liner() {
             mem: &mut tc_compare::sim::DeviceMem,
             dg: &tc_compare::algos::DeviceGraph,
         ) -> Result<tc_compare::algos::TcOutput, tc_compare::sim::SimError> {
-            let inner = tc_compare::core::GroupTc::default();
-            let mut out = tc_compare::algos::TcAlgorithm::count(&inner, dev, mem, dg)?;
+            let inner = GroupTc::default();
+            let mut out = inner.count(dev, mem, dg)?;
             out.triangles += 1;
             Ok(out)
         }
@@ -102,11 +109,9 @@ fn differential_failures_carry_a_reproduction_one_liner() {
 
 #[test]
 fn conformance_report_shape_is_stable_for_one_algorithm() {
-    let algos = all_algorithms();
-    let report = run_conformance(algos[0].as_ref());
-    assert_eq!(report.algorithm, algos[0].name());
+    let stats = run_all(all_algorithms()[0].as_ref());
     // 7 differential cases + 4 metamorphic cases x 4 extra runs each.
-    assert_eq!(report.stats.runs, 7 + 4 * 4);
+    assert_eq!(stats.runs, 7 + 4 * 4);
     // Every sim run is mirrored by the algorithm's native host kernel.
-    assert_eq!(report.stats.cpu_runs, 7 + 4 * 4);
+    assert_eq!(stats.cpu_runs, 7 + 4 * 4);
 }

@@ -1,9 +1,9 @@
 //! End-to-end framework tests: dataset pipeline -> runner -> report /
 //! CSV / claims, exercised over a small real sweep.
 
+use tc_compare::algos::{algorithm_by_name, all_algorithms};
 use tc_compare::core::framework::claims::{check_claims, render_claims};
 use tc_compare::core::framework::csv::{write_records, CSV_HEADER};
-use tc_compare::core::framework::registry::{algorithm_by_name, all_algorithms};
 use tc_compare::core::framework::report::{extract, MatrixView};
 use tc_compare::core::{run_matrix, PreparedDataset, SimBackend};
 use tc_compare::graph::datasets::GenSpec;

@@ -10,8 +10,7 @@
 //! zero-perturbation guarantee (identical counters and cycles, modulo
 //! the `sanitizer_*` fields themselves).
 
-use tc_compare::algos::{DeviceGraph, TcAlgorithm, TcOutput};
-use tc_compare::core::GroupTc;
+use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm, TcOutput};
 use tc_compare::graph::{clean_edges, gen, orient, Orientation};
 use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
 

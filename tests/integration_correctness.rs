@@ -2,7 +2,7 @@
 //! CPU-reference triangle count on real-shaped datasets, under its own
 //! preferred preprocessing — the property the whole evaluation rests on.
 
-use tc_compare::core::framework::registry::all_algorithms;
+use tc_compare::algos::all_algorithms;
 use tc_compare::core::{run_on_dataset, PreparedDataset, RunOutcome};
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};

@@ -3,10 +3,10 @@
 //! deterministic CSV), and a faulting implementation must cost exactly
 //! its own cell, never the sweep.
 
+use tc_compare::algos::all_algorithms;
 use tc_compare::algos::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcOutput};
 use tc_compare::algos::DeviceGraph;
 use tc_compare::core::framework::csv::write_records;
-use tc_compare::core::framework::registry::all_algorithms;
 use tc_compare::core::{run_matrix, run_matrix_parallel, RunOutcome, RunRecord, SimBackend};
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};

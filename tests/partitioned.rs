@@ -4,9 +4,9 @@
 //! and SimSan forced on, and per-device stats must be an exact split
 //! (triangles sum, link charges only off-diagonal).
 
+use tc_compare::algos::all_algorithms;
 use tc_compare::algos::conformance::generator_cases;
 use tc_compare::core::framework::partitioned::run_partitioned;
-use tc_compare::core::framework::registry::all_algorithms;
 use tc_compare::core::framework::runner::{run_on_dataset, PreparedDataset, RunOutcome};
 use tc_compare::graph::clean_edges;
 use tc_compare::graph::datasets::{DatasetSpec, GenSpec, SizeClass};

@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 
-use tc_compare::algos::published_algorithms;
+use tc_compare::algos::all_algorithms;
 use tc_compare::algos::testutil::run_on_dag;
-use tc_compare::core::GroupTc;
 use tc_compare::graph::{clean_edges, cpu_ref, io, orient, EdgeList, Orientation};
 
 /// Random raw edge list: up to 400 edges over up to 60 vertices, with
@@ -33,13 +32,11 @@ proptest! {
             prop_assert_eq!(cpu_ref::bitmap_count(&dag), expected);
         }
         // GPU algorithms under their preferred orientation.
-        let dag = orient(&g, Orientation::DegreeAsc);
-        for algo in published_algorithms() {
+        for algo in all_algorithms() {
             let dag_pref = orient(&g, algo.preferred_orientation());
             prop_assert_eq!(run_on_dag(algo.as_ref(), &dag_pref), expected,
                 "{} disagrees", algo.name());
         }
-        prop_assert_eq!(run_on_dag(&GroupTc::default(), &dag), expected);
     }
 
     #[test]

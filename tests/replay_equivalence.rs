@@ -14,9 +14,9 @@
 //!     > tests/replay_equivalence/pins.rs
 //! ```
 
+use tc_compare::algos::all_algorithms;
 use tc_compare::algos::conformance::generator_cases;
 use tc_compare::algos::{DeviceGraph, TcOutput};
-use tc_compare::core::framework::registry::all_algorithms;
 use tc_compare::graph::{clean_edges, orient};
 use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
 

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 
+use tc_compare::algos::all_algorithms;
 use tc_compare::algos::{DeviceGraph, TcAlgorithm, TcOutput};
-use tc_compare::core::all_algorithms;
 use tc_compare::graph::{clean_edges, orient, EdgeList};
 use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
 
