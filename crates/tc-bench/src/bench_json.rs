@@ -1,15 +1,20 @@
-//! `BENCH_sim.json` — the simulator's perf-trajectory file.
+//! The two committed JSON gate files and their one dependency-free
+//! reader.
 //!
-//! The sweep microbenchmark (`bench_sweep`) emits one JSON document per
-//! run: host wall-clock time and modelled cycles for every
-//! (algorithm × dataset) cell, plus enough metadata to compare runs
-//! across commits. The file is the *host-performance* baseline the
-//! ROADMAP's "as fast as the hardware allows" goal regresses against —
-//! modelled kernel cycles are deterministic and pinned by tests, but
-//! host wall time is what bounds how fast the Table III sweep can run.
+//! * `BENCH_sim.json` — the simulator's perf-trajectory file. The sweep
+//!   microbenchmark (`tc bench_sweep`) emits one document per run: host
+//!   wall-clock time and modelled cycles for every (algorithm × dataset)
+//!   cell, plus enough metadata to compare runs across commits. Modelled
+//!   kernel cycles are deterministic and pinned by tests; host wall time
+//!   is what bounds how fast the Table III sweep can run.
+//! * `LINT_sim.json` — the per-algorithm diagnostic wall. `tc lint_sweep`
+//!   runs every registry algorithm over the conformance corpus with
+//!   SimLint forced on and serializes the merged [`LintReport`] of each
+//!   (algorithm × dataset) cell: which algorithms are lint-clean, which
+//!   carry known findings, and exactly what those findings say.
 //!
-//! The format is deliberately flat so a future session (or CI) can diff
-//! two files without a JSON library:
+//! Both formats are deliberately flat, one record per line, so a plain
+//! `diff` of two files shows per-cell drift without a JSON library:
 //!
 //! ```json
 //! {
@@ -25,10 +30,29 @@
 //! }
 //! ```
 //!
-//! Everything here is dependency-free: the emitter hand-renders the JSON
-//! and [`validate`] re-parses it with a minimal recursive-descent parser
-//! (also used by the CI bench-smoke job to keep the schema honest).
+//! ```json
+//! {
+//!   "schema_version": 1,
+//!   "device": "V100",
+//!   "records": [
+//!     {"algorithm": "GroupTC", "dataset": "er-dense", "outcome": "ok",
+//!      "clean": false, "diags": [
+//!       {"rule": "atomic-contention", "pc_hint": "phase 1, `sums`[0]",
+//!        "detail": "..."}
+//!     ]},
+//!     ...
+//!   ]
+//! }
+//! ```
+//!
+//! The emitters hand-render the JSON; [`validate`] and [`validate_lint`]
+//! re-parse it with a minimal recursive-descent parser and share one
+//! header check (`schema_version` 1, a string `device`, an array
+//! `records`). Each file has a CI gate that returns one [`GateReport`]:
+//! [`compare_to_baseline`] (kernel cycles within a +25% band) and
+//! [`compare_snapshot`] (no new lint rule, no per-rule count increase).
 
+use gpu_sim::{LintReport, LintRule};
 use tc_core::framework::runner::{RunOutcome, RunRecord};
 
 /// One (algorithm × dataset) cell of the benchmark matrix.
@@ -90,7 +114,7 @@ impl BenchCell {
     }
 }
 
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -104,41 +128,46 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-/// Render the full `BENCH_sim.json` document (one record per line, so
-/// plain `diff` shows per-cell drift between two runs).
+/// A gate document: the shared header, the `extra` header lines, then
+/// the records, one per line (a lint record's diags take one line each),
+/// so plain `diff` shows per-cell drift between two files.
+fn document(device: &str, extra: &str, records: &[String]) -> String {
+    format!(
+        "{{\n  \"schema_version\": 1,\n  \"device\": \"{}\",\n{extra}  \"records\": [\n{}{}  ]\n}}\n",
+        escape(device),
+        records.join(",\n"),
+        if records.is_empty() { "" } else { "\n" },
+    )
+}
+
+/// Render the full `BENCH_sim.json` document.
 pub fn render(device: &str, reps: u32, total_wall_ms: f64, cells: &[BenchCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
-    out.push_str(&format!("  \"device\": \"{}\",\n", escape(device)));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"total_wall_ms\": {total_wall_ms:.3},\n"));
-    out.push_str("  \"records\": [\n");
     // The backend field only appears in mixed-backend documents, so a
     // pure-sim BENCH_sim.json stays diffable against historical files.
     let multi_backend = cells.iter().any(|c| c.backend != "sim");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        let backend = if multi_backend {
-            format!("\"backend\": \"{}\", ", c.backend)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"dataset\": \"{}\", {}\"outcome\": \"{}\", \
-             \"wall_ms\": {:.3}, \"kernel_cycles\": {}, \"verified\": {}}}{}\n",
-            escape(&c.algorithm),
-            escape(&c.dataset),
-            backend,
-            c.outcome,
-            c.wall_ms,
-            c.kernel_cycles,
-            c.verified,
-            comma,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let records: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let backend = if multi_backend {
+                format!("\"backend\": \"{}\", ", c.backend)
+            } else {
+                String::new()
+            };
+            format!(
+                "    {{\"algorithm\": \"{}\", \"dataset\": \"{}\", {}\"outcome\": \"{}\", \
+                 \"wall_ms\": {:.3}, \"kernel_cycles\": {}, \"verified\": {}}}",
+                escape(&c.algorithm),
+                escape(&c.dataset),
+                backend,
+                c.outcome,
+                c.wall_ms,
+                c.kernel_cycles,
+                c.verified,
+            )
+        })
+        .collect();
+    let extra = format!("  \"reps\": {reps},\n  \"total_wall_ms\": {total_wall_ms:.3},\n");
+    document(device, &extra, &records)
 }
 
 // ---------------------------------------------------------------------
@@ -147,7 +176,7 @@ pub fn render(device: &str, reps: u32, total_wall_ms: f64, cells: &[BenchCell]) 
 
 /// A parsed JSON value, just rich enough to validate the schema.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+enum Json {
     Null,
     Bool(bool),
     Num(f64),
@@ -157,31 +186,57 @@ pub enum Json {
 }
 
 impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    pub fn as_num(&self) -> Option<f64> {
+    fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    pub fn as_str(&self) -> Option<&str> {
+    fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// Field `key` of an object as a string, or an error naming it.
+    fn str_at(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string `{key}`"))
+    }
+
+    fn num_at(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_num)
+            .ok_or_else(|| format!("missing numeric `{key}`"))
+    }
+
+    fn arr_at(&self, key: &str) -> Result<&[Json], String> {
+        self.get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing array `{key}`"))
+    }
+
+    fn bool_at(&self, key: &str) -> Result<bool, String> {
+        match self.get(key) {
+            Some(Json::Bool(b)) => Ok(*b),
+            _ => Err(format!("missing boolean `{key}`")),
         }
     }
 }
@@ -363,7 +418,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse a JSON document.
-pub fn parse(text: &str) -> Result<Json, String> {
+fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -376,66 +431,44 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Parse a gate document and check the header both schemas share:
+/// `schema_version` 1, a string `device` and an array `records`.
+fn parse_header(text: &str) -> Result<Json, String> {
+    let doc = parse(text)?;
+    let version = doc.num_at("schema_version")?;
+    if version != 1.0 {
+        return Err(format!("unsupported schema_version {version}"));
+    }
+    doc.str_at("device")?;
+    doc.arr_at("records")?;
+    Ok(doc)
+}
+
 /// Validate a `BENCH_sim.json` document against schema version 1 and
 /// return the number of records. Used by tests and the CI bench-smoke
 /// job; any missing key or mistyped field is an error.
 pub fn validate(text: &str) -> Result<usize, String> {
-    let doc = parse(text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `schema_version`")?;
-    if version != 1.0 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    doc.get("device")
-        .and_then(Json::as_str)
-        .ok_or("missing string `device`")?;
-    doc.get("reps")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `reps`")?;
-    doc.get("total_wall_ms")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `total_wall_ms`")?;
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("missing array `records`")?;
+    let doc = parse_header(text)?;
+    doc.num_at("reps")?;
+    doc.num_at("total_wall_ms")?;
+    let records = doc.arr_at("records")?;
     for (i, r) in records.iter().enumerate() {
         let ctx = |what: &str| format!("record {i}: {what}");
-        r.get("algorithm")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string `algorithm`"))?;
-        r.get("dataset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string `dataset`"))?;
-        if let Some(b) = r.get("backend") {
-            match b.as_str() {
-                Some("sim") | Some("cpu") => {}
-                _ => return Err(ctx("`backend`, when present, must be \"sim\" or \"cpu\"")),
-            }
+        r.str_at("algorithm").map_err(|e| ctx(&e))?;
+        r.str_at("dataset").map_err(|e| ctx(&e))?;
+        if r.get("backend").is_some() && !matches!(r.str_at("backend"), Ok("sim" | "cpu")) {
+            return Err(ctx("`backend`, when present, must be \"sim\" or \"cpu\""));
         }
-        let outcome = r
-            .get("outcome")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string `outcome`"))?;
+        let outcome = r.str_at("outcome").map_err(|e| ctx(&e))?;
         if outcome != "ok" && outcome != "failed" {
             return Err(ctx(&format!("bad outcome `{outcome}`")));
         }
-        let wall = r
-            .get("wall_ms")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("missing numeric `wall_ms`"))?;
+        let wall = r.num_at("wall_ms").map_err(|e| ctx(&e))?;
         if !wall.is_finite() || wall < 0.0 {
             return Err(ctx("wall_ms must be finite and non-negative"));
         }
-        r.get("kernel_cycles")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("missing numeric `kernel_cycles`"))?;
-        match r.get("verified") {
-            Some(Json::Bool(_)) => {}
-            _ => return Err(ctx("missing boolean `verified`")),
-        }
+        r.num_at("kernel_cycles").map_err(|e| ctx(&e))?;
+        r.bool_at("verified").map_err(|e| ctx(&e))?;
     }
     Ok(records.len())
 }
@@ -444,27 +477,42 @@ pub fn validate(text: &str) -> Result<usize, String> {
 // Baseline comparison (the CI regression gate).
 // ---------------------------------------------------------------------
 
-/// Result of regressing a fresh sweep against a committed baseline file.
+/// Result of regressing a fresh sweep against a committed gate file
+/// (`BENCH_sim.json` or `LINT_sim.json`).
 ///
 /// `failures` is what CI gates on; `advisories` is context a human reads
-/// when triaging (wall-clock drift, cells with no baseline counterpart).
+/// when triaging.
 #[derive(Debug, Default)]
-pub struct BaselineReport {
-    /// Hard failures: kernel-cycle regressions beyond the tolerance band,
-    /// or a cell that was a verified `ok` in the baseline but failed now.
+pub struct GateReport {
+    /// Hard failures: a kernel-cycle regression beyond the tolerance
+    /// band, a lint rule newly firing for a cell or a per-rule finding
+    /// count increasing, or a cell that was ok in the baseline failing
+    /// now.
     pub failures: Vec<String>,
     /// Informational findings that must not fail the build: wall-clock
-    /// drift (host timing is noisy on shared runners), cycle *drops*
-    /// (an intentional model change should refresh the baseline), and
-    /// cells missing on either side.
+    /// drift (host timing is noisy on shared runners), cycle *drops* and
+    /// rules that stopped firing (an intentional change should refresh
+    /// the file), lint message/site drift at constant counts, and cells
+    /// missing on either side.
     pub advisories: Vec<String>,
     /// Number of (algorithm × dataset) cells present on both sides.
     pub compared: usize,
 }
 
-impl BaselineReport {
+impl GateReport {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// The report, or an error when no cell overlapped the baseline
+    /// `file` (a gate that compared nothing must not pass).
+    fn overlapping(self, file: &str) -> Result<GateReport, String> {
+        if self.compared == 0 {
+            return Err(format!(
+                "no (algorithm × dataset) cell overlaps the {file} — nothing to check"
+            ));
+        }
+        Ok(self)
     }
 }
 
@@ -483,17 +531,17 @@ pub fn compare_to_baseline(
     baseline_text: &str,
     cells: &[BenchCell],
     tolerance: f64,
-) -> Result<BaselineReport, String> {
+) -> Result<GateReport, String> {
     validate(baseline_text).map_err(|e| format!("baseline: {e}"))?;
     let doc = parse(baseline_text)?;
-    let records = doc.get("records").and_then(Json::as_arr).unwrap_or(&[]);
+    let records = doc.arr_at("records")?;
 
-    let mut report = BaselineReport::default();
+    let mut report = GateReport::default();
     for cell in cells {
         let base = records.iter().find(|r| {
-            r.get("algorithm").and_then(Json::as_str) == Some(cell.algorithm.as_str())
-                && r.get("dataset").and_then(Json::as_str) == Some(cell.dataset.as_str())
-                && r.get("backend").and_then(Json::as_str).unwrap_or("sim") == cell.backend
+            r.str_at("algorithm") == Ok(&cell.algorithm)
+                && r.str_at("dataset") == Ok(&cell.dataset)
+                && r.str_at("backend").unwrap_or("sim") == cell.backend
         });
         let label = format!("{} / {} [{}]", cell.algorithm, cell.dataset, cell.backend);
         let Some(base) = base else {
@@ -504,18 +552,14 @@ pub fn compare_to_baseline(
         };
         report.compared += 1;
 
-        let base_outcome = base.get("outcome").and_then(Json::as_str).unwrap_or("");
-        if base_outcome == "ok" && cell.outcome != "ok" {
+        if base.str_at("outcome") == Ok("ok") && cell.outcome != "ok" {
             report
                 .failures
                 .push(format!("{label}: baseline ran ok but this sweep failed"));
             continue;
         }
 
-        let base_cycles = base
-            .get("kernel_cycles")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
+        let base_cycles = base.num_at("kernel_cycles").unwrap_or(0.0);
         if base_cycles > 0.0 {
             let ratio = cell.kernel_cycles as f64 / base_cycles;
             if ratio > 1.0 + tolerance {
@@ -537,7 +581,7 @@ pub fn compare_to_baseline(
             }
         }
 
-        let base_wall = base.get("wall_ms").and_then(Json::as_num).unwrap_or(0.0);
+        let base_wall = base.num_at("wall_ms").unwrap_or(0.0);
         if base_wall > 0.0 && cell.wall_ms > 0.0 {
             let ratio = cell.wall_ms / base_wall;
             if (ratio - 1.0).abs() > 0.10 {
@@ -551,13 +595,226 @@ pub fn compare_to_baseline(
             }
         }
     }
-    if report.compared == 0 {
-        return Err(
-            "no (algorithm × dataset) cell overlaps the baseline — nothing to regress against"
-                .to_string(),
-        );
+    report.overlapping("baseline")
+}
+
+// ---------------------------------------------------------------------
+// LINT_sim.json (the SimLint diagnostic wall and its snapshot gate).
+// ---------------------------------------------------------------------
+
+/// One serialized diagnostic (the stable triple of a
+/// [`Diag`](gpu_sim::Diag); block/lane witnesses are launch-local and
+/// stay out of the golden file).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LintDiagRecord {
+    pub rule: String,
+    pub pc_hint: String,
+    pub detail: String,
+}
+
+/// One (algorithm × dataset) cell of the diagnostic wall.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LintCell {
+    pub algorithm: String,
+    pub dataset: String,
+    /// `"ok"` or `"failed"` (a fatal diagnostic or any other
+    /// `SimError` poisons the cell).
+    pub outcome: &'static str,
+    /// The failure message when `outcome == "failed"`, else empty.
+    pub error: String,
+    pub diags: Vec<LintDiagRecord>,
+}
+
+impl LintCell {
+    /// A successful cell from the launch's merged report (the report's
+    /// own ordering is already stable: rule, then site, then detail).
+    pub fn from_report(algorithm: &str, dataset: &str, report: &LintReport) -> LintCell {
+        LintCell {
+            algorithm: algorithm.to_string(),
+            dataset: dataset.to_string(),
+            outcome: "ok",
+            error: String::new(),
+            diags: report
+                .diags
+                .iter()
+                .map(|d| LintDiagRecord {
+                    rule: d.rule.as_str().to_string(),
+                    pc_hint: d.pc_hint.clone(),
+                    detail: d.detail.clone(),
+                })
+                .collect(),
+        }
     }
-    Ok(report)
+
+    /// A poisoned cell (fatal diagnostic or other simulator error).
+    pub fn from_error(algorithm: &str, dataset: &str, error: &str) -> LintCell {
+        LintCell {
+            algorithm: algorithm.to_string(),
+            dataset: dataset.to_string(),
+            outcome: "failed",
+            error: error.to_string(),
+            diags: Vec::new(),
+        }
+    }
+
+    pub fn is_clean(&self) -> bool {
+        self.outcome == "ok" && self.diags.is_empty()
+    }
+
+    fn count(&self, rule: &str) -> usize {
+        self.diags.iter().filter(|d| d.rule == rule).count()
+    }
+}
+
+/// Render the full `LINT_sim.json` document. One diag per line, so a
+/// plain `diff` of two snapshots shows exactly which findings moved.
+pub fn render_lint(device: &str, cells: &[LintCell]) -> String {
+    let records: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let error = if c.outcome == "failed" {
+                format!(" \"error\": \"{}\",", escape(&c.error))
+            } else {
+                String::new()
+            };
+            let diags: Vec<String> = c
+                .diags
+                .iter()
+                .map(|d| {
+                    format!(
+                        "      {{\"rule\": \"{}\", \"pc_hint\": \"{}\", \"detail\": \"{}\"}}",
+                        escape(&d.rule),
+                        escape(&d.pc_hint),
+                        escape(&d.detail),
+                    )
+                })
+                .collect();
+            format!(
+                "    {{\"algorithm\": \"{}\", \"dataset\": \"{}\", \"outcome\": \"{}\",{} \
+                 \"clean\": {}, \"diags\": [{}]}}",
+                escape(&c.algorithm),
+                escape(&c.dataset),
+                c.outcome,
+                error,
+                c.is_clean(),
+                if diags.is_empty() {
+                    String::new()
+                } else {
+                    format!("\n{}\n    ", diags.join(",\n"))
+                },
+            )
+        })
+        .collect();
+    document(device, "", &records)
+}
+
+/// Validate a `LINT_sim.json` document against schema version 1 and
+/// return the parsed cells. The rule vocabulary is closed (the
+/// [`LintRule::ALL`] names), and the redundant `clean` flag must agree
+/// with the diags it summarizes.
+pub fn validate_lint(text: &str) -> Result<Vec<LintCell>, String> {
+    let doc = parse_header(text)?;
+    let records = doc.arr_at("records")?;
+    let mut cells = Vec::with_capacity(records.len());
+    for (i, r) in records.iter().enumerate() {
+        let ctx = |what: &str| format!("record {i}: {what}");
+        let outcome = match r.str_at("outcome").map_err(|e| ctx(&e))? {
+            "ok" => "ok",
+            "failed" => "failed",
+            other => return Err(ctx(&format!("bad outcome `{other}`"))),
+        };
+        let mut diags = Vec::new();
+        for (j, d) in r.arr_at("diags").map_err(|e| ctx(&e))?.iter().enumerate() {
+            let dctx = |what: &str| ctx(&format!("diag {j}: {what}"));
+            let rule = d.str_at("rule").map_err(|e| dctx(&e))?;
+            if !LintRule::ALL.iter().any(|r| r.as_str() == rule) {
+                return Err(dctx(&format!("unknown rule `{rule}`")));
+            }
+            diags.push(LintDiagRecord {
+                rule: rule.to_string(),
+                pc_hint: d.str_at("pc_hint").map_err(|e| dctx(&e))?.to_string(),
+                detail: d.str_at("detail").map_err(|e| dctx(&e))?.to_string(),
+            });
+        }
+        let cell = LintCell {
+            algorithm: r.str_at("algorithm").map_err(|e| ctx(&e))?.to_string(),
+            dataset: r.str_at("dataset").map_err(|e| ctx(&e))?.to_string(),
+            outcome,
+            error: r.str_at("error").unwrap_or("").to_string(),
+            diags,
+        };
+        if r.bool_at("clean").map_err(|e| ctx(&e))? != cell.is_clean() {
+            return Err(ctx("`clean` disagrees with `diags`/`outcome`"));
+        }
+        cells.push(cell);
+    }
+    Ok(cells)
+}
+
+/// Compare a fresh sweep's cells against a committed `LINT_sim.json`.
+///
+/// A **new rule** appearing for a cell, a **per-rule count increase**,
+/// or a previously-ok cell failing outright are hard failures; message
+/// drift at constant counts, rules *disappearing* (an improvement —
+/// refresh the snapshot), and cells with no counterpart on either side
+/// are advisory.
+pub fn compare_snapshot(baseline_text: &str, cells: &[LintCell]) -> Result<GateReport, String> {
+    let baseline = validate_lint(baseline_text).map_err(|e| format!("baseline: {e}"))?;
+    let mut report = GateReport::default();
+    for cell in cells {
+        let label = format!("{} / {}", cell.algorithm, cell.dataset);
+        let Some(base) = baseline
+            .iter()
+            .find(|b| b.algorithm == cell.algorithm && b.dataset == cell.dataset)
+        else {
+            report
+                .advisories
+                .push(format!("{label}: no baseline cell (new coverage?)"));
+            continue;
+        };
+        report.compared += 1;
+        if base.outcome == "ok" && cell.outcome != "ok" {
+            report
+                .failures
+                .push(format!("{label}: was lint-ok, now fails: {}", cell.error));
+            continue;
+        }
+        let mut counts_moved = false;
+        for rule in LintRule::ALL {
+            let rule = rule.as_str();
+            let (now, was) = (cell.count(rule), base.count(rule));
+            counts_moved |= now != was;
+            if now > was {
+                report.failures.push(format!(
+                    "{label}: `{rule}` findings {was} -> {now} — a lint regression \
+                     (or refresh LINT_sim.json if the new finding is understood)"
+                ));
+            } else if now < was {
+                report.advisories.push(format!(
+                    "{label}: `{rule}` findings {was} -> {now} — an improvement; \
+                     refresh LINT_sim.json to pin it"
+                ));
+            }
+        }
+        if !counts_moved && cell.diags != base.diags {
+            report.advisories.push(format!(
+                "{label}: finding text/site drifted at constant counts — \
+                 refresh LINT_sim.json if intentional"
+            ));
+        }
+    }
+    for base in &baseline {
+        if !cells
+            .iter()
+            .any(|c| c.algorithm == base.algorithm && c.dataset == base.dataset)
+        {
+            report.advisories.push(format!(
+                "{} / {}: baseline cell not exercised by this sweep",
+                base.algorithm, base.dataset
+            ));
+        }
+    }
+    report.overlapping("snapshot")
 }
 
 #[cfg(test)]
@@ -727,5 +984,138 @@ mod tests {
         }];
         BenchCell::merge_min_wall(&mut cells, &rep);
         assert!((cells[0].wall_ms - 2.0).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod lint_tests {
+    use super::{
+        compare_snapshot, render_lint as render, validate_lint as validate, LintCell,
+        LintDiagRecord,
+    };
+
+    fn diag(rule: &str, hint: &str) -> LintDiagRecord {
+        LintDiagRecord {
+            rule: rule.to_string(),
+            pc_hint: hint.to_string(),
+            detail: format!("detail for {rule} at {hint}"),
+        }
+    }
+
+    fn cell(algo: &str, diags: Vec<LintDiagRecord>) -> LintCell {
+        LintCell {
+            algorithm: algo.to_string(),
+            dataset: "er-dense".to_string(),
+            outcome: "ok",
+            error: String::new(),
+            diags,
+        }
+    }
+
+    #[test]
+    fn render_roundtrips_through_validate() {
+        let cells = vec![
+            cell("Polak", vec![]),
+            cell(
+                "GroupTC",
+                vec![
+                    diag("atomic-contention", "phase 1, `sums`[0]"),
+                    diag("low-occupancy", "phase 2"),
+                ],
+            ),
+        ];
+        let text = render("V100", &cells);
+        let parsed = validate(&text).unwrap();
+        assert_eq!(parsed, cells);
+        assert!(parsed[0].is_clean());
+        assert!(!parsed[1].is_clean());
+    }
+
+    #[test]
+    fn failed_cells_carry_the_error_and_are_not_clean() {
+        let c = LintCell::from_error("Hu", "road-grid", "barrier divergence in block 3");
+        let text = render("V100", std::slice::from_ref(&c));
+        assert!(text.contains("\"error\": \"barrier divergence in block 3\""));
+        assert_eq!(validate(&text).unwrap(), vec![c]);
+    }
+
+    #[test]
+    fn rule_vocabulary_is_closed() {
+        let text = render("V100", &[cell("Polak", vec![diag("made-up-rule", "x")])]);
+        assert!(validate(&text).unwrap_err().contains("unknown rule"));
+    }
+
+    #[test]
+    fn clean_flag_must_agree_with_diags() {
+        let text = render("V100", &[cell("Polak", vec![])]);
+        let lying = text.replace("\"clean\": true", "\"clean\": false");
+        assert!(validate(&lying).unwrap_err().contains("disagrees"));
+    }
+
+    #[test]
+    fn new_rule_and_count_increase_fail_the_gate() {
+        let baseline = render("V100", &[cell("Polak", vec![diag("low-occupancy", "p2")])]);
+        // A rule the baseline never saw for this cell: hard failure.
+        let now = vec![cell(
+            "Polak",
+            vec![diag("low-occupancy", "p2"), diag("bank-conflict", "s0")],
+        )];
+        let report = compare_snapshot(&baseline, &now).unwrap();
+        assert!(!report.passed());
+        assert!(report.failures[0].contains("bank-conflict"));
+        // Same rule, one more finding: also a failure.
+        let now = vec![cell(
+            "Polak",
+            vec![diag("low-occupancy", "p2"), diag("low-occupancy", "p3")],
+        )];
+        let report = compare_snapshot(&baseline, &now).unwrap();
+        assert!(!report.passed());
+        assert!(report.failures[0].contains("1 -> 2"));
+    }
+
+    #[test]
+    fn disappearing_rules_and_text_drift_are_advisory() {
+        let baseline = render("V100", &[cell("Polak", vec![diag("low-occupancy", "p2")])]);
+        // The finding went away: advisory (refresh the snapshot).
+        let report = compare_snapshot(&baseline, &[cell("Polak", vec![])]).unwrap();
+        assert!(report.passed(), "failures: {:?}", report.failures);
+        assert!(report.advisories.iter().any(|a| a.contains("improvement")));
+        // Same counts, different site: advisory drift.
+        let report = compare_snapshot(
+            &baseline,
+            &[cell("Polak", vec![diag("low-occupancy", "p9")])],
+        )
+        .unwrap();
+        assert!(report.passed(), "failures: {:?}", report.failures);
+        assert!(report.advisories.iter().any(|a| a.contains("drifted")));
+    }
+
+    #[test]
+    fn ok_cell_turning_failed_fails_the_gate() {
+        let baseline = render("V100", &[cell("Polak", vec![])]);
+        let now = vec![LintCell::from_error("Polak", "er-dense", "boom")];
+        let report = compare_snapshot(&baseline, &now).unwrap();
+        assert!(!report.passed());
+        assert!(report.failures[0].contains("now fails"));
+    }
+
+    #[test]
+    fn non_overlapping_sweeps_are_an_error() {
+        let baseline = render("V100", &[cell("Polak", vec![])]);
+        let err = compare_snapshot(&baseline, &[cell("TRUST", vec![])]).unwrap_err();
+        assert!(err.contains("overlaps"), "err: {err}");
+    }
+
+    #[test]
+    fn identical_sweeps_pass_with_no_advisories() {
+        let cells = vec![
+            cell("Polak", vec![]),
+            cell("GroupTC", vec![diag("atomic-contention", "p1")]),
+        ];
+        let baseline = render("V100", &cells);
+        let report = compare_snapshot(&baseline, &cells).unwrap();
+        assert!(report.passed());
+        assert!(report.advisories.is_empty(), "{:?}", report.advisories);
+        assert_eq!(report.compared, 2);
     }
 }

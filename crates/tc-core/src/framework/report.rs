@@ -1,6 +1,6 @@
 //! Report formatting: ASCII tables and per-figure series extraction from
-//! a run matrix. The tc-bench binaries print exactly the rows/series the
-//! paper's tables and figures report.
+//! a run matrix. The `tc` report commands (crate `tc-bench`) print
+//! exactly the rows/series the paper's tables and figures report.
 
 use std::collections::BTreeMap;
 

@@ -1,5 +1,5 @@
 //! The committed perf baseline (`BENCH_sim.json`, written by
-//! `tc-bench --bin bench_sweep --bench-json`) must stay parseable and
+//! `tc bench_sweep --bench-json`) must stay parseable and
 //! complete: schema v1, one verified record per registered algorithm on
 //! the baseline dataset. Future PRs regress their sweep numbers against
 //! this file, so CI fails fast if it rots.

@@ -10,7 +10,7 @@
 //! re-pin deliberately with:
 //!
 //! ```sh
-//! cargo run --release -p tc-bench --bin pin_replay_snapshots \
+//! cargo run --release -p tc-bench -- pin_replay_snapshots \
 //!     > tests/replay_equivalence/pins.rs
 //! ```
 
