@@ -93,12 +93,6 @@ impl ProfileCounters {
         }
         self.gst_transactions as f64 / self.global_store_requests as f64
     }
-
-    /// Total global memory requests of any flavour — a proxy for "total
-    /// amount of work" when comparing algorithms.
-    pub fn total_global_requests(&self) -> u64 {
-        self.global_load_requests + self.global_store_requests + self.global_atomic_requests
-    }
 }
 
 impl AddAssign for ProfileCounters {
@@ -226,7 +220,6 @@ mod tests {
         assert_eq!(a.sanitizer_checks, 28);
         assert_eq!(a.sanitizer_reports, 30);
         assert_eq!(a.lint_checks, 32);
-        assert_eq!(a.total_global_requests(), 2 + 6 + 10);
     }
 
     #[test]

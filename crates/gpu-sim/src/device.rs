@@ -2,7 +2,7 @@ use std::sync::Mutex;
 
 use crate::counters::{LaunchStats, ProfileCounters};
 use crate::exec::{run_block, BlockCtx, BlockScratch, KernelConfig};
-use crate::lint::{build_report, LintConfig, LintObserver};
+use crate::lint::{build_report, LintObserver};
 use crate::mem::DeviceMem;
 use crate::schedule::schedule_blocks;
 use crate::{CostModel, SimError};
@@ -224,7 +224,7 @@ impl Device {
             let obs = acc
                 .into_inner()
                 .expect("a block panicked while folding SimLint observations");
-            build_report(&obs, mem, &LintConfig::default())
+            build_report(&obs, mem)
         });
 
         let parallel_slots = (self.config.num_sms * self.resident_blocks_per_sm(&cfg)) as usize;

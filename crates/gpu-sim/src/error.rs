@@ -31,13 +31,15 @@ pub enum SimError {
     /// The kernel itself reported a failure (e.g. a hash-table overflow in
     /// an implementation with fixed-size buckets).
     KernelFault(String),
-    /// A kernel lane accessed a device buffer out of bounds. Unlike a
-    /// host-side out-of-bounds access (a harness bug, which panics), a
-    /// lane-side fault is attributed to the implementation under test:
-    /// the faulting block poisons itself, the launch returns this error,
-    /// and an evaluation sweep records the cell as failed and moves on.
+    /// A kernel lane accessed a device buffer or its block's shared
+    /// memory out of bounds. Unlike a host-side out-of-bounds access (a
+    /// harness bug, which panics), a lane-side fault is attributed to
+    /// the implementation under test: the faulting block poisons itself,
+    /// the launch returns this error, and an evaluation sweep records
+    /// the cell as failed and moves on.
     MemoryFault {
-        /// Debug name of the buffer that was accessed.
+        /// Debug name of the buffer that was accessed (`"shared"` for
+        /// shared memory).
         buffer: String,
         /// The out-of-bounds word index.
         index: usize,

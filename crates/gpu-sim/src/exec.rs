@@ -3,7 +3,7 @@ use std::sync::Mutex;
 use crate::counters::ProfileCounters;
 use crate::device::Device;
 use crate::lint::{BarrierLint, LintObserver};
-use crate::mem::{BufId, Buffer, DeviceMem};
+use crate::mem::{BufId, Buffer, DeviceMem, Rmw};
 use crate::race::{Access, RaceTracker};
 use crate::sanitize::{SanTracker, ShadowAccess};
 use crate::trace::{LaneTrace, Op, PackedOp, TAG_COMPUTE, TAG_CONVERGE, TAG_SATOMIC};
@@ -431,8 +431,8 @@ impl<'a> LaneCtx<'a, '_> {
 
     /// Run one shared-memory access through the race detector (if the
     /// device enables it); a conflict poisons the block. Out-of-range
-    /// indices are skipped so the subsequent data access reports the
-    /// bounds fault with its usual message.
+    /// indices are skipped so the subsequent data access reports them as
+    /// a [`SimError::MemoryFault`].
     ///
     /// Each analysis guard is an always-inlined `is_some` test in front
     /// of a never-inlined body: the checks sit on every memory access of
@@ -705,97 +705,19 @@ impl<'a> LaneCtx<'a, '_> {
     /// `atomicAdd` on global memory; returns the previous value.
     #[inline]
     pub fn atomic_add_global(&mut self, buf: BufId, idx: usize, val: u32) -> u32 {
-        self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Atomic);
-        if self.poisoned() {
-            return 0;
-        }
-        let b = self.global_buf(buf);
-        match b.try_fetch_add(idx, val) {
-            Ok(old) => {
-                self.trace.push(Op::GAtomic(b.addr_of(idx)));
-                old
-            }
-            Err(e) => {
-                self.set_fault(e);
-                0
-            }
-        }
+        self.global_rmw(buf, idx, Rmw::Add(val), true)
     }
 
     /// `atomicOr` on global memory; returns the previous value.
     #[inline]
     pub fn atomic_or_global(&mut self, buf: BufId, idx: usize, val: u32) -> u32 {
-        self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Atomic);
-        if self.poisoned() {
-            return 0;
-        }
-        let b = self.global_buf(buf);
-        match b.try_fetch_or(idx, val) {
-            Ok(old) => {
-                self.trace.push(Op::GAtomic(b.addr_of(idx)));
-                old
-            }
-            Err(e) => {
-                self.set_fault(e);
-                0
-            }
-        }
+        self.global_rmw(buf, idx, Rmw::Or(val), true)
     }
 
     /// `atomicAnd` on global memory; returns the previous value.
     #[inline]
     pub fn atomic_and_global(&mut self, buf: BufId, idx: usize, val: u32) -> u32 {
-        self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Atomic);
-        if self.poisoned() {
-            return 0;
-        }
-        let b = self.global_buf(buf);
-        match b.try_fetch_and(idx, val) {
-            Ok(old) => {
-                self.trace.push(Op::GAtomic(b.addr_of(idx)));
-                old
-            }
-            Err(e) => {
-                self.set_fault(e);
-                0
-            }
-        }
-    }
-
-    /// `atomicCAS` on global memory; returns the previous value.
-    #[inline]
-    pub fn atomic_cas_global(&mut self, buf: BufId, idx: usize, cur: u32, new: u32) -> u32 {
-        self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Atomic);
-        if self.poisoned() {
-            return 0;
-        }
-        let b = self.global_buf(buf);
-        match b.try_compare_exchange(idx, cur, new) {
-            Ok(old) => {
-                self.trace.push(Op::GAtomic(b.addr_of(idx)));
-                old
-            }
-            Err(e) => {
-                self.set_fault(e);
-                0
-            }
-        }
+        self.global_rmw(buf, idx, Rmw::And(val), true)
     }
 
     /// Correctness-only global add with **no traffic recorded**. This is
@@ -805,24 +727,62 @@ impl<'a> LaneCtx<'a, '_> {
     /// contribution still lands in the counter for exactness.
     #[inline]
     pub fn add_global_untraced(&mut self, buf: BufId, idx: usize, val: u32) {
+        self.global_rmw(buf, idx, Rmw::Add(val), false);
+    }
+
+    /// Every global atomic: SimSan vets the word, the RMW applies, and a
+    /// `traced` one records its `GAtomic` op. An untraced one records
+    /// nothing, not even the pending compute run, so it leaves the trace
+    /// exactly as it found it. Atomics are exempt from race detection.
+    #[inline(always)]
+    fn global_rmw(&mut self, buf: BufId, idx: usize, op: Rmw, traced: bool) -> u32 {
+        if traced {
+            self.flush_compute();
+        }
         if self.poisoned() {
-            return;
+            return 0;
         }
         self.san_check_global(buf, idx, ShadowAccess::Atomic);
         if self.poisoned() {
-            return;
+            return 0;
         }
-        if let Err(e) = self.global_buf(buf).try_fetch_add(idx, val) {
-            self.set_fault(e);
+        let b = self.global_buf(buf);
+        match b.try_rmw(idx, op) {
+            Ok(old) => {
+                if traced {
+                    self.trace.push(Op::GAtomic(b.addr_of(idx)));
+                }
+                old
+            }
+            Err(e) => {
+                self.set_fault(e);
+                0
+            }
         }
     }
 
+    /// The shared word at `idx`, or `None` after poisoning the block with
+    /// a [`SimError::MemoryFault`] on `"shared"` when `idx` is out of
+    /// bounds — a lane-side shared access faults like a global one.
     #[inline]
-    fn shared_slot(&mut self, idx: usize) -> &mut u32 {
-        match self.shared.get_mut(idx) {
-            Some(w) => w,
-            None => panic!("shared memory fault: index {idx} out of bounds"),
+    fn shared_slot(&mut self, idx: usize) -> Option<&mut u32> {
+        if idx >= self.shared.len() {
+            self.shared_oob(idx);
+            return None;
         }
+        Some(&mut self.shared[idx])
+    }
+
+    /// Outlined and cold like `Buffer::oob`: the fault allocates.
+    #[cold]
+    #[inline(never)]
+    fn shared_oob(&mut self, idx: usize) {
+        let len = self.shared.len();
+        self.set_fault(SimError::MemoryFault {
+            buffer: "shared".to_string(),
+            index: idx,
+            len,
+        });
     }
 
     /// Load one word from shared memory. Under race detection, reading a
@@ -844,7 +804,7 @@ impl<'a> LaneCtx<'a, '_> {
         if self.poisoned() {
             return 0;
         }
-        *self.shared_slot(idx)
+        self.shared_slot(idx).map_or(0, |w| *w)
     }
 
     /// Store one word to shared memory.
@@ -866,50 +826,33 @@ impl<'a> LaneCtx<'a, '_> {
                 return;
             }
         }
-        *self.shared_slot(idx) = val;
+        if let Some(w) = self.shared_slot(idx) {
+            *w = val;
+        }
     }
 
     /// `atomicAdd` on shared memory; returns the previous value.
     #[inline]
     pub fn atomic_add_shared(&mut self, idx: usize, val: u32) -> u32 {
-        self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.trace.push(Op::SAtomic(idx as u32));
-        self.san_check_shared(idx, ShadowAccess::Atomic);
-        self.race_check_shared(idx, Access::Atomic);
-        if self.poisoned() {
-            return 0;
-        }
-        let w = self.shared_slot(idx);
-        let old = *w;
-        *w = old.wrapping_add(val);
-        old
+        self.shared_rmw(idx, Rmw::Add(val))
     }
 
     /// `atomicOr` on shared memory; returns the previous value.
     #[inline]
     pub fn atomic_or_shared(&mut self, idx: usize, val: u32) -> u32 {
-        self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.trace.push(Op::SAtomic(idx as u32));
-        self.san_check_shared(idx, ShadowAccess::Atomic);
-        self.race_check_shared(idx, Access::Atomic);
-        if self.poisoned() {
-            return 0;
-        }
-        let w = self.shared_slot(idx);
-        let old = *w;
-        *w = old | val;
-        old
+        self.shared_rmw(idx, Rmw::Or(val))
     }
 
     /// `atomicAnd` on shared memory; returns the previous value.
     #[inline]
     pub fn atomic_and_shared(&mut self, idx: usize, val: u32) -> u32 {
+        self.shared_rmw(idx, Rmw::And(val))
+    }
+
+    /// Every shared atomic: record the `SAtomic` op, run the analyses,
+    /// apply the RMW.
+    #[inline(always)]
+    fn shared_rmw(&mut self, idx: usize, op: Rmw) -> u32 {
         self.flush_compute();
         if self.poisoned() {
             return 0;
@@ -920,10 +863,14 @@ impl<'a> LaneCtx<'a, '_> {
         if self.poisoned() {
             return 0;
         }
-        let w = self.shared_slot(idx);
-        let old = *w;
-        *w = old & val;
-        old
+        match self.shared_slot(idx) {
+            Some(w) => {
+                let old = *w;
+                *w = op.apply(old);
+                old
+            }
+            None => 0,
+        }
     }
 }
 
@@ -1071,6 +1018,12 @@ const MEM_KINDS: usize = TAG_SATOMIC as usize + 1;
 
 /// `log2(SECTOR_BYTES)`: byte address → 32-byte sector id.
 const SECTOR_SHIFT: u32 = crate::SECTOR_BYTES.trailing_zeros();
+
+/// Base byte address of the sector holding byte address `addr`.
+#[inline]
+fn sector_base(addr: u64) -> u64 {
+    (addr >> SECTOR_SHIFT) << SECTOR_SHIFT
+}
 
 /// Per-tag payload shift applied on the way into the step lists: global
 /// loads, load hits and stores coalesce at sector granularity, so their
@@ -1323,6 +1276,115 @@ fn bank_conflict_ways(addrs: &mut [u64]) -> u64 {
     ways
 }
 
+/// One issued warp slot: its kind and the measures its charge depends
+/// on. The general lockstep step derives the measures from its slot
+/// lists; the single-active-lane drain knows them up front (one lane
+/// touches one sector, one bank, one address).
+#[derive(Clone, Copy)]
+enum Slot {
+    /// `(steps)`: consecutive compute instructions (one batched run).
+    Compute(u64),
+    /// `(sectors, misses)`: distinct sectors addressed, and how many of
+    /// them missed L1.
+    GLoad(u64, u64),
+    /// `(sectors)`: distinct sectors written.
+    GStore(u64),
+    /// `(depth, sectors)`: same-address collision depth, and distinct
+    /// sectors moved.
+    GAtomic(u64, u64),
+    /// `(ways)`: bank-conflict ways.
+    SLoad(u64),
+    /// `(ways)`: bank-conflict ways.
+    SStore(u64),
+    /// `(depth)`: same-address collision depth.
+    SAtomic(u64),
+}
+
+/// What one warp's replay has charged so far, and the one rule that
+/// charges it: [`WarpTally::charge`] is the only place a slot's
+/// counters, `CostModel` price and SimLint observation are applied, so
+/// both replay paths stay identical by construction.
+struct WarpTally<'c, 'l> {
+    cost: &'c CostModel,
+    lint: Option<&'l mut LintObserver>,
+    counters: ProfileCounters,
+    cycles: u64,
+}
+
+impl WarpTally<'_, '_> {
+    /// Charge one slot issued by `active` lanes. `site` is the lint's
+    /// representative address: a sector's base byte address for loads
+    /// and stores, the byte address for global atomics, the word index
+    /// for shared kinds (unused for compute).
+    #[inline(always)]
+    fn charge(&mut self, slot: Slot, active: u64, site: u64) {
+        let (c, cost) = (&mut self.counters, self.cost);
+        let steps = match slot {
+            Slot::Compute(steps) => steps,
+            _ => 1,
+        };
+        c.issued_slots += steps;
+        c.active_thread_slots += steps * active;
+        let obs = self.lint.as_deref_mut();
+        match slot {
+            Slot::Compute(steps) => {
+                c.compute_slots += steps;
+                self.cycles += steps * cost.compute;
+            }
+            Slot::GLoad(sectors, misses) => {
+                // nvprof's gld_transactions counts wavefronts (distinct
+                // sectors addressed) regardless of cache hits; the DRAM
+                // floor charges only the miss half.
+                c.global_load_requests += 1;
+                c.gld_transactions += sectors;
+                c.dram_load_sectors += misses;
+                self.cycles += cost.global_load_slot(sectors, misses);
+                if let Some(obs) = obs {
+                    obs.global_load(sectors, site);
+                }
+            }
+            Slot::GStore(sectors) => {
+                c.global_store_requests += 1;
+                c.gst_transactions += sectors;
+                self.cycles += cost.global_slot(sectors);
+                if let Some(obs) = obs {
+                    obs.global_store(sectors, site);
+                }
+            }
+            Slot::GAtomic(depth, sectors) => {
+                // Atomics are resolved in L2 but still move their sectors
+                // over DRAM; distinct 32-byte sectors feed the
+                // launch-level bandwidth floor alongside load and store
+                // traffic.
+                c.global_atomic_requests += 1;
+                c.dram_atomic_sectors += sectors;
+                self.cycles += cost.global_atomic_slot(depth);
+                if let Some(obs) = obs {
+                    obs.global_atomic(depth, site);
+                }
+            }
+            Slot::SLoad(ways) | Slot::SStore(ways) => {
+                if matches!(slot, Slot::SLoad(_)) {
+                    c.shared_load_requests += 1;
+                } else {
+                    c.shared_store_requests += 1;
+                }
+                self.cycles += cost.shared_slot(ways);
+                if let Some(obs) = obs {
+                    obs.shared_access(ways, site);
+                }
+            }
+            Slot::SAtomic(depth) => {
+                c.shared_atomic_requests += 1;
+                self.cycles += cost.shared_atomic_slot(depth);
+                if let Some(obs) = obs {
+                    obs.shared_atomic(depth, site);
+                }
+            }
+        }
+    }
+}
+
 /// Replay the lanes of one warp in lockstep and return (cycles, counters).
 ///
 /// At each step, the next un-replayed op of every still-active lane is
@@ -1349,10 +1411,14 @@ fn replay_warp(
     traces: &[LaneTrace],
     cost: &CostModel,
     scratch: &mut ReplayScratch,
-    mut lint: Option<&mut LintObserver>,
+    lint: Option<&mut LintObserver>,
 ) -> (u64, ProfileCounters) {
-    let mut counters = ProfileCounters::default();
-    let mut cycles = 0u64;
+    let mut tally = WarpTally {
+        cost,
+        lint,
+        counters: ProfileCounters::default(),
+        cycles: 0,
+    };
     let step = &mut scratch.step;
     // Live lanes, compacted in place: an exhausted lane swaps with the
     // last live entry and drops out, so a tail-divergent warp — one long
@@ -1373,7 +1439,7 @@ fn replay_warp(
         }
     }
     if n_live == 0 {
-        return (0, counters);
+        return (0, tally.counters);
     }
     // Lanes stalled at a `Converge` marker are *parked* past `n_active`
     // (the array is split `[active.. | parked.. | dead]`), so a warp
@@ -1387,98 +1453,33 @@ fn replay_warp(
         // merging alone while its siblings sit finished or parked at a
         // marker — the dominant late-replay shape in triangle counting)
         // needs no gather, no slot lists and no distinct-count passes:
-        // every slot carries exactly one address, so each pass is
-        // trivially distinct=1 / ways=1 / depth=1 and the general
-        // path's per-op cost is applied directly. Bit-identical by
-        // construction — each arm below is the general path specialized
-        // to one lane.
+        // every slot carries exactly one address, so its measures are
+        // known (one sector, one way, depth one) and it goes straight to
+        // the same `charge` as the general path's one-lane slots.
         while n_active == 1 {
             let st = &mut lanes[0];
             // Live-lane invariant: `rest` is non-empty.
             match st.rest[0].unpack() {
-                Op::Converge => {
-                    if n_live > 1 {
-                        // Siblings are parked at markers: fall through
-                        // to the general loop, which parks this lane
-                        // and re-aligns them all.
-                        break;
-                    }
-                    // A lone lane's marker re-aligns nothing: free.
-                    st.rest = &st.rest[1..];
-                }
+                // Siblings are parked at markers: fall through to the
+                // general loop, which parks this lane and re-aligns them
+                // all. A lone lane's marker re-aligns nothing: free.
+                Op::Converge if n_live > 1 => break,
+                Op::Converge => {}
                 Op::Compute(n) => {
                     debug_assert!(n > st.run_done, "Compute(n) invariant: n >= 1");
-                    let m = (n - st.run_done) as u64;
-                    counters.issued_slots += m;
-                    counters.active_thread_slots += m;
-                    counters.compute_slots += m;
-                    cycles += m * cost.compute;
+                    let steps = (n - st.run_done) as u64;
+                    tally.charge(Slot::Compute(steps), 1, 0);
                     st.run_done = 0;
-                    st.rest = &st.rest[1..];
                 }
-                op => {
-                    counters.issued_slots += 1;
-                    counters.active_thread_slots += 1;
-                    match op {
-                        Op::GLoad(addr) => {
-                            counters.global_load_requests += 1;
-                            counters.gld_transactions += 1;
-                            counters.dram_load_sectors += 1;
-                            cycles += cost.global_load_slot(1, 1);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.global_load(1, (addr >> SECTOR_SHIFT) << SECTOR_SHIFT);
-                            }
-                        }
-                        Op::GLoadHit(addr) => {
-                            counters.global_load_requests += 1;
-                            counters.gld_transactions += 1;
-                            cycles += cost.global_load_slot(1, 0);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.global_load(1, (addr >> SECTOR_SHIFT) << SECTOR_SHIFT);
-                            }
-                        }
-                        Op::GStore(addr) => {
-                            counters.global_store_requests += 1;
-                            counters.gst_transactions += 1;
-                            cycles += cost.global_slot(1);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.global_store(1, (addr >> SECTOR_SHIFT) << SECTOR_SHIFT);
-                            }
-                        }
-                        Op::GAtomic(addr) => {
-                            counters.global_atomic_requests += 1;
-                            counters.dram_atomic_sectors += 1;
-                            cycles += cost.global_atomic_slot(1);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.global_atomic(1, addr);
-                            }
-                        }
-                        Op::SLoad(idx) => {
-                            counters.shared_load_requests += 1;
-                            cycles += cost.shared_slot(1);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.shared_access(1, idx as u64);
-                            }
-                        }
-                        Op::SStore(idx) => {
-                            counters.shared_store_requests += 1;
-                            cycles += cost.shared_slot(1);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.shared_access(1, idx as u64);
-                            }
-                        }
-                        Op::SAtomic(idx) => {
-                            counters.shared_atomic_requests += 1;
-                            cycles += cost.shared_atomic_slot(1);
-                            if let Some(obs) = lint.as_deref_mut() {
-                                obs.shared_atomic(1, idx as u64);
-                            }
-                        }
-                        Op::Compute(_) | Op::Converge => unreachable!(),
-                    }
-                    st.rest = &st.rest[1..];
-                }
+                Op::GLoad(addr) => tally.charge(Slot::GLoad(1, 1), 1, sector_base(addr)),
+                Op::GLoadHit(addr) => tally.charge(Slot::GLoad(1, 0), 1, sector_base(addr)),
+                Op::GStore(addr) => tally.charge(Slot::GStore(1), 1, sector_base(addr)),
+                Op::GAtomic(addr) => tally.charge(Slot::GAtomic(1, 1), 1, addr),
+                Op::SLoad(idx) => tally.charge(Slot::SLoad(1), 1, idx as u64),
+                Op::SStore(idx) => tally.charge(Slot::SStore(1), 1, idx as u64),
+                Op::SAtomic(idx) => tally.charge(Slot::SAtomic(1), 1, idx as u64),
             }
+            st.rest = &st.rest[1..];
             if st.rest.is_empty() {
                 // Retire exactly like the general path's swap dance.
                 n_active -= 1;
@@ -1566,85 +1567,40 @@ fn replay_warp(
             }
             break; // all traces exhausted
         }
-        let mut issue = |active: u64| {
-            counters.issued_slots += 1;
-            counters.active_thread_slots += active;
-        };
         let [gl, gh, gs, ga, sl, ss, sa] = &mut step.kind;
+        // Each pass captures its lint site (lane 0's address) before the
+        // distinct/conflict pass, which may reorder the list. Load and
+        // store lists hold sector ids; the site is the sector's base
+        // byte address.
         if !gl.is_empty() || !gh.is_empty() {
-            issue((gl.len + gh.len) as u64);
-            // The distinct pass below may reorder the lists, so the
-            // lint's representative site (lane 0's sector) is captured
-            // first. The lists hold sector ids; the site is the sector's
-            // base byte address.
-            let rep_site = if gl.is_empty() { gh.buf[0] } else { gl.buf[0] } << SECTOR_SHIFT;
-            // nvprof's gld_transactions counts wavefronts (distinct
-            // sectors addressed) regardless of cache hits; the DRAM floor
-            // charges only the miss half. One fused scan yields both.
-            let (miss_sectors, total_sectors) =
-                distinct_split(gl.as_mut_slice(), gh.as_mut_slice());
-            counters.global_load_requests += 1;
-            counters.gld_transactions += total_sectors;
-            counters.dram_load_sectors += miss_sectors;
-            cycles += cost.global_load_slot(total_sectors, miss_sectors);
-            if let Some(obs) = lint.as_deref_mut() {
-                obs.global_load(total_sectors, rep_site);
-            }
+            let active = (gl.len + gh.len) as u64;
+            let site = if gl.is_empty() { gh.buf[0] } else { gl.buf[0] } << SECTOR_SHIFT;
+            let (misses, sectors) = distinct_split(gl.as_mut_slice(), gh.as_mut_slice());
+            tally.charge(Slot::GLoad(sectors, misses), active, site);
         }
         if !gs.is_empty() {
-            issue(gs.len as u64);
-            let rep_site = gs.buf[0] << SECTOR_SHIFT;
+            let site = gs.buf[0] << SECTOR_SHIFT;
             let sectors = distinct_split(gs.as_mut_slice(), &mut []).1;
-            counters.global_store_requests += 1;
-            counters.gst_transactions += sectors;
-            cycles += cost.global_slot(sectors);
-            if let Some(obs) = lint.as_deref_mut() {
-                obs.global_store(sectors, rep_site);
-            }
+            tally.charge(Slot::GStore(sectors), gs.len as u64, site);
         }
         if !ga.is_empty() {
-            issue(ga.len as u64);
-            let rep_site = ga.buf[0];
             let depth = max_same_addr_depth(ga.as_slice());
-            counters.global_atomic_requests += 1;
-            // Atomics are resolved in L2 but still move their sectors
-            // over DRAM; distinct 32-byte sectors feed the launch-level
-            // bandwidth floor alongside load and store traffic.
-            counters.dram_atomic_sectors += count_sectors(ga.as_slice());
-            cycles += cost.global_atomic_slot(depth);
-            if let Some(obs) = lint.as_deref_mut() {
-                obs.global_atomic(depth, rep_site);
-            }
+            let sectors = count_sectors(ga.as_slice());
+            tally.charge(Slot::GAtomic(depth, sectors), ga.len as u64, ga.buf[0]);
         }
         if !sl.is_empty() {
-            issue(sl.len as u64);
-            let rep_site = sl.buf[0];
+            let site = sl.buf[0];
             let ways = bank_conflict_ways(sl.as_mut_slice());
-            counters.shared_load_requests += 1;
-            cycles += cost.shared_slot(ways);
-            if let Some(obs) = lint.as_deref_mut() {
-                obs.shared_access(ways, rep_site);
-            }
+            tally.charge(Slot::SLoad(ways), sl.len as u64, site);
         }
         if !ss.is_empty() {
-            issue(ss.len as u64);
-            let rep_site = ss.buf[0];
+            let site = ss.buf[0];
             let ways = bank_conflict_ways(ss.as_mut_slice());
-            counters.shared_store_requests += 1;
-            cycles += cost.shared_slot(ways);
-            if let Some(obs) = lint.as_deref_mut() {
-                obs.shared_access(ways, rep_site);
-            }
+            tally.charge(Slot::SStore(ways), ss.len as u64, site);
         }
         if !sa.is_empty() {
-            issue(sa.len as u64);
-            let rep_site = sa.buf[0];
             let depth = max_same_addr_depth(sa.as_slice());
-            counters.shared_atomic_requests += 1;
-            cycles += cost.shared_atomic_slot(depth);
-            if let Some(obs) = lint.as_deref_mut() {
-                obs.shared_atomic(depth, rep_site);
-            }
+            tally.charge(Slot::SAtomic(depth), sa.len as u64, sa.buf[0]);
         }
         // Reset only the lists this step touched.
         let mut used = kinds;
@@ -1654,10 +1610,7 @@ fn replay_warp(
         }
         if n_comp > 0 {
             let m = if memory_issued { 1 } else { min_run as u64 };
-            counters.issued_slots += m;
-            counters.active_thread_slots += m * n_comp as u64;
-            counters.compute_slots += m;
-            cycles += m * cost.compute;
+            tally.charge(Slot::Compute(m), n_comp as u64, 0);
             let m32 = m as u32;
             // Descending, so a retire's swaps (which touch positions at
             // or past the retiring one) never move a lane an earlier
@@ -1684,7 +1637,7 @@ fn replay_warp(
     }
     // The loop only breaks when no lane has an op left to issue.
     debug_assert_eq!(n_live, 0, "replay exited with unconsumed ops");
-    (cycles, counters)
+    (tally.cycles, tally.counters)
 }
 
 #[cfg(test)]

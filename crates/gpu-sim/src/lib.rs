@@ -77,7 +77,7 @@ pub use counters::{LaunchStats, ProfileCounters};
 pub use device::{Checks, Device, DeviceConfig};
 pub use error::SimError;
 pub use exec::{global_thread_id, BlockCtx, BlockScratch, KernelConfig, LaneCtx};
-pub use lint::{Diag, LintConfig, LintReport, LintRule};
+pub use lint::{Diag, LintReport, LintRule};
 pub use mem::{BufId, DeviceMem};
 pub use race::RaceKind;
 pub use sanitize::SanitizerKind;

@@ -198,44 +198,28 @@ impl LintReport {
     }
 }
 
-/// Rule thresholds. The defaults are tuned to the simulator's own cost
-/// model: a perfectly coalesced 32-lane word load touches 4 sectors per
-/// request, so the uncoalesced bar sits at 8 (2× worse than ideal);
-/// bank-conflict and atomic-serialization bars sit at 8-way (a quarter
-/// of the worst case, where the slot cost is already dominated by the
-/// serialization term); the occupancy bar mirrors the paper's
-/// warp-execution-efficiency narrative.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LintConfig {
-    /// Flag a phase's global loads/stores when the *average*
-    /// transactions/request reaches this (and the request floor is met).
-    pub uncoalesced_transactions_per_request: f64,
-    /// Minimum requests in a phase before the uncoalesced rule applies —
-    /// a handful of scattered setup loads is not a pattern.
-    pub uncoalesced_min_requests: u64,
-    /// Flag when some shared-memory slot serializes this many ways.
-    pub bank_conflict_ways: u64,
-    /// Flag when some atomic slot serializes this deep on one address.
-    pub atomic_contention_depth: u64,
-    /// Flag a phase whose warp execution efficiency is below this.
-    pub low_occupancy_efficiency: f64,
-    /// Minimum issued slots in a phase before the occupancy rule
-    /// applies.
-    pub low_occupancy_min_slots: u64,
-}
+// Rule thresholds, tuned to the simulator's own cost model: a perfectly
+// coalesced 32-lane word load touches 4 sectors per request, so the
+// uncoalesced bar sits at 8 (2× worse than ideal); bank-conflict and
+// atomic-serialization bars sit at 8-way (a quarter of the worst case,
+// where the slot cost is already dominated by the serialization term);
+// the occupancy bar mirrors the paper's warp-execution-efficiency
+// narrative.
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            uncoalesced_transactions_per_request: 8.0,
-            uncoalesced_min_requests: 16,
-            bank_conflict_ways: 8,
-            atomic_contention_depth: 8,
-            low_occupancy_efficiency: 0.25,
-            low_occupancy_min_slots: 256,
-        }
-    }
-}
+/// Flag a phase's global loads/stores when the *average*
+/// transactions/request reaches this (and the request floor is met).
+const UNCOALESCED_TRANSACTIONS_PER_REQUEST: f64 = 8.0;
+/// Minimum requests in a phase before the uncoalesced rule applies — a
+/// handful of scattered setup loads is not a pattern.
+const UNCOALESCED_MIN_REQUESTS: u64 = 16;
+/// Flag when some shared-memory slot serializes this many ways.
+const BANK_CONFLICT_WAYS: u64 = 8;
+/// Flag when some atomic slot serializes this deep on one address.
+const ATOMIC_CONTENTION_DEPTH: u64 = 8;
+/// Flag a phase whose warp execution efficiency is below this.
+const LOW_OCCUPANCY_EFFICIENCY: f64 = 0.25;
+/// Minimum issued slots in a phase before the occupancy rule applies.
+const LOW_OCCUPANCY_MIN_SLOTS: u64 = 256;
 
 // ---------------------------------------------------------------------
 // Barrier-divergence verifier (record side, per block)
@@ -551,14 +535,14 @@ impl LintObserver {
 /// Render the merged observations into the launch's [`LintReport`],
 /// resolving representative addresses to buffer names through the live
 /// allocation table.
-pub(crate) fn build_report(obs: &LintObserver, mem: &DeviceMem, cfg: &LintConfig) -> LintReport {
+pub(crate) fn build_report(obs: &LintObserver, mem: &DeviceMem) -> LintReport {
     let mut diags = Vec::new();
     for (i, p) in obs.phases.iter().enumerate() {
         let phase = (i + 1) as u64;
         for (agg, what) in [(&p.gld, "load"), (&p.gst, "store")] {
-            if agg.requests >= cfg.uncoalesced_min_requests {
+            if agg.requests >= UNCOALESCED_MIN_REQUESTS {
                 let tpr = agg.units as f64 / agg.requests as f64;
-                if tpr >= cfg.uncoalesced_transactions_per_request {
+                if tpr >= UNCOALESCED_TRANSACTIONS_PER_REQUEST {
                     diags.push(Diag {
                         rule: LintRule::UncoalescedGlobal,
                         block: None,
@@ -573,7 +557,7 @@ pub(crate) fn build_report(obs: &LintObserver, mem: &DeviceMem, cfg: &LintConfig
                 }
             }
         }
-        if p.shared.worst >= cfg.bank_conflict_ways {
+        if p.shared.worst >= BANK_CONFLICT_WAYS {
             diags.push(Diag {
                 rule: LintRule::BankConflict,
                 block: None,
@@ -592,7 +576,7 @@ pub(crate) fn build_report(obs: &LintObserver, mem: &DeviceMem, cfg: &LintConfig
             });
         }
         for (agg, shared) in [(&p.gatom, false), (&p.satom, true)] {
-            if agg.worst >= cfg.atomic_contention_depth {
+            if agg.worst >= ATOMIC_CONTENTION_DEPTH {
                 let pc_hint = if shared {
                     SourceLoc::Shared {
                         phase,
@@ -617,9 +601,9 @@ pub(crate) fn build_report(obs: &LintObserver, mem: &DeviceMem, cfg: &LintConfig
                 });
             }
         }
-        if p.issued >= cfg.low_occupancy_min_slots {
+        if p.issued >= LOW_OCCUPANCY_MIN_SLOTS {
             let eff = p.active as f64 / (p.issued as f64 * WARP_SIZE as f64);
-            if eff < cfg.low_occupancy_efficiency {
+            if eff < LOW_OCCUPANCY_EFFICIENCY {
                 diags.push(Diag {
                     rule: LintRule::LowOccupancy,
                     block: None,
@@ -790,14 +774,13 @@ mod tests {
     #[test]
     fn report_flags_uncoalesced_loads_above_threshold_only() {
         let mem = mem_with(64);
-        let cfg = LintConfig::default();
         let mut obs = LintObserver::default();
         // 16 perfectly coalesced slots (4 sectors each): clean.
         for _ in 0..16 {
             obs.global_load(4, 16);
         }
         obs.end_phase(16, 16 * 32);
-        assert!(build_report(&obs, &mem, &cfg).is_clean());
+        assert!(build_report(&obs, &mem).is_clean());
         // 16 fully scattered slots (32 sectors each): flagged, with the
         // worst slot's address resolved to the owning buffer.
         let mut obs = LintObserver::default();
@@ -805,7 +788,7 @@ mod tests {
             obs.global_load(32, 20);
         }
         obs.end_phase(16, 16 * 32);
-        let report = build_report(&obs, &mem, &cfg);
+        let report = build_report(&obs, &mem);
         assert_eq!(report.count(LintRule::UncoalescedGlobal), 1);
         let d = &report.diags[0];
         assert!(
@@ -825,7 +808,7 @@ mod tests {
             obs.global_load(32, 0);
         }
         obs.end_phase(3, 96);
-        assert!(build_report(&obs, &mem, &LintConfig::default()).is_clean());
+        assert!(build_report(&obs, &mem).is_clean());
     }
 
     #[test]
@@ -835,7 +818,7 @@ mod tests {
         obs.shared_access(1, 0);
         obs.shared_access(32, 5);
         obs.end_phase(2, 64);
-        let report = build_report(&obs, &mem, &LintConfig::default());
+        let report = build_report(&obs, &mem);
         assert_eq!(report.count(LintRule::BankConflict), 1);
         let d = &report.diags[0];
         assert_eq!(d.pc_hint, "phase 1, shared[5]");
@@ -854,7 +837,7 @@ mod tests {
         obs.global_atomic(32, 8);
         obs.shared_atomic(9, 3);
         obs.end_phase(2, 64);
-        let report = build_report(&obs, &mem, &LintConfig::default());
+        let report = build_report(&obs, &mem);
         assert_eq!(report.count(LintRule::AtomicContention), 2);
         assert!(report.diags.iter().any(|d| d.pc_hint.contains("`probe`")));
         assert!(report.diags.iter().any(|d| d.pc_hint.contains("shared[3]")));
@@ -863,21 +846,20 @@ mod tests {
     #[test]
     fn report_flags_low_occupancy_only_past_the_slot_floor() {
         let mem = mem_with(1);
-        let cfg = LintConfig::default();
         // 1000 slots at 2 active lanes each: efficiency 2/32 < 0.25.
         let mut obs = LintObserver::default();
         obs.end_phase(1000, 2000);
-        let report = build_report(&obs, &mem, &cfg);
+        let report = build_report(&obs, &mem);
         assert_eq!(report.count(LintRule::LowOccupancy), 1);
         assert!(report.diags[0].detail.contains("0.06"));
         // Same shape under the floor: too small to call a phase.
         let mut obs = LintObserver::default();
         obs.end_phase(100, 200);
-        assert!(build_report(&obs, &mem, &cfg).is_clean());
+        assert!(build_report(&obs, &mem).is_clean());
         // Busy and efficient: clean.
         let mut obs = LintObserver::default();
         obs.end_phase(1000, 32_000);
-        assert!(build_report(&obs, &mem, &cfg).is_clean());
+        assert!(build_report(&obs, &mem).is_clean());
     }
 
     #[test]
@@ -896,7 +878,7 @@ mod tests {
         let mut acc = LintObserver::default();
         acc.fold(&a, 0);
         acc.fold(&b, 1);
-        let report = build_report(&acc, &mem, &LintConfig::default());
+        let report = build_report(&acc, &mem);
         // 20 requests across two blocks of the same phase: one finding.
         assert_eq!(report.count(LintRule::UncoalescedGlobal), 1);
         assert!(report.diags[0].detail.contains("20 requests"));
@@ -935,7 +917,7 @@ mod tests {
             for b in order {
                 acc.fold(&blocks[b as usize], b);
             }
-            (acc.checks, build_report(&acc, &mem, &LintConfig::default()))
+            (acc.checks, build_report(&acc, &mem))
         };
         let forward = fold_in([0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(forward, fold_in([7, 6, 5, 4, 3, 2, 1, 0]));
@@ -986,7 +968,7 @@ mod tests {
             obs.global_load(32, 0xdead_0000);
         }
         obs.end_phase(16, 512);
-        let report = build_report(&obs, &mem, &LintConfig::default());
+        let report = build_report(&obs, &mem);
         assert!(
             report.diags[0]
                 .pc_hint

@@ -12,6 +12,27 @@ pub struct BufId(pub(crate) usize);
 /// on still gets a reproducible (and conspicuous) value.
 const UNINIT_PATTERN: u32 = 0xDEAD_BEEF;
 
+/// The read-modify-write operations the atomics apply, in global and
+/// shared memory alike.
+#[derive(Clone, Copy)]
+pub(crate) enum Rmw {
+    Add(u32),
+    Or(u32),
+    And(u32),
+}
+
+impl Rmw {
+    /// The word after applying this operation to `old` (wrapping add).
+    #[inline]
+    pub(crate) fn apply(self, old: u32) -> u32 {
+        match self {
+            Rmw::Add(v) => old.wrapping_add(v),
+            Rmw::Or(v) => old | v,
+            Rmw::And(v) => old & v,
+        }
+    }
+}
+
 pub(crate) struct Buffer {
     /// Byte address of the first word in the flat device address space.
     base: u64,
@@ -98,41 +119,14 @@ impl Buffer {
         Ok(())
     }
 
+    /// Apply one atomic read-modify-write and return the previous word.
     #[inline]
-    pub(crate) fn try_fetch_add(&self, idx: usize, val: u32) -> Result<u32, SimError> {
-        let old = self.try_word(idx)?.fetch_add(val, Ordering::Relaxed);
-        self.mark_init(idx);
-        Ok(old)
-    }
-
-    #[inline]
-    pub(crate) fn try_fetch_or(&self, idx: usize, val: u32) -> Result<u32, SimError> {
-        let old = self.try_word(idx)?.fetch_or(val, Ordering::Relaxed);
-        self.mark_init(idx);
-        Ok(old)
-    }
-
-    #[inline]
-    pub(crate) fn try_fetch_and(&self, idx: usize, val: u32) -> Result<u32, SimError> {
-        let old = self.try_word(idx)?.fetch_and(val, Ordering::Relaxed);
-        self.mark_init(idx);
-        Ok(old)
-    }
-
-    #[inline]
-    pub(crate) fn try_compare_exchange(
-        &self,
-        idx: usize,
-        cur: u32,
-        new: u32,
-    ) -> Result<u32, SimError> {
-        let old = match self.try_word(idx)?.compare_exchange(
-            cur,
-            new,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(old) | Err(old) => old,
+    pub(crate) fn try_rmw(&self, idx: usize, op: Rmw) -> Result<u32, SimError> {
+        let w = self.try_word(idx)?;
+        let old = match op {
+            Rmw::Add(v) => w.fetch_add(v, Ordering::Relaxed),
+            Rmw::Or(v) => w.fetch_or(v, Ordering::Relaxed),
+            Rmw::And(v) => w.fetch_and(v, Ordering::Relaxed),
         };
         self.mark_init(idx);
         Ok(old)
@@ -484,32 +478,8 @@ impl DeviceMem {
 
     #[cfg(test)]
     #[inline]
-    pub(crate) fn try_fetch_add(&self, id: BufId, idx: usize, val: u32) -> Result<u32, SimError> {
-        self.buffers[id.0].try_fetch_add(idx, val)
-    }
-
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn try_fetch_or(&self, id: BufId, idx: usize, val: u32) -> Result<u32, SimError> {
-        self.buffers[id.0].try_fetch_or(idx, val)
-    }
-
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn try_fetch_and(&self, id: BufId, idx: usize, val: u32) -> Result<u32, SimError> {
-        self.buffers[id.0].try_fetch_and(idx, val)
-    }
-
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn try_compare_exchange(
-        &self,
-        id: BufId,
-        idx: usize,
-        cur: u32,
-        new: u32,
-    ) -> Result<u32, SimError> {
-        self.buffers[id.0].try_compare_exchange(idx, cur, new)
+    pub(crate) fn try_rmw(&self, id: BufId, idx: usize, op: Rmw) -> Result<u32, SimError> {
+        self.buffers[id.0].try_rmw(idx, op)
     }
 
     #[cfg(test)]
@@ -627,7 +597,7 @@ mod tests {
         mem.try_store(b, 0, 7).unwrap();
         assert_eq!(mem.shadow_state(b, 0), ShadowState::Init);
         assert_eq!(mem.shadow_state(b, 1), ShadowState::Uninit);
-        mem.try_fetch_add(b, 1, 1).unwrap();
+        mem.try_rmw(b, 1, Rmw::Add(1)).unwrap();
         assert_eq!(mem.shadow_state(b, 1), ShadowState::Init);
         mem.fill(b, 0);
         assert_eq!(mem.shadow_state(b, 3), ShadowState::Init);
@@ -785,14 +755,14 @@ mod tests {
         let dev = small_device();
         let mut mem = DeviceMem::new(&dev);
         let b = mem.alloc_zeroed(2, "t").unwrap();
-        assert_eq!(mem.try_fetch_add(b, 0, 5).unwrap(), 0);
-        assert_eq!(mem.try_fetch_add(b, 0, 5).unwrap(), 5);
-        assert_eq!(mem.try_fetch_or(b, 1, 0b10).unwrap(), 0);
-        assert_eq!(mem.try_fetch_and(b, 1, 0b10).unwrap(), 0b10);
-        assert_eq!(mem.try_compare_exchange(b, 0, 10, 99).unwrap(), 10);
-        assert_eq!(mem.load(b, 0), 99);
-        assert_eq!(mem.try_compare_exchange(b, 0, 10, 50).unwrap(), 99);
-        assert_eq!(mem.load(b, 0), 99);
+        assert_eq!(mem.try_rmw(b, 0, Rmw::Add(5)).unwrap(), 0);
+        assert_eq!(mem.try_rmw(b, 0, Rmw::Add(5)).unwrap(), 5);
+        assert_eq!(mem.load(b, 0), 10);
+        assert_eq!(mem.try_rmw(b, 1, Rmw::Or(0b10)).unwrap(), 0);
+        assert_eq!(mem.try_rmw(b, 1, Rmw::And(0b10)).unwrap(), 0b10);
+        assert_eq!(mem.try_rmw(b, 1, Rmw::And(0b01)).unwrap(), 0b10);
+        assert_eq!(mem.load(b, 1), 0);
+        assert!(mem.try_rmw(b, 2, Rmw::Add(1)).is_err());
     }
 
     #[test]

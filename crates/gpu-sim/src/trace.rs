@@ -118,8 +118,8 @@ pub struct LaneTrace {
 }
 
 impl LaneTrace {
-    /// Build a trace from logical ops (tests and benchmarks).
-    #[allow(dead_code)]
+    /// Build a trace from logical ops.
+    #[cfg(test)]
     pub fn from_ops(ops: &[Op]) -> Self {
         LaneTrace {
             ops: ops.iter().map(|&op| PackedOp::pack(op)).collect(),
@@ -146,13 +146,6 @@ impl LaneTrace {
             }
         }
         self.ops.push(PackedOp::pack(Op::Compute(n)));
-    }
-
-    /// Number of recorded ops (kept with `is_empty` for symmetry).
-    #[allow(dead_code)]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ops.len()
     }
 
     /// Whether the lane recorded no ops.

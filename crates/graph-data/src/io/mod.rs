@@ -10,9 +10,7 @@ mod snap;
 pub use binary::{read_binary_edges, write_binary_edges, BINARY_MAGIC};
 pub use csr_file::{read_csr, write_csr, CSR_MAGIC};
 pub use matrix_market::{read_matrix_market, write_matrix_market, MM_MAGIC};
-pub use snap::{
-    parse_snap_text, parse_snap_text_chunked, parse_snap_text_normalized, write_snap_text,
-};
+pub use snap::{parse_snap_text, write_snap_text};
 
 use std::io::{self, Read};
 

@@ -46,93 +46,6 @@ fn malformed(line_no: usize, line: &str) -> io::Error {
     )
 }
 
-/// Normalize raw pairs exactly the way [`crate::clean::clean_edges`]
-/// does before it builds the graph: drop self-loops, flip each edge to
-/// `(min, max)`, sort, dedupe. Running `clean_edges` on the result
-/// removes nothing further, so counts are independent of which parse
-/// path produced the list.
-fn normalize_pairs(mut pairs: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
-    pairs.retain(|&(u, v)| u != v);
-    for p in pairs.iter_mut() {
-        *p = (p.0.min(p.1), p.0.max(p.1));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// Merge two normalized (sorted, deduped) runs into one.
-fn merge_normalized(a: Vec<(u32, u32)>, b: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let next = if j >= b.len() || (i < a.len() && a[i] <= b[j]) {
-            let x = a[i];
-            i += 1;
-            x
-        } else {
-            let x = b[j];
-            j += 1;
-            x
-        };
-        if out.last() != Some(&next) {
-            out.push(next);
-        }
-    }
-    out
-}
-
-/// Parse SNAP text and normalize at the parse boundary (self-loops
-/// dropped, edges flipped to `(min, max)`, sorted, deduped) — the edge
-/// set the cleaning pipeline assumes, produced identically whether the
-/// input arrives in one buffer or is streamed in chunks.
-pub fn parse_snap_text_normalized<R: Read>(reader: R) -> io::Result<EdgeList> {
-    let raw = parse_snap_text(reader)?;
-    Ok(EdgeList::new(normalize_pairs(raw.edges)))
-}
-
-/// The streamed twin of [`parse_snap_text_normalized`]: accumulates at
-/// most `chunk_edges` raw edges before normalizing and merging them into
-/// the running result, so peak memory tracks the *deduplicated* edge
-/// count plus one bounded chunk — not the raw input size. The output is
-/// identical to the in-memory path for every input and chunk size.
-pub fn parse_snap_text_chunked<R: Read>(reader: R, chunk_edges: usize) -> io::Result<EdgeList> {
-    let chunk_edges = chunk_edges.max(1);
-    let mut merged: Vec<(u32, u32)> = Vec::new();
-    let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(chunk_edges);
-    let mut buf = String::new();
-    let mut reader = BufReader::new(reader);
-    let mut line_no = 0usize;
-    loop {
-        buf.clear();
-        let eof = reader.read_line(&mut buf)? == 0;
-        if !eof {
-            line_no += 1;
-            let line = buf.trim();
-            if !(line.is_empty() || line.starts_with('#')) {
-                let mut it = line.split_whitespace();
-                let parse = |tok: Option<&str>| -> io::Result<u32> {
-                    tok.ok_or_else(|| malformed(line_no, line))?
-                        .parse::<u32>()
-                        .map_err(|_| malformed(line_no, line))
-                };
-                let u = parse(it.next())?;
-                let v = parse(it.next())?;
-                chunk.push((u, v));
-            }
-        }
-        if chunk.len() >= chunk_edges || (eof && !chunk.is_empty()) {
-            let normalized = normalize_pairs(std::mem::take(&mut chunk));
-            merged = merge_normalized(merged, normalized);
-            chunk = Vec::with_capacity(chunk_edges);
-        }
-        if eof {
-            break;
-        }
-    }
-    Ok(EdgeList::new(merged))
-}
-
 /// Write SNAP text with a provenance header.
 pub fn write_snap_text<W: Write>(writer: W, edges: &EdgeList) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -189,44 +102,5 @@ mod tests {
         assert!(parse_snap_text("# only comments\n".as_bytes())
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn normalized_parse_drops_loops_and_duplicates() {
-        // Duplicate, reverse-duplicate and self-loop edges collapse to
-        // the normalized (min, max) set, sorted.
-        let text = "2 1\n1 2\n3 3\n0 1\n1 0\n2 1\n";
-        let e = parse_snap_text_normalized(text.as_bytes()).unwrap();
-        assert_eq!(e.edges, vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn normalized_output_is_a_cleaning_fixpoint() {
-        // clean_edges must find nothing left to remove: same graph, zero
-        // duplicate/self-loop removals.
-        let text = "5 2\n2 5\n7 7\n0 3\n3 0\n5 2\n9 1\n";
-        let raw = parse_snap_text(text.as_bytes()).unwrap();
-        let norm = parse_snap_text_normalized(text.as_bytes()).unwrap();
-        let (g_raw, _) = crate::clean::clean_edges(&raw);
-        let (g_norm, report) = crate::clean::clean_edges(&norm);
-        assert_eq!(g_raw, g_norm);
-        assert_eq!(report.removed_self_loops, 0);
-        assert_eq!(report.removed_duplicates, 0);
-    }
-
-    #[test]
-    fn chunked_parse_is_identical_to_in_memory_for_every_chunk_size() {
-        let text = "# header\n9 4\n4 9\n1 1\n0 2\n2 0\n8 3\n3 8\n8 3\n5 6\n";
-        let whole = parse_snap_text_normalized(text.as_bytes()).unwrap();
-        for chunk in [1, 2, 3, 7, 64] {
-            let streamed = parse_snap_text_chunked(text.as_bytes(), chunk).unwrap();
-            assert_eq!(streamed, whole, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn chunked_parse_still_rejects_garbage_with_line_numbers() {
-        let err = parse_snap_text_chunked("0 1\nbad line\n".as_bytes(), 1).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
     }
 }

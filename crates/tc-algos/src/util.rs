@@ -40,47 +40,6 @@ pub fn bsearch_global(lane: &mut LaneCtx, col: BufId, mut lo: u32, mut hi: u32, 
     false
 }
 
-/// Like [`bsearch_global`] but returns the insertion point (first index
-/// with `col[i] >= key`) along with whether the key was found. Used by
-/// GroupTC's resume-offset optimization.
-pub fn bsearch_global_pos(
-    lane: &mut LaneCtx,
-    col: BufId,
-    mut lo: u32,
-    mut hi: u32,
-    key: u32,
-) -> (u32, bool) {
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let v = lane.ld_global(col, mid as usize);
-        lane.compute(1);
-        if v == key {
-            return (mid, true);
-        } else if v < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo, false)
-}
-
-/// Traced binary search in a sorted *shared-memory* segment
-/// `shared[lo..hi)`.
-pub fn bsearch_shared(lane: &mut LaneCtx, mut lo: u32, mut hi: u32, key: u32) -> bool {
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let v = lane.ld_shared(mid as usize);
-        lane.compute(1);
-        match v.cmp(&key) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-        }
-    }
-    false
-}
-
 /// Binary search along cross-diagonal `d` of the merge matrix of
 /// `a[0..an)` x `b[0..bn)`: returns `i` such that merging
 /// `a[..i]`/`b[..d-i]` consumes exactly the first `d` elements of the
@@ -156,49 +115,5 @@ mod tests {
         for k in 0..25u32 {
             assert_eq!(hit[k as usize] == 1, data.contains(&k), "key {k}");
         }
-    }
-
-    #[test]
-    fn bsearch_pos_reports_insertion_point() {
-        let dev = Device::v100();
-        let mut mem = DeviceMem::new(&dev);
-        let data: Vec<u32> = vec![10, 20, 30];
-        let buf = mem.alloc_from_slice(&data, "sorted").unwrap();
-        let out = mem.alloc_zeroed(2, "out").unwrap();
-        dev.launch(&mem, KernelConfig::new(1, 1), |blk| {
-            blk.phase(|lane| {
-                let (pos, found) = bsearch_global_pos(lane, buf, 0, 3, 20);
-                lane.st_global(out, 0, pos);
-                lane.st_global(out, 1, found as u32);
-                let (pos25, found25) = bsearch_global_pos(lane, buf, 0, 3, 25);
-                assert_eq!(pos25, 2);
-                assert!(!found25);
-            });
-        })
-        .unwrap();
-        assert_eq!(mem.read_back(out), vec![1, 1]);
-    }
-
-    #[test]
-    fn bsearch_shared_matches_global() {
-        let dev = Device::v100();
-        let mut mem = DeviceMem::new(&dev);
-        let found = mem.alloc_zeroed(2, "found").unwrap();
-        let cfg = KernelConfig::new(1, 1).with_shared_words(8);
-        dev.launch(&mem, cfg, |blk| {
-            blk.phase(|lane| {
-                for (i, v) in [1u32, 4, 9, 16].iter().enumerate() {
-                    lane.st_shared(i, *v);
-                }
-            });
-            blk.phase(|lane| {
-                let hit = bsearch_shared(lane, 0, 4, 9) as u32;
-                lane.st_global(found, 0, hit);
-                let miss = bsearch_shared(lane, 0, 4, 10) as u32;
-                lane.st_global(found, 1, miss);
-            });
-        })
-        .unwrap();
-        assert_eq!(mem.read_back(found), vec![1, 0]);
     }
 }

@@ -61,17 +61,6 @@ pub struct PartitionStats {
     pub total_link_bytes: u64,
 }
 
-impl PartitionStats {
-    /// Single-device cycles / N-device makespan, the strong-scaling
-    /// speedup once a 1-device baseline is known.
-    pub fn speedup_over(&self, single_device_cycles: u64) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 1.0;
-        }
-        single_device_cycles as f64 / self.makespan_cycles as f64
-    }
-}
-
 /// Run one algorithm over `num_devices` simulated devices and verify the
 /// summed count. With `num_devices == 1` this is exactly the
 /// single-device runner path (full work ranges, no link charges) and

@@ -2,7 +2,7 @@
 //! observed *through* the public API — the behaviours the paper's
 //! profiling analysis depends on.
 
-use tc_compare::sim::{Device, DeviceMem, KernelConfig};
+use tc_compare::sim::{BufId, Device, DeviceMem, KernelConfig, LaneCtx, SimError};
 
 #[test]
 fn coalesced_loads_beat_scattered_loads() {
@@ -190,4 +190,133 @@ fn occupancy_affects_kernel_time() {
         )
         .unwrap();
     assert!(starved.kernel_cycles > 2 * dense.kernel_cycles);
+}
+
+/// A lane-side out-of-bounds shared access faults like a global one: the
+/// block is poisoned and the launch returns `MemoryFault` on `"shared"`,
+/// on the plain device and under every analysis.
+#[test]
+fn out_of_bounds_shared_access_is_a_memory_fault() {
+    let checked = Device::v100()
+        .with_race_detection()
+        .with_sanitizer()
+        .with_lints();
+    type Access = fn(&mut LaneCtx<'_, '_>, usize);
+    let accesses: [(&str, Access); 3] = [
+        ("load", |lane, idx| {
+            lane.ld_shared(idx);
+        }),
+        ("store", |lane, idx| lane.st_shared(idx, 1)),
+        ("atomic", |lane, idx| {
+            lane.atomic_add_shared(idx, 1);
+        }),
+    ];
+    for dev in [Device::v100(), checked] {
+        let mem = DeviceMem::new(&dev);
+        for (what, access) in accesses {
+            let cfg = KernelConfig::new(1, 32).with_shared_words(8);
+            let err = dev
+                .launch(&mem, cfg, |blk| {
+                    blk.phase(|lane| access(lane, 8 + lane.tid() as usize));
+                })
+                .expect_err(what);
+            assert_eq!(
+                err,
+                SimError::MemoryFault {
+                    buffer: "shared".to_string(),
+                    index: 8,
+                    len: 8
+                },
+                "{what}"
+            );
+        }
+    }
+}
+
+/// Every atomic returns the previous word, applies its own operation and
+/// issues exactly one atomic request in its address space, identically
+/// with and without race detection and SimSan.
+#[test]
+fn each_atomic_returns_the_old_word_and_applies_its_operation() {
+    type Atomic = fn(&mut LaneCtx<'_, '_>, BufId, u32) -> u32;
+    const INIT: u32 = 0b1100;
+    const OPERAND: u32 = 0b1010;
+    let table: [(&str, bool, Atomic, u32); 6] = [
+        (
+            "add_global",
+            false,
+            |l, b, v| l.atomic_add_global(b, 0, v),
+            INIT + OPERAND,
+        ),
+        (
+            "or_global",
+            false,
+            |l, b, v| l.atomic_or_global(b, 0, v),
+            INIT | OPERAND,
+        ),
+        (
+            "and_global",
+            false,
+            |l, b, v| l.atomic_and_global(b, 0, v),
+            INIT & OPERAND,
+        ),
+        (
+            "add_shared",
+            true,
+            |l, _, v| l.atomic_add_shared(0, v),
+            INIT + OPERAND,
+        ),
+        (
+            "or_shared",
+            true,
+            |l, _, v| l.atomic_or_shared(0, v),
+            INIT | OPERAND,
+        ),
+        (
+            "and_shared",
+            true,
+            |l, _, v| l.atomic_and_shared(0, v),
+            INIT & OPERAND,
+        ),
+    ];
+    let checked = Device::v100().with_race_detection().with_sanitizer();
+    for (name, shared, atomic, expected) in table {
+        let run = |dev: &Device| {
+            let mut mem = DeviceMem::new(dev);
+            let word = mem.alloc_from_slice(&[INIT], "word").unwrap();
+            // out[0]: the returned old word; out[1]: the word afterwards.
+            let out = mem.alloc_zeroed(2, "out").unwrap();
+            let cfg = KernelConfig::new(1, 1).with_shared_words(1);
+            let stats = dev
+                .launch(&mem, cfg, |blk| {
+                    blk.phase(|lane| lane.st_shared(0, INIT));
+                    blk.phase(|lane| {
+                        let old = atomic(lane, word, OPERAND);
+                        lane.st_global(out, 0, old);
+                    });
+                    blk.phase(|lane| {
+                        let after = if shared {
+                            lane.ld_shared(0)
+                        } else {
+                            lane.ld_global(word, 0)
+                        };
+                        lane.st_global(out, 1, after);
+                    });
+                })
+                .unwrap();
+            (mem.read_back(out), stats)
+        };
+        let (plain_out, plain) = run(&Device::v100());
+        assert_eq!(plain_out, vec![INIT, expected], "{name}");
+        let c = &plain.counters;
+        let requests = (c.global_atomic_requests, c.shared_atomic_requests);
+        assert_eq!(requests, if shared { (0, 1) } else { (1, 0) }, "{name}");
+
+        let (checked_out, mut checked) = run(&checked);
+        assert_eq!(checked_out, plain_out, "{name}");
+        let c = &mut checked.counters;
+        assert!(c.race_checks > 0 && c.sanitizer_checks > 0, "{name}");
+        (c.race_checks, c.sanitizer_checks) = (0, 0);
+        assert_eq!(checked, plain, "{name}");
+    }
 }
