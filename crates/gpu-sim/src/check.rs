@@ -1,0 +1,160 @@
+//! The record-side checker: the race detector (`gpu_sim::race`), SimSan
+//! (`gpu_sim::sanitize`) and SimLint's barrier verifier (`gpu_sim::lint`)
+//! behind one per-block hook. The rules live in their modules; this one
+//! routes each access to the enabled analyses and keeps the one phase
+//! counter every `pc_hint` names.
+
+use crate::counters::ProfileCounters;
+use crate::device::Checks;
+use crate::lint::BarrierLint;
+use crate::mem::{BufId, DeviceMem};
+use crate::race::{Access, RaceTracker};
+use crate::sanitize::SanTracker;
+use crate::SimError;
+
+/// The record-side analyses of one block. One checker lives in each
+/// worker's `BlockScratch` and is [`reset`](Self::reset) per block, so
+/// its tables keep their capacity. An analysis the device does not
+/// enable is never reset or consulted, so its statistics stay 0.
+#[derive(Default)]
+pub(crate) struct BlockChecker {
+    checks: Checks,
+    /// Current barrier phase within the block (1-based).
+    phase: u64,
+    race: RaceTracker,
+    san: SanTracker,
+    barrier: BarrierLint,
+}
+
+impl BlockChecker {
+    pub(crate) fn new(checks: Checks) -> Self {
+        BlockChecker {
+            checks,
+            ..BlockChecker::default()
+        }
+    }
+
+    /// Start a new block with `shared_words` words of shared memory and
+    /// `block_dim` lanes: phase 1, no records, zeroed statistics. `None`
+    /// when the device runs no record-side analysis, so a plain launch
+    /// skips the checker with one test per access.
+    pub(crate) fn reset(&mut self, shared_words: usize, block_dim: u32) -> Option<&mut Self> {
+        let Checks { race, san, lint } = self.checks;
+        if !(race || san || lint) {
+            return None;
+        }
+        self.phase = 1;
+        if race {
+            self.race.reset(shared_words);
+        }
+        if san {
+            self.san.reset(shared_words);
+        }
+        if lint {
+            self.barrier.reset(block_dim);
+        }
+        Some(self)
+    }
+
+    /// Vet lane `lane`'s access to shared word `idx`; `val` is the word a
+    /// store writes. SimSan runs first and the first finding wins. An
+    /// out-of-range index is left to the access, which faults.
+    pub(crate) fn shared(
+        &mut self,
+        lane: u32,
+        shared: &[u32],
+        idx: usize,
+        access: Access,
+        val: u32,
+    ) -> Option<SimError> {
+        let phase = self.phase;
+        if self.checks.san {
+            let err = self.san.check_shared(lane, idx, access, phase);
+            if err.is_some() {
+                return err;
+            }
+        }
+        if self.checks.race {
+            let access = silent_store(access, *shared.get(idx)?, val);
+            return self.race.check_shared(lane, idx, access, phase);
+        }
+        None
+    }
+
+    /// Vet lane `lane`'s access to word `idx` of `buf` like
+    /// [`shared`](Self::shared), before the access runs, so that SimSan
+    /// names redzone and freed-buffer hits instead of a bare
+    /// `MemoryFault`. Global atomics are SimSan's alone.
+    pub(crate) fn global(
+        &mut self,
+        lane: u32,
+        mem: &DeviceMem,
+        buf: BufId,
+        idx: usize,
+        access: Access,
+        val: u32,
+    ) -> Option<SimError> {
+        let (name, phase) = (mem.name(buf), self.phase);
+        if self.checks.san {
+            let state = mem.shadow_state(buf, idx);
+            let err = self.san.check_global(lane, state, name, idx, access, phase);
+            if err.is_some() {
+                return err;
+            }
+        }
+        if self.checks.race && access != Access::Atomic {
+            let access = silent_store(access, mem.try_load(buf, idx).ok()?, val);
+            let addr = mem.addr_of(buf, idx);
+            return self.race.check_global(lane, addr, name, idx, access, phase);
+        }
+        None
+    }
+
+    /// Lane `tid` reached an explicit barrier.
+    #[inline(never)]
+    pub(crate) fn arrive(&mut self, tid: u32) {
+        if self.checks.lint {
+            self.barrier.arrive(tid);
+        }
+    }
+
+    /// Lane `tid` exited the kernel.
+    #[inline(never)]
+    pub(crate) fn retire(&mut self, tid: u32) {
+        if self.checks.lint {
+            self.barrier.retire(tid, self.phase);
+        }
+    }
+
+    /// Close the phase of block `block`. Returns the barrier verifier's
+    /// finding, unless the block has already `faulted`: a fault cuts the
+    /// phase short mid-warp, so the lanes that never ran would look
+    /// divergent, and the original fault wins.
+    pub(crate) fn end_phase(&mut self, block: u32, faulted: bool) -> Option<SimError> {
+        if self.checks.race {
+            self.race.end_phase();
+        }
+        let (lint, phase) = (self.checks.lint, self.phase);
+        let err = lint.then(|| self.barrier.end_phase(block, phase)).flatten();
+        self.phase += 1;
+        err.filter(|_| !faulted)
+    }
+
+    /// Add the block's check statistics to its counters.
+    pub(crate) fn fold_into(&self, c: &mut ProfileCounters) {
+        c.race_checks += self.race.checks;
+        c.races_detected += self.race.races;
+        c.sanitizer_checks += self.san.checks;
+        c.sanitizer_reports += self.san.reports;
+        c.lint_checks += self.barrier.checks;
+    }
+}
+
+/// `access` against a word holding `cur`, where a store writes `val`: a
+/// store of the current value is silent (see [`Access::Write`]).
+fn silent_store(mut access: Access, cur: u32, val: u32) -> Access {
+    if let Access::Write { changes_value } = &mut access {
+        *changes_value = cur != val;
+    }
+    access
+}

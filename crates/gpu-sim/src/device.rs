@@ -201,17 +201,20 @@ impl Device {
             .then(|| Mutex::new(LintObserver::default()));
         let per_block = (0..cfg.grid_dim)
             .into_par_iter()
-            .map_init(BlockScratch::default, |scratch, block_idx| {
-                run_block(
-                    self,
-                    mem,
-                    &cfg,
-                    block_idx,
-                    &kernel,
-                    scratch,
-                    lint_acc.as_ref(),
-                )
-            })
+            .map_init(
+                || BlockScratch::new(self.config.checks),
+                |scratch, block_idx| {
+                    run_block(
+                        self,
+                        mem,
+                        &cfg,
+                        block_idx,
+                        &kernel,
+                        scratch,
+                        lint_acc.as_ref(),
+                    )
+                },
+            )
             .collect::<Result<Vec<(u64, ProfileCounters)>, SimError>>()?;
 
         let mut counters = ProfileCounters::default();

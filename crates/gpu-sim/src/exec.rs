@@ -1,13 +1,19 @@
 use std::sync::Mutex;
 
+use crate::check::BlockChecker;
 use crate::counters::ProfileCounters;
-use crate::device::Device;
-use crate::lint::{BarrierLint, LintObserver};
+use crate::device::{Checks, Device};
+use crate::lint::LintObserver;
 use crate::mem::{BufId, Buffer, DeviceMem, Rmw};
-use crate::race::{Access, RaceTracker};
-use crate::sanitize::{SanTracker, ShadowAccess};
+use crate::race::Access;
 use crate::trace::{LaneTrace, Op, PackedOp, TAG_COMPUTE, TAG_CONVERGE, TAG_SATOMIC};
 use crate::{CostModel, SimError, SHARED_BANKS, WARP_SIZE};
+
+/// A plain store as the lane hooks pass it to the checker, which
+/// decides `changes_value` from the stored and the current word.
+const STORE: Access = Access::Write {
+    changes_value: true,
+};
 
 /// Launch geometry: `grid_dim` blocks of `block_dim` threads, each block
 /// carrying `shared_words` words of shared memory. Which analyses run is
@@ -58,11 +64,12 @@ pub fn global_thread_id(block_idx: u32, block_dim: u32, tid: u32) -> u64 {
 /// its lanes finish recording, so that tiny working set keeps trace
 /// words L1-resident between record and replay.
 ///
-/// The checked path recycles the same way: the race detector, SimSan,
-/// the barrier verifier and the SimLint observer live here too and are
-/// reset (tables keep their capacity) only on devices that enable
-/// them. The observer is folded into the launch's accumulator as each
-/// block finishes, so no per-block lint state outlives its block.
+/// The checked path recycles the same way: the record-side checker
+/// (race detector, SimSan, barrier verifier) and the SimLint observer
+/// live here too and are reset (tables keep their capacity) only on
+/// devices that enable them. The observer is folded into the launch's
+/// accumulator as each block finishes, so no per-block lint state
+/// outlives its block.
 #[derive(Default)]
 pub struct BlockScratch {
     shared: Vec<u32>,
@@ -72,15 +79,21 @@ pub struct BlockScratch {
     /// Per-lane retirement flags (see [`LaneCtx::retire`]): a retired
     /// lane is skipped by every later phase of its block.
     retired: Vec<bool>,
-    /// Per-block analysis state: `run_block` resets each one at block
-    /// start, and only on devices that enable its analysis.
-    race: RaceTracker,
-    san: SanTracker,
-    barrier: BarrierLint,
+    /// Per-block analysis state: `run_block` resets each at block
+    /// start, and only on devices that enable an analysis it runs.
+    check: BlockChecker,
     lint: LintObserver,
 }
 
 impl BlockScratch {
+    /// A worker's arena on a device that runs `checks`.
+    pub(crate) fn new(checks: Checks) -> Self {
+        BlockScratch {
+            check: BlockChecker::new(checks),
+            ..BlockScratch::default()
+        }
+    }
+
     fn reset(&mut self, shared_words: usize, l1_len: usize, block_dim: usize) {
         self.shared.clear();
         self.shared.resize(shared_words, 0);
@@ -107,10 +120,11 @@ impl BlockScratch {
 /// are written and read back while still cache-hot and no
 /// block-lifetime trace ever exists.
 ///
-/// The race detector and SimSan are *not* sink clients: they hook the
-/// record side (checks run at access time inside [`LaneCtx`]) and are
-/// phase-scoped via their own `end_phase`. SimLint's performance
-/// observer is the one analysis fed from the replay side.
+/// The race detector, SimSan and the barrier verifier are *not* sink
+/// clients: one record-side checker runs them at access time inside
+/// [`LaneCtx`] and closes their phase at [`BlockCtx`]'s barrier.
+/// SimLint's performance observer is the one analysis fed from the
+/// replay side.
 pub(crate) struct FusedSink<'a> {
     /// One buffer per warp lane (≤ 32), shared by every warp in turn.
     traces: &'a mut [LaneTrace],
@@ -203,17 +217,10 @@ pub struct BlockCtx<'a> {
     /// Consumes recorded ops: hands out recording buffers and replays
     /// them warp by warp.
     sink: FusedSink<'a>,
-    /// Phase-based data-race detector (`Some` when the device enables
-    /// detection): records this block's shared and plain-global accesses
-    /// between barriers and poisons the block on a cross-lane conflict.
-    race: Option<&'a mut RaceTracker>,
-    /// SimSan (`Some` when the device enables the sanitizer): vets every
-    /// access against the shadow state and poisons the block on a report.
-    san: Option<&'a mut SanTracker>,
-    /// SimLint barrier-divergence verifier (`Some` when the device
-    /// enables lints): tracks per-lane barrier arrivals each phase and
-    /// poisons the block when live lanes disagree on reaching a barrier.
-    lint: Option<&'a mut BarrierLint>,
+    /// The record-side checker (`Some` when the device enables race
+    /// detection, SimSan or SimLint): vets every access and barrier
+    /// arrival as it is recorded and poisons the block on a finding.
+    check: Option<&'a mut BlockChecker>,
     /// Per-lane retirement flags: a lane that called [`LaneCtx::retire`]
     /// is skipped by every later phase (it has exited the kernel).
     retired: &'a mut Vec<bool>,
@@ -280,9 +287,7 @@ impl<'a> BlockCtx<'a> {
                     mem: self.mem,
                     shared: self.shared,
                     trace: self.sink.lane_trace(tid),
-                    race: self.race.as_deref_mut(),
-                    san: self.san.as_deref_mut(),
-                    lint: self.lint.as_deref_mut(),
+                    check: self.check.as_deref_mut(),
                     retired: &mut self.retired[tid as usize],
                     l1: &mut self.l1[l1_base..l1_base + self.l1_slice],
                     buf_cache: None,
@@ -304,23 +309,12 @@ impl<'a> BlockCtx<'a> {
         self.barrier();
     }
 
-    /// End the phase: close the analysis epochs and fold the phase's
+    /// End the phase: close the checker's phase and fold the phase's
     /// replay cycles.
     fn barrier(&mut self) {
-        if let Some(t) = self.race.as_mut() {
-            t.end_phase();
-        }
-        if let Some(t) = self.san.as_mut() {
-            t.end_phase();
-        }
-        if let Some(t) = self.lint.as_mut() {
-            // A fault truncates the phase mid-warp, so the lanes that
-            // never ran would look divergent; the original fault wins
-            // and the verifier's verdict is dropped.
-            if let Some(err) = t.end_phase(self.block_idx) {
-                if self.fault.is_none() {
-                    self.fault = Some(err);
-                }
+        if let Some(c) = self.check.as_deref_mut() {
+            if let Some(err) = c.end_phase(self.block_idx, self.fault.is_some()) {
+                self.fault = Some(err);
             }
         }
         self.sink.end_phase();
@@ -334,9 +328,7 @@ pub struct LaneCtx<'a, 'b> {
     mem: &'a DeviceMem,
     shared: &'b mut Vec<u32>,
     trace: &'b mut LaneTrace,
-    race: Option<&'b mut RaceTracker>,
-    san: Option<&'b mut SanTracker>,
-    lint: Option<&'b mut BarrierLint>,
+    check: Option<&'b mut BlockChecker>,
     /// This lane's retirement flag (see [`LaneCtx::retire`]).
     retired: &'b mut bool,
     l1: &'b mut [u64],
@@ -420,109 +412,58 @@ impl<'a> LaneCtx<'a, '_> {
         }
     }
 
-    /// Whether this block already faulted. Poisoned lanes stop touching
-    /// memory: loads return 0, stores and atomics are dropped, so a bad
-    /// index can't cascade into a host-visible panic before `run_block`
-    /// turns the fault into an error.
+    /// Whether this block already faulted. Every accessor tests it after
+    /// its checker hook and before the data access, so poisoned lanes
+    /// stop touching memory: loads return 0, stores and atomics are
+    /// dropped, and a bad index can't cascade into a host-visible panic
+    /// before `run_block` turns the fault into an error. (A poisoned
+    /// block's trace and check statistics are discarded with it.)
     #[inline]
     fn poisoned(&self) -> bool {
         self.fault.is_some()
     }
 
-    /// Run one shared-memory access through the race detector (if the
-    /// device enables it); a conflict poisons the block. Out-of-range
-    /// indices are skipped so the subsequent data access reports them as
-    /// a [`SimError::MemoryFault`].
+    /// Run one shared-memory access through the record-side checker (if
+    /// the device enables any analysis); a finding poisons the block.
+    /// `val` is the word a store writes, 0 otherwise. Checks never touch
+    /// the lane trace or the cost model, so a clean kernel's counters and
+    /// cycles are identical with any analysis on or off.
     ///
-    /// Each analysis guard is an always-inlined `is_some` test in front
-    /// of a never-inlined body: the checks sit on every memory access of
-    /// every lane, and letting the (cold on plain runs) detector body
+    /// Each hook is an always-inlined `is_some` test in front of a
+    /// never-inlined body: the checks sit on every memory access of
+    /// every lane, and letting the (cold on plain runs) checker body
     /// into the accessors turned each disabled check into a real call.
     #[inline(always)]
-    fn race_check_shared(&mut self, idx: usize, access: Access) {
-        if self.race.is_some() {
-            self.race_check_shared_slow(idx, access);
+    fn check_shared(&mut self, idx: usize, access: Access, val: u32) {
+        if self.check.is_some() {
+            self.check_shared_slow(idx, access, val);
         }
     }
 
     #[inline(never)]
-    fn race_check_shared_slow(&mut self, idx: usize, access: Access) {
-        let tid = self.tid;
-        if let Some(t) = self.race.as_mut() {
-            if idx < self.shared.len() {
-                if let Some(err) = t.check_shared(tid, idx, access) {
-                    self.set_fault(err);
-                }
-            }
-        }
-    }
-
-    /// Run one *plain* global access through the race detector. Atomics
-    /// never come through here: they synchronize with each other and are
-    /// exempt by design.
-    #[inline(always)]
-    fn race_check_global(&mut self, buf: BufId, idx: usize, access: Access) {
-        if self.race.is_some() {
-            self.race_check_global_slow(buf, idx, access);
-        }
-    }
-
-    #[inline(never)]
-    fn race_check_global_slow(&mut self, buf: BufId, idx: usize, access: Access) {
-        let tid = self.tid;
-        let addr = self.mem.addr_of(buf, idx);
-        let name = self.mem.name(buf);
-        if let Some(err) = self
-            .race
-            .as_mut()
-            .and_then(|t| t.check_global(tid, addr, name, idx, access))
-        {
-            self.set_fault(err);
-        }
-    }
-
-    /// Vet one shared-memory access against the SimSan shadow (if the
-    /// device enables the sanitizer); a report poisons the block. Checks
-    /// never touch the lane trace or the cost model, so a clean kernel's
-    /// counters and cycles are identical sanitizer-on and -off.
-    #[inline(always)]
-    fn san_check_shared(&mut self, idx: usize, access: ShadowAccess) {
-        if self.san.is_some() {
-            self.san_check_shared_slow(idx, access);
-        }
-    }
-
-    #[inline(never)]
-    fn san_check_shared_slow(&mut self, idx: usize, access: ShadowAccess) {
-        let tid = self.tid;
-        if let Some(t) = self.san.as_mut() {
-            if let Some(err) = t.check_shared(tid, idx, access) {
+    fn check_shared_slow(&mut self, idx: usize, access: Access, val: u32) {
+        if let Some(c) = self.check.as_deref_mut() {
+            if let Some(err) = c.shared(self.tid, self.shared, idx, access, val) {
                 self.set_fault(err);
             }
         }
     }
 
-    /// Vet one global-memory access against the SimSan shadow. Runs
-    /// *before* the data access so that freed-handle and redzone hits
-    /// carry the sanitizer diagnostic rather than a bare `MemoryFault`.
+    /// Run one global access through the record-side checker, *before*
+    /// the data access (see [`BlockChecker::global`]).
     #[inline(always)]
-    fn san_check_global(&mut self, buf: BufId, idx: usize, access: ShadowAccess) {
-        if self.san.is_some() {
-            self.san_check_global_slow(buf, idx, access);
+    fn check_global(&mut self, buf: BufId, idx: usize, access: Access, val: u32) {
+        if self.check.is_some() {
+            self.check_global_slow(buf, idx, access, val);
         }
     }
 
     #[inline(never)]
-    fn san_check_global_slow(&mut self, buf: BufId, idx: usize, access: ShadowAccess) {
-        let tid = self.tid;
-        let state = self.mem.shadow_state(buf, idx);
-        let name = self.mem.name(buf);
-        if let Some(err) = self
-            .san
-            .as_mut()
-            .and_then(|t| t.check_global(tid, state, name, idx, access))
-        {
-            self.set_fault(err);
+    fn check_global_slow(&mut self, buf: BufId, idx: usize, access: Access, val: u32) {
+        if let Some(c) = self.check.as_deref_mut() {
+            if let Some(err) = c.global(self.tid, self.mem, buf, idx, access, val) {
+                self.set_fault(err);
+            }
         }
     }
 
@@ -573,16 +514,8 @@ impl<'a> LaneCtx<'a, '_> {
             return;
         }
         self.trace.push(Op::Converge);
-        if self.lint.is_some() {
-            self.sync_threads_slow();
-        }
-    }
-
-    #[inline(never)]
-    fn sync_threads_slow(&mut self) {
-        let tid = self.tid;
-        if let Some(t) = self.lint.as_mut() {
-            t.arrive(tid);
+        if let Some(c) = self.check.as_deref_mut() {
+            c.arrive(self.tid);
         }
     }
 
@@ -601,16 +534,8 @@ impl<'a> LaneCtx<'a, '_> {
             return;
         }
         *self.retired = true;
-        if self.lint.is_some() {
-            self.retire_slow();
-        }
-    }
-
-    #[inline(never)]
-    fn retire_slow(&mut self) {
-        let tid = self.tid;
-        if let Some(t) = self.lint.as_mut() {
-            t.retire(tid);
+        if let Some(c) = self.check.as_deref_mut() {
+            c.retire(self.tid);
         }
     }
 
@@ -636,10 +561,7 @@ impl<'a> LaneCtx<'a, '_> {
     #[inline]
     pub fn ld_global(&mut self, buf: BufId, idx: usize) -> u32 {
         self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Read);
+        self.check_global(buf, idx, Access::Read, 0);
         if self.poisoned() {
             return 0;
         }
@@ -660,10 +582,6 @@ impl<'a> LaneCtx<'a, '_> {
             self.l1[slot] = sector;
             self.trace.push(Op::GLoad(addr));
         }
-        self.race_check_global(buf, idx, Access::Read);
-        if self.poisoned() {
-            return 0;
-        }
         val
     }
 
@@ -671,29 +589,9 @@ impl<'a> LaneCtx<'a, '_> {
     #[inline]
     pub fn st_global(&mut self, buf: BufId, idx: usize, val: u32) {
         self.flush_compute();
+        self.check_global(buf, idx, STORE, val);
         if self.poisoned() {
             return;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Write);
-        if self.poisoned() {
-            return;
-        }
-        if self.race.is_some() {
-            // A store of the word's current value is a benign "silent
-            // store"; anything else conflicts with concurrent accesses.
-            if let Ok(cur) = self.mem.try_load(buf, idx) {
-                self.race_check_global(
-                    buf,
-                    idx,
-                    Access::Write {
-                        changes_value: cur != val,
-                    },
-                );
-                if self.poisoned() {
-                    return;
-                }
-            }
-            // On a bounds error, fall through: try_store reports it.
         }
         let b = self.global_buf(buf);
         match b.try_store(idx, val) {
@@ -730,19 +628,17 @@ impl<'a> LaneCtx<'a, '_> {
         self.global_rmw(buf, idx, Rmw::Add(val), false);
     }
 
-    /// Every global atomic: SimSan vets the word, the RMW applies, and a
-    /// `traced` one records its `GAtomic` op. An untraced one records
-    /// nothing, not even the pending compute run, so it leaves the trace
-    /// exactly as it found it. Atomics are exempt from race detection.
+    /// Every global atomic: the checker vets the word (SimSan only:
+    /// global atomics are exempt from race detection), the RMW applies,
+    /// and a `traced` one records its `GAtomic` op. An untraced one
+    /// records nothing, not even the pending compute run, so it leaves
+    /// the trace exactly as it found it.
     #[inline(always)]
     fn global_rmw(&mut self, buf: BufId, idx: usize, op: Rmw, traced: bool) -> u32 {
         if traced {
             self.flush_compute();
         }
-        if self.poisoned() {
-            return 0;
-        }
-        self.san_check_global(buf, idx, ShadowAccess::Atomic);
+        self.check_global(buf, idx, Access::Atomic, 0);
         if self.poisoned() {
             return 0;
         }
@@ -795,12 +691,8 @@ impl<'a> LaneCtx<'a, '_> {
     #[inline]
     pub fn ld_shared(&mut self, idx: usize) -> u32 {
         self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
         self.trace.push(Op::SLoad(idx as u32));
-        self.san_check_shared(idx, ShadowAccess::Read);
-        self.race_check_shared(idx, Access::Read);
+        self.check_shared(idx, Access::Read, 0);
         if self.poisoned() {
             return 0;
         }
@@ -811,20 +703,10 @@ impl<'a> LaneCtx<'a, '_> {
     #[inline]
     pub fn st_shared(&mut self, idx: usize, val: u32) {
         self.flush_compute();
+        self.trace.push(Op::SStore(idx as u32));
+        self.check_shared(idx, STORE, val);
         if self.poisoned() {
             return;
-        }
-        self.trace.push(Op::SStore(idx as u32));
-        self.san_check_shared(idx, ShadowAccess::Write);
-        if self.race.is_some() {
-            // Concurrent same-value stores (a common benign idiom, e.g.
-            // several lanes raising an overflow flag) are silent; a
-            // value-changing store conflicts with other lanes' accesses.
-            let changes_value = self.shared.get(idx).is_none_or(|&cur| cur != val);
-            self.race_check_shared(idx, Access::Write { changes_value });
-            if self.poisoned() {
-                return;
-            }
         }
         if let Some(w) = self.shared_slot(idx) {
             *w = val;
@@ -849,17 +731,14 @@ impl<'a> LaneCtx<'a, '_> {
         self.shared_rmw(idx, Rmw::And(val))
     }
 
-    /// Every shared atomic: record the `SAtomic` op, run the analyses,
-    /// apply the RMW.
+    /// Every shared atomic: record the `SAtomic` op, run the checker
+    /// (SimSan and race detection both see shared atomics), apply the
+    /// RMW.
     #[inline(always)]
     fn shared_rmw(&mut self, idx: usize, op: Rmw) -> u32 {
         self.flush_compute();
-        if self.poisoned() {
-            return 0;
-        }
         self.trace.push(Op::SAtomic(idx as u32));
-        self.san_check_shared(idx, ShadowAccess::Atomic);
-        self.race_check_shared(idx, Access::Atomic);
+        self.check_shared(idx, Access::Atomic, 0);
         if self.poisoned() {
             return 0;
         }
@@ -909,14 +788,10 @@ where
         l1,
         replay,
         retired,
-        race,
-        san,
-        barrier,
+        check,
         lint,
     } = scratch;
-    let checks = dev.config().checks;
-    let shared_words = cfg.shared_words as usize;
-    let mut lint_obs = checks.lint.then(|| lint.reset());
+    let mut lint_obs = dev.config().checks.lint.then(|| lint.reset());
     let mut blk = BlockCtx {
         mem,
         block_idx,
@@ -924,9 +799,7 @@ where
         grid_dim: cfg.grid_dim,
         shared,
         sink: FusedSink::new(traces, replay, dev.config().cost, lint_obs.as_deref_mut()),
-        race: checks.race.then(|| race.reset(shared_words)),
-        san: checks.san.then(|| san.reset(shared_words)),
-        lint: checks.lint.then(|| barrier.reset(cfg.block_dim)),
+        check: check.reset(cfg.shared_words as usize, cfg.block_dim),
         retired,
         l1,
         l1_slice,
@@ -935,21 +808,12 @@ where
     kernel(&mut blk);
     // Flush any trailing un-barriered work (kernel end is a barrier).
     blk.barrier();
-    let (cycles, mut counters) = blk.sink.finish();
-    if let Some(t) = &blk.race {
-        counters.race_checks += t.checks;
-        counters.races_detected += t.races;
-    }
-    if let Some(t) = &blk.san {
-        counters.sanitizer_checks += t.checks;
-        counters.sanitizer_reports += t.reports;
-    }
-    if let Some(t) = &blk.lint {
-        counters.lint_checks += t.checks;
-    }
-    let fault = blk.fault;
-    if let Some(err) = fault {
+    if let Some(err) = blk.fault {
         return Err(err);
+    }
+    let (cycles, mut counters) = blk.sink.finish();
+    if let Some(c) = blk.check {
+        c.fold_into(&mut counters);
     }
     if let (Some(acc), Some(obs)) = (lint_acc, lint_obs) {
         counters.lint_checks += obs.checks;

@@ -60,6 +60,7 @@
 //! assert!(stats.counters.global_load_requests > 0);
 //! ```
 
+mod check;
 mod cost;
 mod counters;
 mod device;

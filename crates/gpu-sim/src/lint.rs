@@ -232,9 +232,6 @@ const LOW_OCCUPANCY_MIN_SLOTS: u64 = 256;
 /// either reconverge or hang.
 #[derive(Default)]
 pub(crate) struct BarrierLint {
-    /// 1-based phase counter, aligned with the race/SimSan phases (and
-    /// with every `pc_hint` the simulator emits).
-    phase: u64,
     /// Barrier arrivals per lane in the current phase.
     arrivals: Vec<u32>,
     /// Phase in which each lane retired (0 = still live). A lane retired
@@ -253,16 +250,14 @@ impl BarrierLint {
         t
     }
 
-    /// Start a new block: phase 1, no arrivals, no retirements. The
-    /// per-lane tables keep their capacity across the blocks of a worker.
-    pub(crate) fn reset(&mut self, block_dim: u32) -> &mut Self {
-        self.phase = 1;
+    /// Start a new block: no arrivals, no retirements. The per-lane
+    /// tables keep their capacity across the blocks of a worker.
+    pub(crate) fn reset(&mut self, block_dim: u32) {
         self.arrivals.clear();
         self.arrivals.resize(block_dim as usize, 0);
         self.retired_at.clear();
         self.retired_at.resize(block_dim as usize, 0);
         self.checks = 0;
-        self
     }
 
     pub(crate) fn arrive(&mut self, tid: u32) {
@@ -270,20 +265,20 @@ impl BarrierLint {
         self.arrivals[tid as usize] += 1;
     }
 
-    pub(crate) fn retire(&mut self, tid: u32) {
+    /// Lane `tid` exits the kernel in (1-based) phase `phase`.
+    pub(crate) fn retire(&mut self, tid: u32, phase: u64) {
         let slot = &mut self.retired_at[tid as usize];
         if *slot == 0 {
-            *slot = self.phase;
+            *slot = phase;
         }
     }
 
-    /// Close the phase: all lanes that ran it must agree on barrier
+    /// Close phase `phase`: all lanes that ran it must agree on barrier
     /// arrivals (a lane retiring this phase may only stop *after* the
     /// last barrier its siblings reached). Returns the fatal error on
     /// divergence.
-    pub(crate) fn end_phase(&mut self, block: u32) -> Option<SimError> {
+    pub(crate) fn end_phase(&mut self, block: u32, phase: u64) -> Option<SimError> {
         self.checks += 1;
-        let phase = self.phase;
         let ran = |retired_at: u64| retired_at == 0 || retired_at == phase;
         let mut max = 0u32;
         let mut witness = 0u32;
@@ -325,7 +320,6 @@ impl BarrierLint {
         for a in &mut self.arrivals {
             *a = 0;
         }
-        self.phase += 1;
         err
     }
 }
@@ -699,19 +693,19 @@ mod tests {
         for tid in 0..4 {
             t.arrive(tid);
         }
-        assert!(t.end_phase(0).is_none());
+        assert!(t.end_phase(0, 1).is_none());
         // Next phase: everyone arrives once, lane 3 retires afterwards.
         for tid in 0..4 {
             t.arrive(tid);
         }
-        t.retire(3);
-        assert!(t.end_phase(0).is_none());
+        t.retire(3, 2);
+        assert!(t.end_phase(0, 2).is_none());
         // Lane 3 is gone: the remaining three lanes agree among
         // themselves.
         for tid in 0..3 {
             t.arrive(tid);
         }
-        assert!(t.end_phase(0).is_none());
+        assert!(t.end_phase(0, 3).is_none());
         assert!(t.checks > 0);
     }
 
@@ -721,7 +715,7 @@ mod tests {
         t.arrive(0);
         t.arrive(1);
         // Lane 2 never arrives.
-        match t.end_phase(7) {
+        match t.end_phase(7, 1) {
             Some(SimError::BarrierDivergence(d)) => {
                 assert_eq!(d.rule, LintRule::BarrierDivergence);
                 assert_eq!(d.block, Some(7));
@@ -737,12 +731,12 @@ mod tests {
     fn barrier_lint_flags_a_retire_while_siblings_wait() {
         let mut t = BarrierLint::new(2);
         // Phase 1 is clean so lane 1 is still live in phase 2.
-        assert!(t.end_phase(0).is_none());
+        assert!(t.end_phase(0, 1).is_none());
         t.arrive(0);
         t.arrive(0); // lane 0 hits two barriers
         t.arrive(1);
-        t.retire(1); // lane 1 bails between them
-        match t.end_phase(0) {
+        t.retire(1, 2); // lane 1 bails between them
+        match t.end_phase(0, 2) {
             Some(SimError::BarrierDivergence(d)) => {
                 assert_eq!(d.lanes, Some((0, 1)));
                 assert!(d.detail.contains("retired after 1"), "{}", d.detail);
@@ -757,11 +751,11 @@ mod tests {
         let mut t = BarrierLint::new(2);
         t.arrive(0);
         t.arrive(1);
-        t.retire(1);
-        assert!(t.end_phase(0).is_none());
+        t.retire(1, 1);
+        assert!(t.end_phase(0, 1).is_none());
         // Phase 2: only lane 0 runs; its solo arrivals are consistent.
         t.arrive(0);
-        assert!(t.end_phase(0).is_none());
+        assert!(t.end_phase(0, 2).is_none());
     }
 
     fn mem_with(buf_words: usize) -> DeviceMem {

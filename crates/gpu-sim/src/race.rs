@@ -84,7 +84,7 @@ impl fmt::Display for RaceKind {
     }
 }
 
-/// One lane access, as seen by the detector.
+/// One lane access, as seen by the race detector and SimSan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Access {
     Read,
@@ -96,6 +96,15 @@ pub(crate) enum Access {
     /// An atomic RMW: synchronizes with other atomics, conflicts with
     /// plain accesses from other lanes.
     Atomic,
+}
+
+impl Access {
+    /// Whether the access observes the word's current value. Atomics
+    /// both read and write, so SimSan counts them as reads of
+    /// uninitialized state.
+    pub(crate) fn reads(self) -> bool {
+        matches!(self, Access::Read | Access::Atomic)
+    }
 }
 
 /// Sentinel: no lane recorded.
@@ -187,12 +196,10 @@ impl SlotState {
 /// [`reset`](Self::reset) per block, so its tables keep their capacity.
 #[derive(Debug, Default)]
 pub(crate) struct RaceTracker {
-    /// Current phase number within the block (1-based), for diagnostics.
-    phase: u64,
-    /// Stamp of the current phase in the slot tables. Unlike `phase` it
-    /// keeps counting across the blocks a tracker serves, so a new block
-    /// or phase invalidates every slot without touching it (0 marks
-    /// untouched slots).
+    /// Stamp of the current phase in the slot tables. Unlike the
+    /// checker's phase number it keeps counting across the blocks a
+    /// tracker serves, so a new block or phase invalidates every slot
+    /// without touching it (0 marks untouched slots).
     epoch: u64,
     /// Dense table over the block's shared words, epoch-stamped.
     shared: Vec<SlotState>,
@@ -213,29 +220,31 @@ impl RaceTracker {
         t
     }
 
-    /// Start a new block with `shared_words` words of shared memory:
-    /// phase 1, no access records, zeroed statistics.
-    pub fn reset(&mut self, shared_words: usize) -> &mut Self {
-        self.phase = 1;
-        self.epoch += 1;
+    /// Start a new block with `shared_words` words of shared memory: no
+    /// access records, zeroed statistics.
+    pub fn reset(&mut self, shared_words: usize) {
+        self.end_phase();
         self.shared.resize(shared_words, SlotState::FRESH);
-        self.global.clear();
         self.checks = 0;
         self.races = 0;
-        self
     }
 
     /// Advance past a barrier: all access records of the finished phase
     /// become irrelevant.
     pub fn end_phase(&mut self) {
-        self.phase += 1;
         self.epoch += 1;
         self.global.clear();
     }
 
-    /// Check one shared-memory access. Returns the error to poison the
-    /// block with on conflict.
-    pub fn check_shared(&mut self, lane: u32, idx: usize, access: Access) -> Option<SimError> {
+    /// Check one shared-memory access in barrier phase `phase`. Returns
+    /// the error to poison the block with on conflict.
+    pub fn check_shared(
+        &mut self,
+        lane: u32,
+        idx: usize,
+        access: Access,
+        phase: u64,
+    ) -> Option<SimError> {
         self.checks += 1;
         let slot = &mut self.shared[idx];
         if slot.epoch != self.epoch {
@@ -252,11 +261,7 @@ impl RaceTracker {
             addr: idx as u64,
             kind,
             lanes: (other, lane),
-            pc_hint: SourceLoc::Shared {
-                phase: self.phase,
-                idx,
-            }
-            .to_string(),
+            pc_hint: SourceLoc::Shared { phase, idx }.to_string(),
         })
     }
 
@@ -269,6 +274,7 @@ impl RaceTracker {
         buffer: &str,
         idx: usize,
         access: Access,
+        phase: u64,
     ) -> Option<SimError> {
         self.checks += 1;
         let slot = self.global.entry(addr).or_insert(SlotState::FRESH);
@@ -286,12 +292,7 @@ impl RaceTracker {
             addr,
             kind,
             lanes: (other, lane),
-            pc_hint: SourceLoc::Global {
-                phase: self.phase,
-                buffer,
-                idx,
-            }
-            .to_string(),
+            pc_hint: SourceLoc::Global { phase, buffer, idx }.to_string(),
         })
     }
 }
@@ -310,10 +311,10 @@ mod tests {
     #[test]
     fn same_lane_never_conflicts() {
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(3, 0, W).is_none());
-        assert!(t.check_shared(3, 0, Access::Read).is_none());
-        assert!(t.check_shared(3, 0, W).is_none());
-        assert!(t.check_shared(3, 0, Access::Atomic).is_none());
+        assert!(t.check_shared(3, 0, W, 1).is_none());
+        assert!(t.check_shared(3, 0, Access::Read, 1).is_none());
+        assert!(t.check_shared(3, 0, W, 1).is_none());
+        assert!(t.check_shared(3, 0, Access::Atomic, 1).is_none());
         assert_eq!(t.races, 0);
         assert_eq!(t.checks, 4);
     }
@@ -321,8 +322,8 @@ mod tests {
     #[test]
     fn foreign_read_after_write_is_a_race() {
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(0, 2, W).is_none());
-        let err = t.check_shared(1, 2, Access::Read).unwrap();
+        assert!(t.check_shared(0, 2, W, 1).is_none());
+        let err = t.check_shared(1, 2, Access::Read, 1).unwrap();
         match err {
             SimError::DataRace {
                 addr, kind, lanes, ..
@@ -340,8 +341,8 @@ mod tests {
         // The symmetric case the eager writer-table approach missed: the
         // read executes first, the conflicting write later.
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(5, 1, Access::Read).is_none());
-        let err = t.check_shared(9, 1, W).unwrap();
+        assert!(t.check_shared(5, 1, Access::Read, 1).is_none());
+        let err = t.check_shared(9, 1, W, 1).unwrap();
         assert!(matches!(
             err,
             SimError::DataRace {
@@ -355,10 +356,13 @@ mod tests {
     #[test]
     fn conflicting_writes_race_but_silent_stores_do_not() {
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(0, 0, W).is_none());
-        assert!(t.check_shared(1, 0, SILENT).is_none(), "same-value store");
+        assert!(t.check_shared(0, 0, W, 1).is_none());
+        assert!(
+            t.check_shared(1, 0, SILENT, 1).is_none(),
+            "same-value store"
+        );
         assert!(matches!(
-            t.check_shared(2, 0, W),
+            t.check_shared(2, 0, W, 1),
             Some(SimError::DataRace {
                 kind: RaceKind::SharedWriteWrite,
                 ..
@@ -369,11 +373,11 @@ mod tests {
     #[test]
     fn atomics_synchronize_with_each_other_but_not_with_plain_ops() {
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(0, 3, Access::Atomic).is_none());
-        assert!(t.check_shared(1, 3, Access::Atomic).is_none());
+        assert!(t.check_shared(0, 3, Access::Atomic, 1).is_none());
+        assert!(t.check_shared(1, 3, Access::Atomic, 1).is_none());
         // Plain write racing the atomics.
         assert!(matches!(
-            t.check_shared(2, 3, W),
+            t.check_shared(2, 3, W, 1),
             Some(SimError::DataRace {
                 kind: RaceKind::SharedWriteWrite,
                 ..
@@ -384,12 +388,12 @@ mod tests {
     #[test]
     fn read_of_atomically_updated_word_is_a_race() {
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(7, 0, Access::Atomic).is_none());
+        assert!(t.check_shared(7, 0, Access::Atomic, 1).is_none());
         // Another lane's atomic after a foreign plain read conflicts.
         let mut t2 = RaceTracker::new(4);
-        assert!(t2.check_shared(0, 0, Access::Read).is_none());
+        assert!(t2.check_shared(0, 0, Access::Read, 1).is_none());
         assert!(matches!(
-            t2.check_shared(1, 0, Access::Atomic),
+            t2.check_shared(1, 0, Access::Atomic, 1),
             Some(SimError::DataRace {
                 kind: RaceKind::SharedReadWrite,
                 ..
@@ -401,21 +405,21 @@ mod tests {
     #[test]
     fn barrier_clears_conflicts() {
         let mut t = RaceTracker::new(4);
-        assert!(t.check_shared(0, 2, W).is_none());
+        assert!(t.check_shared(0, 2, W, 1).is_none());
         t.end_phase();
         // Lane 1 may read what lane 0 wrote before the barrier...
-        assert!(t.check_shared(1, 2, Access::Read).is_none());
+        assert!(t.check_shared(1, 2, Access::Read, 1).is_none());
         // ...but a conflicting write in the *new* phase races with that
         // new read, proving the fresh phase tracks its own accesses.
-        assert!(t.check_shared(2, 2, W).is_some());
+        assert!(t.check_shared(2, 2, W, 1).is_some());
         assert_eq!(t.races, 1);
     }
 
     #[test]
     fn global_addresses_tracked_sparsely() {
         let mut t = RaceTracker::new(0);
-        assert!(t.check_global(0, 4096, "buf", 0, W).is_none());
-        let err = t.check_global(1, 4096, "buf", 0, W).unwrap();
+        assert!(t.check_global(0, 4096, "buf", 0, W, 1).is_none());
+        let err = t.check_global(1, 4096, "buf", 0, W, 1).unwrap();
         match err {
             SimError::DataRace {
                 addr,

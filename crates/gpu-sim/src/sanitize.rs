@@ -49,6 +49,7 @@
 use std::fmt;
 
 use crate::lint::SourceLoc;
+use crate::race::Access;
 use crate::SimError;
 
 /// What a sanitizer report is about.
@@ -81,22 +82,6 @@ impl fmt::Display for SanitizerKind {
     }
 }
 
-/// How a lane touched a word, as seen by the sanitizer. Atomics both
-/// read and write, so they count as reads of uninitialized state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShadowAccess {
-    Read,
-    Write,
-    Atomic,
-}
-
-impl ShadowAccess {
-    /// Whether the access observes the word's current value.
-    fn reads(self) -> bool {
-        matches!(self, ShadowAccess::Read | ShadowAccess::Atomic)
-    }
-}
-
 /// Where a global word sits in the shadow lattice, as probed by
 /// [`DeviceMem::shadow_state`](crate::DeviceMem).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,8 +105,6 @@ pub(crate) enum ShadowState {
 /// [`reset`](Self::reset) per block, so the shadow keeps its capacity.
 #[derive(Debug, Default)]
 pub(crate) struct SanTracker {
-    /// Current barrier-phase number (1-based), for diagnostics only.
-    phase: u64,
     /// Shared memory is born `Uninit` every launch; a `true` here means
     /// some lane of this block has stored the word.
     shared_init: Vec<bool>,
@@ -140,29 +123,24 @@ impl SanTracker {
     }
 
     /// Start a new block with `shared_words` words of shared memory, all
-    /// born `Uninit`: phase 1, zeroed statistics.
-    pub fn reset(&mut self, shared_words: usize) -> &mut Self {
-        self.phase = 1;
+    /// born `Uninit`, and zeroed statistics. Nothing resets at a barrier:
+    /// initialization in an earlier phase covers reads in later ones.
+    pub fn reset(&mut self, shared_words: usize) {
         self.shared_init.clear();
         self.shared_init.resize(shared_words, false);
         self.checks = 0;
         self.reports = 0;
-        self
     }
 
-    /// Advance past a barrier (shared-init state persists: initialization
-    /// in an earlier phase covers reads in later ones).
-    pub fn end_phase(&mut self) {
-        self.phase += 1;
-    }
-
-    /// Check one shared-memory access. Out-of-range indices are skipped
-    /// so the ordinary bounds handling reports them.
+    /// Check one shared-memory access in barrier phase `phase`.
+    /// Out-of-range indices are skipped so the ordinary bounds handling
+    /// reports them.
     pub fn check_shared(
         &mut self,
         lane: u32,
         idx: usize,
-        access: ShadowAccess,
+        access: Access,
+        phase: u64,
     ) -> Option<SimError> {
         let init = self.shared_init.get_mut(idx)?;
         self.checks += 1;
@@ -173,15 +151,11 @@ impl SanTracker {
                 buffer: "shared".to_string(),
                 word: idx,
                 lane: Some(lane),
-                pc_hint: SourceLoc::Shared {
-                    phase: self.phase,
-                    idx,
-                }
-                .to_string(),
+                pc_hint: SourceLoc::Shared { phase, idx }.to_string(),
             });
         }
         // Any store or RMW defines the word from here on.
-        if !matches!(access, ShadowAccess::Read) {
+        if access != Access::Read {
             *init = true;
         }
         None
@@ -196,7 +170,8 @@ impl SanTracker {
         state: ShadowState,
         buffer: &str,
         idx: usize,
-        access: ShadowAccess,
+        access: Access,
+        phase: u64,
     ) -> Option<SimError> {
         if matches!(state, ShadowState::OutOfBounds) {
             return None;
@@ -214,12 +189,7 @@ impl SanTracker {
             buffer: buffer.to_string(),
             word: idx,
             lane: Some(lane),
-            pc_hint: SourceLoc::Global {
-                phase: self.phase,
-                buffer,
-                idx,
-            }
-            .to_string(),
+            pc_hint: SourceLoc::Global { phase, buffer, idx }.to_string(),
         })
     }
 }
@@ -228,10 +198,14 @@ impl SanTracker {
 mod tests {
     use super::*;
 
+    const W: Access = Access::Write {
+        changes_value: true,
+    };
+
     #[test]
     fn shared_is_born_uninit_and_writes_promote() {
         let mut t = SanTracker::new(4);
-        let err = t.check_shared(3, 2, ShadowAccess::Read).unwrap();
+        let err = t.check_shared(3, 2, Access::Read, 1).unwrap();
         match err {
             SimError::Sanitizer {
                 kind,
@@ -247,8 +221,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(t.check_shared(0, 1, ShadowAccess::Write).is_none());
-        assert!(t.check_shared(5, 1, ShadowAccess::Read).is_none());
+        assert!(t.check_shared(0, 1, W, 1).is_none());
+        assert!(t.check_shared(5, 1, Access::Read, 1).is_none());
         assert_eq!(t.reports, 1);
         assert_eq!(t.checks, 3);
     }
@@ -257,29 +231,28 @@ mod tests {
     fn shared_atomic_on_uninit_word_reads_garbage() {
         let mut t = SanTracker::new(2);
         assert!(matches!(
-            t.check_shared(0, 0, ShadowAccess::Atomic),
+            t.check_shared(0, 0, Access::Atomic, 1),
             Some(SimError::Sanitizer {
                 kind: SanitizerKind::UninitRead,
                 ..
             })
         ));
         // After a store, atomics are fine.
-        assert!(t.check_shared(0, 1, ShadowAccess::Write).is_none());
-        assert!(t.check_shared(1, 1, ShadowAccess::Atomic).is_none());
+        assert!(t.check_shared(0, 1, W, 1).is_none());
+        assert!(t.check_shared(1, 1, Access::Atomic, 1).is_none());
     }
 
     #[test]
     fn shared_init_survives_barriers() {
         let mut t = SanTracker::new(1);
-        assert!(t.check_shared(0, 0, ShadowAccess::Write).is_none());
-        t.end_phase();
-        assert!(t.check_shared(1, 0, ShadowAccess::Read).is_none());
+        assert!(t.check_shared(0, 0, W, 1).is_none());
+        assert!(t.check_shared(1, 0, Access::Read, 2).is_none());
     }
 
     #[test]
     fn shared_out_of_range_defers_to_bounds_handling() {
         let mut t = SanTracker::new(2);
-        assert!(t.check_shared(0, 99, ShadowAccess::Read).is_none());
+        assert!(t.check_shared(0, 99, Access::Read, 1).is_none());
         assert_eq!(t.checks, 0);
     }
 
@@ -287,24 +260,24 @@ mod tests {
     fn global_state_maps_to_kinds() {
         let mut t = SanTracker::new(0);
         assert!(t
-            .check_global(0, ShadowState::Init, "b", 0, ShadowAccess::Read)
+            .check_global(0, ShadowState::Init, "b", 0, Access::Read, 1)
             .is_none());
         assert!(matches!(
-            t.check_global(1, ShadowState::Uninit, "b", 1, ShadowAccess::Read),
+            t.check_global(1, ShadowState::Uninit, "b", 1, Access::Read, 1),
             Some(SimError::Sanitizer {
                 kind: SanitizerKind::UninitRead,
                 ..
             })
         ));
         assert!(matches!(
-            t.check_global(2, ShadowState::Freed, "b", 0, ShadowAccess::Write),
+            t.check_global(2, ShadowState::Freed, "b", 0, W, 1),
             Some(SimError::Sanitizer {
                 kind: SanitizerKind::UseAfterFree,
                 ..
             })
         ));
         assert!(matches!(
-            t.check_global(3, ShadowState::Redzone, "b", 7, ShadowAccess::Read),
+            t.check_global(3, ShadowState::Redzone, "b", 7, Access::Read, 1),
             Some(SimError::Sanitizer {
                 kind: SanitizerKind::Redzone,
                 ..
@@ -316,10 +289,10 @@ mod tests {
     fn global_uninit_write_is_fine_and_oob_is_not_ours() {
         let mut t = SanTracker::new(0);
         assert!(t
-            .check_global(0, ShadowState::Uninit, "b", 0, ShadowAccess::Write)
+            .check_global(0, ShadowState::Uninit, "b", 0, W, 1)
             .is_none());
         assert!(t
-            .check_global(0, ShadowState::OutOfBounds, "b", 999, ShadowAccess::Read)
+            .check_global(0, ShadowState::OutOfBounds, "b", 999, Access::Read, 1)
             .is_none());
         assert_eq!(t.checks, 1, "out-of-bounds is not a sanitizer check");
     }

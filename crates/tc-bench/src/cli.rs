@@ -101,6 +101,15 @@ impl Args {
         }
     }
 
+    /// Consume a selection of exactly one dataset, parsed like
+    /// [`Args::datasets`] with `default` as the single default name.
+    pub fn dataset(&mut self, default: &str) -> Result<DatasetSpec, String> {
+        match self.datasets(&[default])?[..] {
+            [spec] => Ok(spec),
+            ref many => Err(format!("takes one dataset, got {}", many.len())),
+        }
+    }
+
     /// Reject any argument no one asked for.
     pub fn finish(self) -> Result<(), String> {
         match self.rest.first() {
@@ -165,6 +174,19 @@ mod tests {
         let ds = args(&["Twitter"]).datasets(&["--medium"]).unwrap();
         assert_eq!(ds[0].name, "Twitter");
         assert!(args(&["--small", "Twitter"]).datasets(&[]).is_err());
+    }
+
+    #[test]
+    fn dataset_takes_exactly_one() {
+        assert_eq!(args(&[]).dataset("Wiki-Talk").unwrap().name, "Wiki-Talk");
+        assert_eq!(
+            args(&["as-caida"]).dataset("Wiki-Talk").unwrap().name,
+            "As-Caida"
+        );
+        let err = args(&["As-Caida", "Twitter"]).dataset("Wiki-Talk");
+        assert_eq!(err.unwrap_err(), "takes one dataset, got 2");
+        assert!(args(&["--small"]).dataset("Wiki-Talk").is_err());
+        assert!(args(&["bogus"]).dataset("Wiki-Talk").is_err());
     }
 
     #[test]

@@ -448,14 +448,8 @@ pub fn diag(mut args: Args) -> Result<(), Error> {
         Some(list) => cli::algorithms(&list)?,
         None => all_algorithms(),
     };
-    let datasets = args.datasets(&["Com-Lj"])?;
+    let spec = args.dataset("Com-Lj")?;
     args.finish()?;
-    let [spec] = datasets[..] else {
-        return Err(Error::Usage(format!(
-            "takes one dataset, got {}",
-            datasets.len()
-        )));
-    };
 
     let dev = Device::v100();
     let g = spec.build();

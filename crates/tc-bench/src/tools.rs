@@ -271,7 +271,7 @@ pub fn scale_sweep(mut args: Args) -> Result<(), Error> {
         None => vec![1, 2, 4, 8],
     };
     let per_device = args.flag("--per-device");
-    let spec = args.datasets(&["Wiki-Talk"])?[0];
+    let spec = args.dataset("Wiki-Talk")?;
     args.finish()?;
 
     let algos = all_algorithms();

@@ -27,10 +27,6 @@ use crate::framework::runner::{run_cell, run_on_dataset, PreparedDataset, RunOut
 
 /// An execution substrate for evaluation cells.
 pub trait Backend: Sync {
-    /// Short tag recorded in [`RunRecord::backend`] and the CSV
-    /// `backend` column (`"sim"`, `"cpu"`).
-    fn tag(&self) -> &'static str;
-
     /// Run one algorithm on one prepared dataset, fault-isolated.
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord;
 }
@@ -41,10 +37,6 @@ pub struct SimBackend<'d> {
 }
 
 impl Backend for SimBackend<'_> {
-    fn tag(&self) -> &'static str {
-        "sim"
-    }
-
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
         run_on_dataset(self.dev, algo, data)
     }
@@ -55,10 +47,6 @@ impl Backend for SimBackend<'_> {
 pub struct CpuBackend;
 
 impl Backend for CpuBackend {
-    fn tag(&self) -> &'static str {
-        "cpu"
-    }
-
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
         run_on_dataset_cpu(algo, data)
     }

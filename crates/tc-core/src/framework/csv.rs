@@ -7,31 +7,33 @@ use std::io::{self, Write};
 use crate::framework::report::cycles_to_ms;
 use crate::framework::runner::{RunOutcome, RunRecord};
 
-/// Column header, aligned with [`write_records`]' rows.
-pub const CSV_HEADER: &str = "algorithm,dataset,status,triangles,verified,kernel_cycles,\
-time_ms,global_load_requests,gld_transactions,gld_transactions_per_request,\
-dram_load_sectors,global_store_requests,global_atomic_requests,\
-warp_execution_efficiency,shared_requests,issued_slots";
+/// The one column list. `$backend` splices the `backend` column in after
+/// `dataset` and `$timed` appends `host_wall_ms`; a macro, so that every
+/// header stays a `&str` constant.
+macro_rules! header {
+    ($($backend:literal)?; $($timed:literal)?) => {
+        concat!(
+            "algorithm,dataset,",
+            $($backend,)?
+            "status,triangles,verified,kernel_cycles,time_ms,global_load_requests,\
+             gld_transactions,gld_transactions_per_request,dram_load_sectors,\
+             global_store_requests,global_atomic_requests,warp_execution_efficiency,\
+             shared_requests,issued_slots",
+            $($timed)?
+        )
+    };
+}
 
-/// Header for [`write_records_timed`]: [`CSV_HEADER`] plus the measured
+/// Column header of [`write_records`].
+pub const CSV_HEADER: &str = header!(;);
+/// Header of [`write_records_timed`]: [`CSV_HEADER`] plus the measured
 /// host wall-clock column.
-pub const CSV_TIMED_HEADER: &str = "algorithm,dataset,status,triangles,verified,kernel_cycles,\
-time_ms,global_load_requests,gld_transactions,gld_transactions_per_request,\
-dram_load_sectors,global_store_requests,global_atomic_requests,\
-warp_execution_efficiency,shared_requests,issued_slots,host_wall_ms";
-
+pub const CSV_TIMED_HEADER: &str = header!(; ",host_wall_ms");
 /// [`CSV_HEADER`] with the `backend` column, emitted only when a record
 /// set mixes backends (see [`is_multi_backend`]).
-pub const CSV_BACKEND_HEADER: &str = "algorithm,dataset,backend,status,triangles,verified,\
-kernel_cycles,time_ms,global_load_requests,gld_transactions,gld_transactions_per_request,\
-dram_load_sectors,global_store_requests,global_atomic_requests,\
-warp_execution_efficiency,shared_requests,issued_slots";
-
+pub const CSV_BACKEND_HEADER: &str = header!("backend,";);
 /// [`CSV_TIMED_HEADER`] with the `backend` column.
-pub const CSV_BACKEND_TIMED_HEADER: &str = "algorithm,dataset,backend,status,triangles,verified,\
-kernel_cycles,time_ms,global_load_requests,gld_transactions,gld_transactions_per_request,\
-dram_load_sectors,global_store_requests,global_atomic_requests,\
-warp_execution_efficiency,shared_requests,issued_slots,host_wall_ms";
+pub const CSV_BACKEND_TIMED_HEADER: &str = header!("backend,"; ",host_wall_ms");
 
 /// Whether a record set needs the `backend` column: any non-`"sim"`
 /// cell. Pure sim sweeps — everything written before backends existed —
@@ -40,96 +42,73 @@ pub fn is_multi_backend(records: &[RunRecord]) -> bool {
     records.iter().any(|r| r.backend != "sim")
 }
 
-/// One record's modelled columns (everything after `algorithm,dataset`).
-/// Shared by the deterministic and timed writers so the modelled part of
-/// a row is always byte-identical between the two.
-fn modelled_columns(r: &RunRecord) -> String {
-    match &r.outcome {
-        RunOutcome::Ok {
-            triangles,
-            kernel_cycles,
-            counters: c,
-            verified,
-        } => format!(
-            "ok,{},{},{},{:.6},{},{},{:.4},{},{},{},{:.4},{},{}",
-            triangles,
-            verified,
-            kernel_cycles,
-            cycles_to_ms(*kernel_cycles),
-            c.global_load_requests,
-            c.gld_transactions,
-            c.gld_transactions_per_request(),
-            c.dram_load_sectors,
-            c.global_store_requests,
-            c.global_atomic_requests,
-            c.warp_execution_efficiency(),
-            c.shared_load_requests + c.shared_store_requests + c.shared_atomic_requests,
-            c.issued_slots,
-        ),
-        // Errors may contain commas; quote the field.
-        RunOutcome::Failed(e) => format!(
-            "\"failed: {}\",,,,,,,,,,,,,",
-            e.to_string().replace('"', "'"),
-        ),
-    }
-}
-
 /// Write the matrix as CSV. Failed cells carry the error in `status` and
 /// empty numeric fields. Only modelled quantities are emitted, so the
 /// output is byte-identical between serial and parallel sweeps of the
 /// same inputs.
-pub fn write_records<W: Write>(mut w: W, records: &[RunRecord]) -> io::Result<()> {
-    if is_multi_backend(records) {
-        writeln!(w, "{CSV_BACKEND_HEADER}")?;
-        for r in records {
-            writeln!(
-                w,
-                "{},{},{},{}",
-                r.algorithm,
-                r.dataset,
-                r.backend,
-                modelled_columns(r)
-            )?;
-        }
-    } else {
-        writeln!(w, "{CSV_HEADER}")?;
-        for r in records {
-            writeln!(w, "{},{},{}", r.algorithm, r.dataset, modelled_columns(r))?;
-        }
-    }
-    Ok(())
+pub fn write_records<W: Write>(w: W, records: &[RunRecord]) -> io::Result<()> {
+    write_rows(w, records, false)
 }
 
 /// Like [`write_records`], with a trailing `host_wall_ms` column holding
 /// the measured per-cell simulation wall time. This variant is NOT
 /// deterministic across runs — use it for throughput reporting, and
 /// [`write_records`] for comparable artifacts.
-pub fn write_records_timed<W: Write>(mut w: W, records: &[RunRecord]) -> io::Result<()> {
-    if is_multi_backend(records) {
-        writeln!(w, "{CSV_BACKEND_TIMED_HEADER}")?;
-        for r in records {
-            writeln!(
-                w,
-                "{},{},{},{},{:.3}",
-                r.algorithm,
-                r.dataset,
-                r.backend,
-                modelled_columns(r),
-                r.wall.as_secs_f64() * 1e3,
-            )?;
+pub fn write_records_timed<W: Write>(w: W, records: &[RunRecord]) -> io::Result<()> {
+    write_rows(w, records, true)
+}
+
+/// The one row writer: the header, then one row per record, with the
+/// `backend` column when the set mixes backends and `host_wall_ms` when
+/// `timed`. The modelled part of a row is the same either way.
+fn write_rows<W: Write>(mut w: W, records: &[RunRecord], timed: bool) -> io::Result<()> {
+    let backend = is_multi_backend(records);
+    let header = match (backend, timed) {
+        (false, false) => CSV_HEADER,
+        (false, true) => CSV_TIMED_HEADER,
+        (true, false) => CSV_BACKEND_HEADER,
+        (true, true) => CSV_BACKEND_TIMED_HEADER,
+    };
+    writeln!(w, "{header}")?;
+    for r in records {
+        write!(w, "{},{},", r.algorithm, r.dataset)?;
+        if backend {
+            write!(w, "{},", r.backend)?;
         }
-    } else {
-        writeln!(w, "{CSV_TIMED_HEADER}")?;
-        for r in records {
-            writeln!(
+        match &r.outcome {
+            RunOutcome::Ok {
+                triangles,
+                kernel_cycles,
+                counters: c,
+                verified,
+            } => write!(
                 w,
-                "{},{},{},{:.3}",
-                r.algorithm,
-                r.dataset,
-                modelled_columns(r),
-                r.wall.as_secs_f64() * 1e3,
-            )?;
+                "ok,{},{},{},{:.6},{},{},{:.4},{},{},{},{:.4},{},{}",
+                triangles,
+                verified,
+                kernel_cycles,
+                cycles_to_ms(*kernel_cycles),
+                c.global_load_requests,
+                c.gld_transactions,
+                c.gld_transactions_per_request(),
+                c.dram_load_sectors,
+                c.global_store_requests,
+                c.global_atomic_requests,
+                c.warp_execution_efficiency(),
+                c.shared_load_requests + c.shared_store_requests + c.shared_atomic_requests,
+                c.issued_slots,
+            )?,
+            // Errors may contain commas; quote the field.
+            RunOutcome::Failed(e) => write!(
+                w,
+                "\"failed: {}\",,,,,,,,,,,,,",
+                e.to_string().replace('"', "'"),
+            )?,
         }
+        if timed {
+            write!(w, ",{:.3}", r.wall.as_secs_f64() * 1e3)?;
+        }
+        writeln!(w)?;
     }
     Ok(())
 }

@@ -19,13 +19,13 @@
 //! [`gpu_sim::DeviceMem`] images; determinism is inherited from the
 //! simulator, so an N-device sweep is reproducible cycle-for-cycle.
 
-use gpu_sim::{Device, LaunchStats};
+use gpu_sim::{Device, LaunchStats, SimError};
 use tc_algos::api::TcAlgorithm;
 use tc_algos::device_graph::DeviceGraph;
 use tc_algos::partition::PartitionPlan;
 
 use crate::framework::backend::Backend;
-use crate::framework::runner::{run_cell, run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
+use crate::framework::runner::{run_cell, PreparedDataset, RunOutcome, RunRecord};
 
 /// One simulated device's share of a partitioned run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,72 +62,88 @@ pub struct PartitionStats {
 }
 
 /// Run one algorithm over `num_devices` simulated devices and verify the
-/// summed count. With `num_devices == 1` this is exactly the
-/// single-device runner path (full work ranges, no link charges) and
-/// the record carries `partition: None`, keeping 1-device output
-/// byte-identical to [`crate::framework::runner::run_on_dataset`].
+/// summed count: the one simulator cell body. With `num_devices <= 1` it
+/// is [`run_on_dataset`](crate::framework::runner::run_on_dataset): full
+/// work ranges, no plan, no link charges, and `partition: None`.
+///
+/// A successful count on a graph with edges must have cost at least one
+/// modelled cycle, summed over the devices; only the empty graph may
+/// report a zero-cycle kernel. An algorithm that "succeeds" without
+/// doing modelled work has broken instrumentation, and recording it as
+/// failed keeps downstream `kernel_cycles > 0` assumptions honest.
 pub fn run_partitioned(
     dev: &Device,
     algo: &dyn TcAlgorithm,
     data: &PreparedDataset,
     num_devices: u32,
 ) -> RunRecord {
-    if num_devices <= 1 {
-        return run_on_dataset(dev, algo, data);
-    }
     run_cell("sim", algo, data, || {
         let dag = data.dag(algo.preferred_orientation());
-        let plan = PartitionPlan::balanced(dag.csr().offsets(), num_devices);
-        let (_, host_dst) = dag.edge_arrays();
-
-        let mut per_device = Vec::with_capacity(num_devices as usize);
+        // Only a split run needs a plan, and the host edge list its link
+        // model reads.
+        let split = (num_devices > 1).then(|| {
+            let plan = PartitionPlan::balanced(dag.csr().offsets(), num_devices);
+            (plan, dag.edge_arrays().1)
+        });
+        let mut per_device = Vec::new();
         let mut triangles = 0u64;
         let mut agg = LaunchStats::default();
-        for d in 0..num_devices as usize {
+        for d in 0..num_devices.max(1) as usize {
             // Each device is a fresh memory image: nothing carries over.
             let mut mem = gpu_sim::DeviceMem::new(dev);
             let outcome = DeviceGraph::upload(&dag, &mut mem).and_then(|mut dg| {
-                let (lo, hi) = plan.pivot_range(d);
-                dg.restrict_to_pivots(lo, hi);
+                if let Some((plan, _)) = &split {
+                    let (lo, hi) = plan.pivot_range(d);
+                    dg.restrict_to_pivots(lo, hi);
+                }
                 algo.count(dev, &mut mem, &dg)
             });
             let out = match outcome {
                 Ok(out) => out,
                 Err(e) => return (RunOutcome::Failed(e), None),
             };
-            let link_bytes = plan.remote_bytes(dag.csr().offsets(), &host_dst, d);
-            per_device.push(DeviceStats {
-                device: d as u32,
-                triangles: out.triangles,
-                kernel_cycles: out.stats.kernel_cycles,
-                link_bytes,
-                link_cycles: dev.config().cost.link_transfer_cycles(link_bytes),
-            });
+            if let Some((plan, host_dst)) = &split {
+                let link_bytes = plan.remote_bytes(dag.csr().offsets(), host_dst, d);
+                per_device.push(DeviceStats {
+                    device: d as u32,
+                    triangles: out.triangles,
+                    kernel_cycles: out.stats.kernel_cycles,
+                    link_bytes,
+                    link_cycles: dev.config().cost.link_transfer_cycles(link_bytes),
+                });
+            }
             triangles += out.triangles;
             agg += out.stats;
         }
+        if agg.kernel_cycles == 0 && dag.num_edges() > 0 {
+            let fault = SimError::KernelFault(format!(
+                "{} reported zero kernel cycles on a non-empty graph",
+                algo.name()
+            ));
+            return (RunOutcome::Failed(fault), None);
+        }
 
-        let makespan_cycles = per_device
-            .iter()
-            .map(DeviceStats::total_cycles)
-            .max()
-            .unwrap_or(0);
-        let total_link_bytes = per_device.iter().map(|d| d.link_bytes).sum();
+        let partition = split.map(|_| PartitionStats {
+            num_devices,
+            makespan_cycles: per_device
+                .iter()
+                .map(DeviceStats::total_cycles)
+                .max()
+                .unwrap_or(0),
+            total_link_bytes: per_device.iter().map(|d| d.link_bytes).sum(),
+            per_device,
+        });
         let outcome = RunOutcome::Ok {
             triangles,
             // The headline cycle figure of a partitioned cell is its
             // makespan: concurrent devices, slowest wins.
-            kernel_cycles: makespan_cycles,
+            kernel_cycles: partition
+                .as_ref()
+                .map_or(agg.kernel_cycles, |p| p.makespan_cycles),
             counters: agg.counters,
             verified: triangles == data.ground_truth,
         };
-        let partition = PartitionStats {
-            num_devices,
-            per_device,
-            makespan_cycles,
-            total_link_bytes,
-        };
-        (outcome, Some(partition))
+        (outcome, partition)
     })
 }
 
@@ -140,10 +156,6 @@ pub struct PartitionedSimBackend<'d> {
 }
 
 impl Backend for PartitionedSimBackend<'_> {
-    fn tag(&self) -> &'static str {
-        "sim"
-    }
-
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
         run_partitioned(self.dev, algo, data, self.num_devices)
     }
@@ -152,6 +164,7 @@ impl Backend for PartitionedSimBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::runner::run_on_dataset;
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
     use tc_algos::all_algorithms;
 
@@ -253,6 +266,53 @@ mod tests {
         );
         // The record's headline cycles are the makespan.
         assert_eq!(rec.kernel_cycles(), Some(p.makespan_cycles));
+    }
+
+    /// An "implementation" that succeeds without launching anything:
+    /// default `LaunchStats`, zero modelled cycles.
+    struct ZeroCycleProbe;
+
+    impl TcAlgorithm for ZeroCycleProbe {
+        fn meta(&self) -> tc_algos::api::AlgoMeta {
+            tc_algos::api::AlgoMeta {
+                name: "zero-cycle-probe",
+                reference: "synthetic instrumentation probe",
+                year: 2024,
+                iterator: tc_algos::api::IteratorKind::Edge,
+                intersection: tc_algos::api::Intersection::Merge,
+                granularity: tc_algos::api::Granularity::Coarse,
+            }
+        }
+
+        fn count(
+            &self,
+            _dev: &Device,
+            _mem: &mut gpu_sim::DeviceMem,
+            _dg: &DeviceGraph,
+        ) -> Result<tc_algos::api::TcOutput, SimError> {
+            Ok(tc_algos::api::TcOutput {
+                triangles: 0,
+                stats: LaunchStats::default(),
+            })
+        }
+    }
+
+    #[test]
+    fn zero_cycle_success_fails_on_one_device_and_on_many() {
+        let dev = Device::v100();
+        let data = PreparedDataset::prepare(&tiny_spec());
+        for rec in [
+            run_on_dataset(&dev, &ZeroCycleProbe, &data),
+            run_partitioned(&dev, &ZeroCycleProbe, &data, 2),
+        ] {
+            match &rec.outcome {
+                RunOutcome::Failed(SimError::KernelFault(msg)) => {
+                    assert!(msg.contains("zero kernel cycles"), "{msg}")
+                }
+                other => panic!("expected a zero-cycle fault, got {other:?}"),
+            }
+            assert!(rec.partition.is_none());
+        }
     }
 
     #[test]

@@ -20,12 +20,11 @@ use std::time::{Duration, Instant};
 use gpu_sim::{Device, ProfileCounters, SimError};
 use graph_data::{cpu_ref, orient, DagGraph, DatasetSpec, GraphStats, Orientation, UndirGraph};
 use tc_algos::api::TcAlgorithm;
-use tc_algos::device_graph::DeviceGraph;
 
 use rayon::prelude::*;
 
 use crate::framework::backend::Backend;
-use crate::framework::partitioned::PartitionStats;
+use crate::framework::partitioned::{run_partitioned, PartitionStats};
 
 /// A dataset after the preparation pipeline: generated (or loaded),
 /// cleaned, with statistics, ground truth, and oriented variants cached.
@@ -186,45 +185,15 @@ pub(crate) fn run_cell(
 }
 
 /// Run one algorithm on one prepared dataset (fresh device memory, the
-/// algorithm's preferred orientation) and verify the count.
+/// algorithm's preferred orientation) and verify the count: the
+/// one-device [`run_partitioned`].
 ///
 /// Faults are isolated per cell: a kernel that accesses device memory
-/// out of bounds, overflows a fixed structure, exhausts device memory or
-/// panics produces [`RunOutcome::Failed`] here and the caller's sweep
-/// continues.
+/// out of bounds, overflows a fixed structure, exhausts device memory,
+/// panics or reports zero kernel cycles on a non-empty graph produces
+/// [`RunOutcome::Failed`] here and the caller's sweep continues.
 pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-    run_cell("sim", algo, data, || {
-        let dag = data.dag(algo.preferred_orientation());
-        let mut mem = gpu_sim::DeviceMem::new(dev);
-        let outcome = match DeviceGraph::upload(&dag, &mut mem)
-            .and_then(|dg| algo.count(dev, &mut mem, &dg))
-        {
-            Ok(out) => {
-                // Tightened invariant: a successful count on a graph with
-                // edges must have cost at least one modelled cycle; only
-                // the empty graph may report a zero-cycle kernel. An
-                // algorithm that "succeeds" without doing modelled work
-                // is a bug in its instrumentation, and recording it as
-                // failed keeps downstream `kernel_cycles > 0` assumptions
-                // honest.
-                if out.stats.kernel_cycles == 0 && dag.num_edges() > 0 {
-                    RunOutcome::Failed(SimError::KernelFault(format!(
-                        "{} reported zero kernel cycles on a non-empty graph",
-                        algo.name()
-                    )))
-                } else {
-                    RunOutcome::Ok {
-                        triangles: out.triangles,
-                        kernel_cycles: out.stats.kernel_cycles,
-                        counters: out.stats.counters,
-                        verified: out.triangles == data.ground_truth,
-                    }
-                }
-            }
-            Err(e) => RunOutcome::Failed(e),
-        };
-        (outcome, None)
-    })
+    run_partitioned(dev, algo, data, 1)
 }
 
 /// The evaluation sweep, serially: dataset-major, then backend, then
@@ -277,6 +246,7 @@ mod tests {
     use crate::framework::backend::SimBackend;
     use graph_data::datasets::{GenSpec, SizeClass};
     use tc_algos::all_algorithms;
+    use tc_algos::device_graph::DeviceGraph;
 
     fn tiny_spec() -> DatasetSpec {
         DatasetSpec {

@@ -2,7 +2,7 @@
 //! observed *through* the public API — the behaviours the paper's
 //! profiling analysis depends on.
 
-use tc_compare::sim::{BufId, Device, DeviceMem, KernelConfig, LaneCtx, SimError};
+use tc_compare::sim::{BufId, Device, DeviceMem, KernelConfig, LaneCtx, ProfileCounters, SimError};
 
 #[test]
 fn coalesced_loads_beat_scattered_loads() {
@@ -318,5 +318,124 @@ fn each_atomic_returns_the_old_word_and_applies_its_operation() {
         assert!(c.race_checks > 0 && c.sanitizer_checks > 0, "{name}");
         (c.race_checks, c.sanitizer_checks) = (0, 0);
         assert_eq!(checked, plain, "{name}");
+    }
+}
+
+/// Exact check counts, and the three record-side analyses' independence.
+/// One race-free, SimSan-clean kernel touches every hook — global and
+/// shared loads, stores and atomics, a silent shared store,
+/// `add_global_untraced`, `sync_threads` and `retire` — over three
+/// phases, and runs under all eight combinations of race detection,
+/// SimSan and SimLint. Results, cycles and every other counter must not
+/// move; each check counter must equal its hand count when its analysis
+/// is on and be 0 when it is off.
+#[test]
+fn check_counts_are_exact_and_analyses_are_independent() {
+    const GRID: u32 = 2;
+    const BD: u32 = 64;
+    let input: Vec<u32> = (0..GRID * BD).map(|i| i * 7 + 3).collect();
+    let run = |race: bool, san: bool, lint: bool| {
+        let mut dev = Device::v100();
+        if race {
+            dev = dev.with_race_detection();
+        }
+        if san {
+            dev = dev.with_sanitizer();
+        }
+        if lint {
+            dev = dev.with_lints();
+        }
+        let mut mem = DeviceMem::new(&dev);
+        let g = mem.alloc_from_slice(&input, "g").unwrap();
+        let out = mem.alloc_zeroed(input.len(), "out").unwrap();
+        let hits = mem.alloc_zeroed(1, "hits").unwrap();
+        let sum = mem.alloc_zeroed(1, "sum").unwrap();
+        let bd = BD as usize;
+        let cfg = KernelConfig::new(GRID, BD).with_shared_words(BD + 1);
+        let stats = dev
+            .launch(&mem, cfg, |blk| {
+                blk.phase(|lane| {
+                    let (t, gt) = (lane.tid() as usize, lane.global_tid() as usize);
+                    let v = lane.ld_global(g, gt);
+                    lane.st_shared(t, v);
+                    // Every lane stores the zero-filled word's own value:
+                    // a silent store, so no write/write race.
+                    lane.st_shared(bd, 0);
+                    lane.sync_threads();
+                    lane.st_global(out, gt, v + 1);
+                    lane.atomic_add_global(hits, 0, 1);
+                    lane.add_global_untraced(sum, 0, v);
+                });
+                blk.phase(|lane| {
+                    let t = lane.tid() as usize;
+                    let peer = lane.ld_shared((t + 1) % bd);
+                    lane.atomic_add_shared(bd, peer & 1);
+                    lane.sync_threads();
+                    if t % 2 == 1 {
+                        lane.retire();
+                    }
+                });
+                blk.phase(|lane| {
+                    // Odd lanes retired in phase 2 and skip this phase.
+                    let gt = lane.global_tid() as usize;
+                    let x = lane.ld_global(out, gt);
+                    lane.sync_threads();
+                    lane.st_global(out, gt, 2 * x);
+                });
+            })
+            .unwrap();
+        (
+            stats,
+            mem.read_back(out),
+            mem.read_back(hits),
+            mem.read_back(sum),
+        )
+    };
+
+    // Per block: phase 1 has 64 lanes x (ld_global, st_shared x2,
+    // st_global) plain accesses plus one global atomic and one untraced
+    // add each; phase 2 has 64 x (ld_shared, shared atomic); phase 3 has
+    // 32 x (ld_global, st_global). Global atomics are SimSan-only.
+    let race_checks = GRID as u64 * (64 * 4 + 64 * 2 + 32 * 2);
+    let sanitizer_checks = race_checks + GRID as u64 * 64 * 2;
+    // SimLint: 64 + 64 + 32 barrier arrivals, 3 phase ends plus the
+    // kernel-end barrier, and one replay observation per memory slot of
+    // each of the 2 warps (5 in phase 1, 2 each in phases 2 and 3).
+    let lint_checks = GRID as u64 * ((64 + 64 + 32) + (3 + 1) + 2 * (5 + 2 + 2));
+
+    let (base, out, hits, sum) = run(false, false, false);
+    let expected_out: Vec<u32> = input
+        .iter()
+        .enumerate()
+        .map(|(i, v)| if i % 2 == 0 { 2 * (v + 1) } else { v + 1 })
+        .collect();
+    assert_eq!(out, expected_out);
+    assert_eq!(hits, vec![GRID * BD]);
+    assert_eq!(sum, vec![input.iter().sum::<u32>()]);
+    for mask in 0..8u32 {
+        let (race, san, lint) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
+        let (stats, o, h, s) = run(race, san, lint);
+        let what = format!("race={race} san={san} lint={lint}");
+        assert_eq!((&o, &h, &s), (&out, &hits, &sum), "{what}");
+        assert_eq!(stats.kernel_cycles, base.kernel_cycles, "{what}");
+        assert_eq!(stats.total_block_cycles, base.total_block_cycles, "{what}");
+        assert_eq!(stats.lint.is_some(), lint, "{what}");
+        let c = stats.counters;
+        assert_eq!(c.race_checks, if race { race_checks } else { 0 }, "{what}");
+        assert_eq!(c.races_detected, 0, "{what}");
+        assert_eq!(
+            c.sanitizer_checks,
+            if san { sanitizer_checks } else { 0 },
+            "{what}"
+        );
+        assert_eq!(c.sanitizer_reports, 0, "{what}");
+        assert_eq!(c.lint_checks, if lint { lint_checks } else { 0 }, "{what}");
+        let unchecked = ProfileCounters {
+            race_checks: 0,
+            sanitizer_checks: 0,
+            lint_checks: 0,
+            ..c
+        };
+        assert_eq!(unchecked, base.counters, "{what}");
     }
 }
