@@ -132,10 +132,13 @@ pub(crate) struct FusedSink<'a> {
     cost: CostModel,
     counters: ProfileCounters,
     cycles: u64,
+    /// Counters of the warps replayed so far this phase.
+    phase_counters: ProfileCounters,
     /// Max replay cycles over the warps seen so far this phase.
     phase_cycles: u64,
     /// SimLint performance observer (`Some` when the device enables
-    /// lints): fed per replay slot, phase-advanced at the barrier.
+    /// lints): shown every replayed slot, handed each phase's counters
+    /// at the barrier.
     lint: Option<&'a mut LintObserver>,
 }
 
@@ -152,6 +155,7 @@ impl<'a> FusedSink<'a> {
             cost,
             counters: ProfileCounters::default(),
             cycles: 0,
+            phase_counters: ProfileCounters::default(),
             phase_cycles: 0,
             lint,
         }
@@ -174,7 +178,7 @@ impl<'a> FusedSink<'a> {
             self.lint.as_deref_mut(),
         );
         self.phase_cycles = self.phase_cycles.max(cycles);
-        self.counters += counters;
+        self.phase_counters += counters;
         for t in self.traces.iter_mut() {
             t.clear();
         }
@@ -182,15 +186,15 @@ impl<'a> FusedSink<'a> {
 
     /// Block-wide barrier: the phase is over. Folds the phase's cycle
     /// cost (max over the block's warps — they run concurrently, the
-    /// barrier waits for the slowest) into the block total.
+    /// barrier waits for the slowest) and its counters into the block
+    /// totals, and hands the same counters to the lint observer.
     fn end_phase(&mut self) {
         self.cycles += self.phase_cycles;
         self.phase_cycles = 0;
+        let phase = std::mem::take(&mut self.phase_counters);
+        self.counters += phase;
         if let Some(obs) = self.lint.as_deref_mut() {
-            obs.end_phase(
-                self.counters.issued_slots,
-                self.counters.active_thread_slots,
-            );
+            obs.end_phase(&phase);
         }
     }
 
@@ -816,7 +820,8 @@ where
         c.fold_into(&mut counters);
     }
     if let (Some(acc), Some(obs)) = (lint_acc, lint_obs) {
-        counters.lint_checks += obs.checks;
+        // The observer saw every memory slot the replay issued.
+        counters.lint_checks += counters.issued_slots - counters.compute_slots;
         // The lock is held only for the fold, which never panics on
         // valid observers; a poisoned lock is a simulator bug.
         acc.lock()
@@ -1145,7 +1150,7 @@ fn bank_conflict_ways(addrs: &mut [u64]) -> u64 {
 /// lists; the single-active-lane drain knows them up front (one lane
 /// touches one sector, one bank, one address).
 #[derive(Clone, Copy)]
-enum Slot {
+pub(crate) enum Slot {
     /// `(steps)`: consecutive compute instructions (one batched run).
     Compute(u64),
     /// `(sectors, misses)`: distinct sectors addressed, and how many of
@@ -1189,7 +1194,6 @@ impl WarpTally<'_, '_> {
         };
         c.issued_slots += steps;
         c.active_thread_slots += steps * active;
-        let obs = self.lint.as_deref_mut();
         match slot {
             Slot::Compute(steps) => {
                 c.compute_slots += steps;
@@ -1203,17 +1207,11 @@ impl WarpTally<'_, '_> {
                 c.gld_transactions += sectors;
                 c.dram_load_sectors += misses;
                 self.cycles += cost.global_load_slot(sectors, misses);
-                if let Some(obs) = obs {
-                    obs.global_load(sectors, site);
-                }
             }
             Slot::GStore(sectors) => {
                 c.global_store_requests += 1;
                 c.gst_transactions += sectors;
                 self.cycles += cost.global_slot(sectors);
-                if let Some(obs) = obs {
-                    obs.global_store(sectors, site);
-                }
             }
             Slot::GAtomic(depth, sectors) => {
                 // Atomics are resolved in L2 but still move their sectors
@@ -1223,9 +1221,6 @@ impl WarpTally<'_, '_> {
                 c.global_atomic_requests += 1;
                 c.dram_atomic_sectors += sectors;
                 self.cycles += cost.global_atomic_slot(depth);
-                if let Some(obs) = obs {
-                    obs.global_atomic(depth, site);
-                }
             }
             Slot::SLoad(ways) | Slot::SStore(ways) => {
                 if matches!(slot, Slot::SLoad(_)) {
@@ -1234,17 +1229,14 @@ impl WarpTally<'_, '_> {
                     c.shared_store_requests += 1;
                 }
                 self.cycles += cost.shared_slot(ways);
-                if let Some(obs) = obs {
-                    obs.shared_access(ways, site);
-                }
             }
             Slot::SAtomic(depth) => {
                 c.shared_atomic_requests += 1;
                 self.cycles += cost.shared_atomic_slot(depth);
-                if let Some(obs) = obs {
-                    obs.shared_atomic(depth, site);
-                }
             }
+        }
+        if let Some(obs) = self.lint.as_deref_mut() {
+            obs.observe(slot, site);
         }
     }
 }

@@ -17,27 +17,31 @@
 //!   the rule is **fatal**: the block is poisoned with
 //!   [`SimError::BarrierDivergence`], analogous to
 //!   [`SimError::DataRace`](crate::SimError::DataRace).
-//! * **Performance lints** ([`LintObserver`]) — advisory findings fed
-//!   by the fused replay stream: uncoalesced global access (sustained
-//!   transactions/request above a rule threshold), shared-memory
-//!   bank-conflict hotspots (per-phase conflict-way histogram using the
-//!   same bank model `cost.rs` charges for), atomic contention
-//!   (same-address serialization depth within a warp) and low-occupancy
-//!   phases (active vs issued thread slots). These never fail a launch
-//!   — they are the paper's "why this kernel loses" profiler narrative
-//!   turned into structured, pinned diagnostics — and surface as a
-//!   [`LintReport`] attached to
+//! * **Performance lints** ([`LintObserver`]) — advisory findings read
+//!   off the replay: the paper's profiler metrics taken per barrier
+//!   phase. Uncoalesced global access and low-occupancy phases are
+//!   thresholds on each phase's [`ProfileCounters`]
+//!   (`gld_transactions_per_request()`, `gst_transactions_per_request()`,
+//!   `warp_execution_efficiency()`). Shared-memory bank conflicts and
+//!   atomic contention are thresholds on the phase's worst slot of each
+//!   kind, which the observer keeps as a witness together with the
+//!   conflict-way histogram (the same bank model `cost.rs` charges
+//!   for). These never fail a launch — they are the paper's "why this
+//!   kernel loses" profiler narrative turned into structured, pinned
+//!   diagnostics — and surface as a [`LintReport`] attached to
 //!   [`LaunchStats`](crate::LaunchStats).
 //!
 //! Like the race detector and SimSan, SimLint is off by default
 //! (enabled per device by [`Device::with_lints`](crate::Device::with_lints)) and is
-//! zero-perturbation: observers only *read* values the replay already
-//! computed, so counters and cycles are byte-identical lints-on vs
-//! lints-off.
+//! zero-perturbation: the observer only *reads* values the replay
+//! already computed, so counters and cycles are byte-identical lints-on
+//! vs lints-off.
 
 use std::fmt;
 
+use crate::counters::ProfileCounters;
 use crate::error::SimError;
+use crate::exec::Slot;
 use crate::mem::DeviceMem;
 use crate::WARP_SIZE;
 
@@ -328,197 +332,131 @@ impl BarrierLint {
 // Performance-lint observer (replay side, per block, merged per launch)
 // ---------------------------------------------------------------------
 
-/// Per-site aggregate: one entry per (phase, access kind). `units` is
-/// the rule's serialization measure — sectors per load/store slot,
-/// conflict ways per shared slot, collision depth per atomic slot.
+/// The slot kinds a witness is kept for, as indices into
+/// [`PhaseObs::worst`]. Shared loads and stores share one witness: both
+/// are measured in bank-conflict ways.
+const GLD: usize = 0;
+const GST: usize = 1;
+const GATOM: usize = 2;
+const SHARED: usize = 3;
+const SATOM: usize = 4;
+
+/// The worst single slot of one kind: its serialization measure
+/// (sectors per load/store slot, conflict ways per shared slot,
+/// collision depth per atomic slot), a representative address of that
+/// slot for attribution in the report, and the block that supplied it.
 #[derive(Debug, Clone, Copy, Default)]
-struct SiteAgg {
-    requests: u64,
-    units: u64,
-    /// Worst single-slot value, with a representative address of that
-    /// slot for buffer attribution in the report.
+struct Witness {
     worst: u64,
-    worst_site: u64,
-    /// Block that supplied the `worst` witness (set by [`SiteAgg::fold`];
-    /// meaningless while `worst` is 0).
-    worst_block: u32,
+    site: u64,
+    /// Set by [`Witness::fold`]; meaningless while `worst` is 0.
+    block: u32,
 }
 
-impl SiteAgg {
+impl Witness {
     #[inline]
-    fn record(&mut self, units: u64, site: u64) {
-        self.requests += 1;
-        self.units += units;
-        if units > self.worst {
-            self.worst = units;
-            self.worst_site = site;
+    fn see(&mut self, value: u64, site: u64) {
+        if value > self.worst {
+            self.worst = value;
+            self.site = site;
         }
     }
 
-    /// Fold block `block`'s aggregate in. The sums commute, and the
-    /// witness is the maximum of `(worst, lowest block index)`, so any
-    /// fold order yields the same aggregate.
-    fn fold(&mut self, o: &SiteAgg, block: u32) {
-        self.requests += o.requests;
-        self.units += o.units;
-        if o.worst > self.worst
-            || (o.worst == self.worst && o.worst > 0 && block < self.worst_block)
-        {
-            self.worst = o.worst;
-            self.worst_site = o.worst_site;
-            self.worst_block = block;
+    /// Keep the larger witness; a tie goes to the lower block index, so
+    /// any fold order yields the same witness.
+    fn fold(&mut self, o: &Witness, block: u32) {
+        if o.worst > self.worst || (o.worst == self.worst && o.worst > 0 && block < self.block) {
+            *self = Witness { block, ..*o };
         }
     }
 }
 
-/// One phase's aggregates.
-#[derive(Debug, Clone)]
-struct PhaseAgg {
-    gld: SiteAgg,
-    gst: SiteAgg,
-    gatom: SiteAgg,
-    satom: SiteAgg,
-    /// Shared loads+stores; `units`/`worst` carry bank-conflict ways.
-    shared: SiteAgg,
+/// One phase: the replay's own [`ProfileCounters`] for it, plus what
+/// the counters cannot give.
+#[derive(Debug, Clone, Default)]
+struct PhaseObs {
+    counters: ProfileCounters,
+    worst: [Witness; 5],
     /// Conflict-way histogram over the phase's shared slots
-    /// (`bank_hist[w]` = slots that serialized w ways), same bank model
-    /// the cost charges.
-    bank_hist: [u64; WARP_SIZE + 1],
-    issued: u64,
-    active: u64,
+    /// (`bank_hist[w - 1]` = slots that serialized w ways), same bank
+    /// model the cost charges.
+    bank_hist: [u64; WARP_SIZE],
 }
 
-impl Default for PhaseAgg {
-    fn default() -> Self {
-        PhaseAgg {
-            gld: SiteAgg::default(),
-            gst: SiteAgg::default(),
-            gatom: SiteAgg::default(),
-            satom: SiteAgg::default(),
-            shared: SiteAgg::default(),
-            bank_hist: [0; WARP_SIZE + 1],
-            issued: 0,
-            active: 0,
+impl PhaseObs {
+    fn fold(&mut self, o: &PhaseObs, block: u32) {
+        self.counters += o.counters;
+        for (w, ow) in self.worst.iter_mut().zip(&o.worst) {
+            w.fold(ow, block);
         }
-    }
-}
-
-impl PhaseAgg {
-    fn fold(&mut self, o: &PhaseAgg, block: u32) {
-        self.gld.fold(&o.gld, block);
-        self.gst.fold(&o.gst, block);
-        self.gatom.fold(&o.gatom, block);
-        self.satom.fold(&o.satom, block);
-        self.shared.fold(&o.shared, block);
         for (h, &oh) in self.bank_hist.iter_mut().zip(&o.bank_hist) {
             *h += oh;
         }
-        self.issued += o.issued;
-        self.active += o.active;
     }
 }
 
 /// The replay-side collector, in two roles. Each rayon worker keeps one
-/// per-block observer in its `BlockScratch`, fed by the replay's slot
-/// passes as each warp is replayed and [`reset`](Self::reset) between
-/// blocks. As each block finishes, `run_block` folds it into the one
-/// launch-level accumulator `Device::launch` owns, which is rendered
-/// into a [`LintReport`] once the grid is done. Live aggregates are
-/// therefore O(workers × phases), not O(blocks × phases).
+/// per-block observer in its `BlockScratch`: `WarpTally::charge` shows
+/// it every slot it charges, and `FusedSink` hands it each phase's
+/// counters at the barrier. As each block finishes, `run_block` folds
+/// it into the one launch-level accumulator `Device::launch` owns,
+/// which is rendered into a [`LintReport`] once the grid is done. Live
+/// observations are therefore O(workers × phases), not O(blocks ×
+/// phases).
 ///
 /// Observation is read-only over values the replay already computed
-/// (sector counts, conflict ways, collision depth, slot totals): the
-/// zero-perturbation guarantee is structural, not aspirational.
+/// (the slot's measures, the phase's counters): the zero-perturbation
+/// guarantee is structural, not aspirational.
 #[derive(Default)]
 pub(crate) struct LintObserver {
-    /// 0-based index of the phase currently being replayed.
-    cur: usize,
-    phases: Vec<PhaseAgg>,
-    last_issued: u64,
-    last_active: u64,
-    pub(crate) checks: u64,
+    /// The phase being replayed; pushed onto `phases` at its barrier.
+    cur: PhaseObs,
+    phases: Vec<PhaseObs>,
 }
 
 impl LintObserver {
-    /// Start a new block: no phases observed, running totals at zero.
-    /// The phase table keeps its capacity across the blocks of a worker.
+    /// Start a new block: no phases observed. The phase table keeps its
+    /// capacity across the blocks of a worker.
     pub(crate) fn reset(&mut self) -> &mut Self {
-        self.cur = 0;
+        self.cur = PhaseObs::default();
         self.phases.clear();
-        self.last_issued = 0;
-        self.last_active = 0;
-        self.checks = 0;
         self
     }
 
+    /// One charged slot; `site` is its representative address (see
+    /// `WarpTally::charge`). Compute slots carry nothing to witness.
     #[inline]
-    fn cur_mut(&mut self) -> &mut PhaseAgg {
-        while self.phases.len() <= self.cur {
-            self.phases.push(PhaseAgg::default());
-        }
-        &mut self.phases[self.cur]
+    pub(crate) fn observe(&mut self, slot: Slot, site: u64) {
+        let p = &mut self.cur;
+        let (kind, value) = match slot {
+            Slot::Compute(_) => return,
+            Slot::GLoad(sectors, _) => (GLD, sectors),
+            Slot::GStore(sectors) => (GST, sectors),
+            Slot::GAtomic(depth, _) => (GATOM, depth),
+            Slot::SLoad(ways) | Slot::SStore(ways) => {
+                p.bank_hist[(ways as usize).clamp(1, WARP_SIZE) - 1] += 1;
+                (SHARED, ways)
+            }
+            Slot::SAtomic(depth) => (SATOM, depth),
+        };
+        p.worst[kind].see(value, site);
     }
 
-    /// One global-load slot touching `transactions` distinct sectors;
-    /// `site` is a representative byte address of the slot.
-    #[inline]
-    pub(crate) fn global_load(&mut self, transactions: u64, site: u64) {
-        self.checks += 1;
-        self.cur_mut().gld.record(transactions, site);
+    /// Close the phase the replay charged `counters` to.
+    pub(crate) fn end_phase(&mut self, counters: &ProfileCounters) {
+        self.cur.counters = *counters;
+        self.phases.push(std::mem::take(&mut self.cur));
     }
 
-    #[inline]
-    pub(crate) fn global_store(&mut self, transactions: u64, site: u64) {
-        self.checks += 1;
-        self.cur_mut().gst.record(transactions, site);
-    }
-
-    /// One global-atomic slot with worst same-address depth `depth`.
-    #[inline]
-    pub(crate) fn global_atomic(&mut self, depth: u64, site: u64) {
-        self.checks += 1;
-        self.cur_mut().gatom.record(depth, site);
-    }
-
-    /// One shared load/store slot with `ways`-way bank serialization;
-    /// `site` is a representative word index.
-    #[inline]
-    pub(crate) fn shared_access(&mut self, ways: u64, site: u64) {
-        self.checks += 1;
-        let p = self.cur_mut();
-        p.shared.record(ways, site);
-        p.bank_hist[(ways as usize).min(WARP_SIZE)] += 1;
-    }
-
-    #[inline]
-    pub(crate) fn shared_atomic(&mut self, depth: u64, site: u64) {
-        self.checks += 1;
-        self.cur_mut().satom.record(depth, site);
-    }
-
-    /// Close the phase, attributing the slot-count delta since the last
-    /// close (the sinks pass their running totals) to it.
-    pub(crate) fn end_phase(&mut self, issued_total: u64, active_total: u64) {
-        let di = issued_total - self.last_issued;
-        let da = active_total - self.last_active;
-        self.last_issued = issued_total;
-        self.last_active = active_total;
-        let p = self.cur_mut();
-        p.issued += di;
-        p.active += da;
-        self.cur += 1;
-    }
-
-    /// Fold block `block`'s observations in, phase-wise. Every field is
-    /// a commutative sum except the worst-slot witnesses, where a tie
-    /// goes to the lowest block index; blocks may therefore arrive in
-    /// any order (as rayon finishes them) and the merged aggregates —
-    /// and the report built from them — are identical.
+    /// Fold block `block`'s observations in, phase-wise. Counters and
+    /// histograms are commutative sums and witnesses break ties toward
+    /// the lowest block index, so blocks may arrive in any order (as
+    /// rayon finishes them) and the merged observations — and the
+    /// report built from them — are identical.
     pub(crate) fn fold(&mut self, other: &LintObserver, block: u32) {
-        self.checks += other.checks;
         if self.phases.len() < other.phases.len() {
             self.phases
-                .resize_with(other.phases.len(), PhaseAgg::default);
+                .resize_with(other.phases.len(), PhaseObs::default);
         }
         for (p, o) in self.phases.iter_mut().zip(&other.phases) {
             p.fold(o, block);
@@ -526,95 +464,108 @@ impl LintObserver {
     }
 }
 
-/// Render the merged observations into the launch's [`LintReport`],
-/// resolving representative addresses to buffer names through the live
-/// allocation table.
+/// Render the merged observations into the launch's [`LintReport`]:
+/// each rule reads the paper's metric off one phase's counters and
+/// names the phase's witness slot, resolving representative addresses
+/// to buffer names through the live allocation table.
 pub(crate) fn build_report(obs: &LintObserver, mem: &DeviceMem) -> LintReport {
     let mut diags = Vec::new();
+    let mut push = |rule, pc_hint, detail| {
+        diags.push(Diag {
+            rule,
+            block: None,
+            lanes: None,
+            pc_hint,
+            detail,
+        })
+    };
     for (i, p) in obs.phases.iter().enumerate() {
         let phase = (i + 1) as u64;
-        for (agg, what) in [(&p.gld, "load"), (&p.gst, "store")] {
-            if agg.requests >= UNCOALESCED_MIN_REQUESTS {
-                let tpr = agg.units as f64 / agg.requests as f64;
-                if tpr >= UNCOALESCED_TRANSACTIONS_PER_REQUEST {
-                    diags.push(Diag {
-                        rule: LintRule::UncoalescedGlobal,
-                        block: None,
-                        lanes: None,
-                        pc_hint: global_site(mem, phase, agg.worst_site),
-                        detail: format!(
-                            "global {what}s average {tpr:.1} transactions/request over {} \
-                             requests (worst slot touched {} sectors)",
-                            agg.requests, agg.worst
-                        ),
-                    });
-                }
+        let c = &p.counters;
+        for (requests, tpr, w, what) in [
+            (
+                c.global_load_requests,
+                c.gld_transactions_per_request(),
+                &p.worst[GLD],
+                "load",
+            ),
+            (
+                c.global_store_requests,
+                c.gst_transactions_per_request(),
+                &p.worst[GST],
+                "store",
+            ),
+        ] {
+            if requests >= UNCOALESCED_MIN_REQUESTS && tpr >= UNCOALESCED_TRANSACTIONS_PER_REQUEST {
+                push(
+                    LintRule::UncoalescedGlobal,
+                    global_site(mem, phase, w.site),
+                    format!(
+                        "global {what}s average {tpr:.1} transactions/request over {requests} \
+                         requests (worst slot touched {} sectors)",
+                        w.worst
+                    ),
+                );
             }
         }
-        if p.shared.worst >= BANK_CONFLICT_WAYS {
-            diags.push(Diag {
-                rule: LintRule::BankConflict,
-                block: None,
-                lanes: None,
-                pc_hint: SourceLoc::Shared {
-                    phase,
-                    idx: p.shared.worst_site as usize,
-                }
-                .to_string(),
-                detail: format!(
+        let shared = &p.worst[SHARED];
+        if shared.worst >= BANK_CONFLICT_WAYS {
+            push(
+                LintRule::BankConflict,
+                shared_site(phase, shared.site),
+                format!(
                     "shared-memory slots serialize up to {}-way across banks; \
                      conflict-way histogram: {}",
-                    p.shared.worst,
+                    shared.worst,
                     render_hist(&p.bank_hist)
                 ),
-            });
+            );
         }
-        for (agg, shared) in [(&p.gatom, false), (&p.satom, true)] {
-            if agg.worst >= ATOMIC_CONTENTION_DEPTH {
-                let pc_hint = if shared {
-                    SourceLoc::Shared {
-                        phase,
-                        idx: agg.worst_site as usize,
-                    }
-                    .to_string()
+        for (requests, w, space) in [
+            (c.global_atomic_requests, &p.worst[GATOM], "global"),
+            (c.shared_atomic_requests, &p.worst[SATOM], "shared"),
+        ] {
+            if w.worst >= ATOMIC_CONTENTION_DEPTH {
+                let pc_hint = if space == "shared" {
+                    shared_site(phase, w.site)
                 } else {
-                    global_site(mem, phase, agg.worst_site)
+                    global_site(mem, phase, w.site)
                 };
-                diags.push(Diag {
-                    rule: LintRule::AtomicContention,
-                    block: None,
-                    lanes: None,
+                push(
+                    LintRule::AtomicContention,
                     pc_hint,
-                    detail: format!(
-                        "{} atomics serialize up to {}-deep on a single address \
-                         ({} requests)",
-                        if shared { "shared" } else { "global" },
-                        agg.worst,
-                        agg.requests
+                    format!(
+                        "{space} atomics serialize up to {}-deep on a single address \
+                         ({requests} requests)",
+                        w.worst
                     ),
-                });
+                );
             }
         }
-        if p.issued >= LOW_OCCUPANCY_MIN_SLOTS {
-            let eff = p.active as f64 / (p.issued as f64 * WARP_SIZE as f64);
-            if eff < LOW_OCCUPANCY_EFFICIENCY {
-                diags.push(Diag {
-                    rule: LintRule::LowOccupancy,
-                    block: None,
-                    lanes: None,
-                    pc_hint: SourceLoc::Phase { phase }.to_string(),
-                    detail: format!(
-                        "warp execution efficiency {eff:.2} ({} active thread-slots \
-                         over {} issued slots)",
-                        p.active, p.issued
-                    ),
-                });
-            }
+        let eff = c.warp_execution_efficiency();
+        if c.issued_slots >= LOW_OCCUPANCY_MIN_SLOTS && eff < LOW_OCCUPANCY_EFFICIENCY {
+            push(
+                LintRule::LowOccupancy,
+                SourceLoc::Phase { phase }.to_string(),
+                format!(
+                    "warp execution efficiency {eff:.2} ({} active thread-slots \
+                     over {} issued slots)",
+                    c.active_thread_slots, c.issued_slots
+                ),
+            );
         }
     }
     let mut report = LintReport { diags };
     report.normalize();
     report
+}
+
+fn shared_site(phase: u64, idx: u64) -> String {
+    SourceLoc::Shared {
+        phase,
+        idx: idx as usize,
+    }
+    .to_string()
 }
 
 fn global_site(mem: &DeviceMem, phase: u64, addr: u64) -> String {
@@ -627,12 +578,12 @@ fn global_site(mem: &DeviceMem, phase: u64, addr: u64) -> String {
 /// "2-way ×5, 8-way ×1" — non-zero histogram entries, ascending ways.
 fn render_hist(hist: &[u64]) -> String {
     let mut out = String::new();
-    for (ways, &n) in hist.iter().enumerate() {
+    for (i, &n) in hist.iter().enumerate() {
         if n > 0 {
             if !out.is_empty() {
                 out.push_str(", ");
             }
-            out.push_str(&format!("{ways}-way x{n}"));
+            out.push_str(&format!("{}-way x{n}", i + 1));
         }
     }
     out
@@ -765,24 +716,33 @@ mod tests {
         mem
     }
 
-    #[test]
-    fn report_flags_uncoalesced_loads_above_threshold_only() {
-        let mem = mem_with(64);
+    /// One phase of `n` full-warp load slots, each touching `sectors`
+    /// sectors at `site`.
+    fn load_phase(n: u64, sectors: u64, site: u64) -> LintObserver {
         let mut obs = LintObserver::default();
-        // 16 perfectly coalesced slots (4 sectors each): clean.
-        for _ in 0..16 {
-            obs.global_load(4, 16);
+        for _ in 0..n {
+            obs.observe(Slot::GLoad(sectors, sectors), site);
         }
-        obs.end_phase(16, 16 * 32);
-        assert!(build_report(&obs, &mem).is_clean());
+        obs.end_phase(&ProfileCounters {
+            global_load_requests: n,
+            gld_transactions: n * sectors,
+            issued_slots: n,
+            active_thread_slots: n * 32,
+            ..Default::default()
+        });
+        obs
+    }
+
+    #[test]
+    fn report_flags_uncoalesced_loads_past_the_threshold_and_request_floor() {
+        let mem = mem_with(64);
+        // 16 perfectly coalesced slots (4 sectors each): clean.
+        assert!(build_report(&load_phase(16, 4, 16), &mem).is_clean());
+        // Worst-possible coalescing, but only 3 requests: not a pattern.
+        assert!(build_report(&load_phase(3, 32, 0), &mem).is_clean());
         // 16 fully scattered slots (32 sectors each): flagged, with the
         // worst slot's address resolved to the owning buffer.
-        let mut obs = LintObserver::default();
-        for _ in 0..16 {
-            obs.global_load(32, 20);
-        }
-        obs.end_phase(16, 16 * 32);
-        let report = build_report(&obs, &mem);
+        let report = build_report(&load_phase(16, 32, 20), &mem);
         assert_eq!(report.count(LintRule::UncoalescedGlobal), 1);
         let d = &report.diags[0];
         assert!(
@@ -794,45 +754,34 @@ mod tests {
     }
 
     #[test]
-    fn report_needs_the_request_floor_before_flagging() {
-        let mem = mem_with(64);
-        let mut obs = LintObserver::default();
-        // Worst-possible coalescing, but only 3 requests: not a pattern.
-        for _ in 0..3 {
-            obs.global_load(32, 0);
-        }
-        obs.end_phase(3, 96);
-        assert!(build_report(&obs, &mem).is_clean());
-    }
-
-    #[test]
-    fn report_flags_bank_conflicts_with_histogram() {
-        let mem = mem_with(8);
-        let mut obs = LintObserver::default();
-        obs.shared_access(1, 0);
-        obs.shared_access(32, 5);
-        obs.end_phase(2, 64);
-        let report = build_report(&obs, &mem);
-        assert_eq!(report.count(LintRule::BankConflict), 1);
-        let d = &report.diags[0];
-        assert_eq!(d.pc_hint, "phase 1, shared[5]");
-        assert!(d.detail.contains("32-way"), "{}", d.detail);
-        assert!(
-            d.detail.contains("1-way x1, 32-way x1"),
-            "histogram: {}",
-            d.detail
-        );
-    }
-
-    #[test]
-    fn report_flags_atomic_contention_global_and_shared() {
+    fn report_names_each_witness_and_the_bank_histogram() {
         let mem = mem_with(16);
         let mut obs = LintObserver::default();
-        obs.global_atomic(32, 8);
-        obs.shared_atomic(9, 3);
-        obs.end_phase(2, 64);
+        obs.observe(Slot::SLoad(1), 0);
+        obs.observe(Slot::SStore(32), 5);
+        obs.observe(Slot::GAtomic(32, 1), 8);
+        obs.observe(Slot::SAtomic(9), 3);
+        obs.observe(Slot::Compute(7), 0);
+        obs.end_phase(&ProfileCounters {
+            shared_load_requests: 1,
+            shared_store_requests: 1,
+            global_atomic_requests: 1,
+            shared_atomic_requests: 1,
+            compute_slots: 7,
+            issued_slots: 11,
+            active_thread_slots: 11 * 32,
+            ..Default::default()
+        });
         let report = build_report(&obs, &mem);
+        assert_eq!(report.count(LintRule::BankConflict), 1);
         assert_eq!(report.count(LintRule::AtomicContention), 2);
+        let bank = &report.diags[0];
+        assert_eq!(bank.pc_hint, "phase 1, shared[5]");
+        assert!(
+            bank.detail.contains("1-way x1, 32-way x1"),
+            "histogram: {}",
+            bank.detail
+        );
         assert!(report.diags.iter().any(|d| d.pc_hint.contains("`probe`")));
         assert!(report.diags.iter().any(|d| d.pc_hint.contains("shared[3]")));
     }
@@ -840,64 +789,52 @@ mod tests {
     #[test]
     fn report_flags_low_occupancy_only_past_the_slot_floor() {
         let mem = mem_with(1);
+        let occupancy = |issued, active| {
+            let mut obs = LintObserver::default();
+            obs.end_phase(&ProfileCounters {
+                issued_slots: issued,
+                active_thread_slots: active,
+                ..Default::default()
+            });
+            build_report(&obs, &mem)
+        };
         // 1000 slots at 2 active lanes each: efficiency 2/32 < 0.25.
-        let mut obs = LintObserver::default();
-        obs.end_phase(1000, 2000);
-        let report = build_report(&obs, &mem);
+        let report = occupancy(1000, 2000);
         assert_eq!(report.count(LintRule::LowOccupancy), 1);
         assert!(report.diags[0].detail.contains("0.06"));
         // Same shape under the floor: too small to call a phase.
-        let mut obs = LintObserver::default();
-        obs.end_phase(100, 200);
-        assert!(build_report(&obs, &mem).is_clean());
+        assert!(occupancy(100, 200).is_clean());
         // Busy and efficient: clean.
-        let mut obs = LintObserver::default();
-        obs.end_phase(1000, 32_000);
-        assert!(build_report(&obs, &mem).is_clean());
-    }
-
-    #[test]
-    fn phase_attribution_survives_folding_blocks() {
-        let mem = mem_with(64);
-        let mut a = LintObserver::default();
-        for _ in 0..10 {
-            a.global_load(32, 16);
-        }
-        a.end_phase(10, 320);
-        let mut b = LintObserver::default();
-        for _ in 0..10 {
-            b.global_load(32, 16);
-        }
-        b.end_phase(10, 320);
-        let mut acc = LintObserver::default();
-        acc.fold(&a, 0);
-        acc.fold(&b, 1);
-        let report = build_report(&acc, &mem);
-        // 20 requests across two blocks of the same phase: one finding.
-        assert_eq!(report.count(LintRule::UncoalescedGlobal), 1);
-        assert!(report.diags[0].detail.contains("20 requests"));
-        assert_eq!(acc.checks, 20);
+        assert!(occupancy(1000, 32_000).is_clean());
     }
 
     /// Block `b` of a synthetic launch: `1 + b % 3` phases, each with
-    /// the same worst value on every site at a block-specific address
+    /// the same worst value on every kind at a block-specific address
     /// (odd blocks reach a deeper bank conflict), so only the
     /// lowest-block tie-break decides the witnesses.
     fn tied_block_observer(b: u32) -> LintObserver {
         let site = 256 * (b as u64 + 1);
         let mut obs = LintObserver::default();
-        let (mut issued, mut active) = (0, 0);
         for _ in 0..1 + b % 3 {
             for _ in 0..8 {
-                obs.global_load(16, site);
-                obs.global_store(12, site + 4);
-                obs.global_atomic(9, site + 8);
+                obs.observe(Slot::GLoad(16, 0), site);
+                obs.observe(Slot::GStore(12), site + 4);
+                obs.observe(Slot::GAtomic(9, 1), site + 8);
             }
-            obs.shared_access(8 + (b as u64 % 2) * 8, b as u64);
-            obs.shared_atomic(10, b as u64 + 1);
-            issued += 300;
-            active += 300 + 100 * b as u64;
-            obs.end_phase(issued, active);
+            obs.observe(Slot::SLoad(8 + (b as u64 % 2) * 8), b as u64);
+            obs.observe(Slot::SAtomic(10), b as u64 + 1);
+            obs.end_phase(&ProfileCounters {
+                global_load_requests: 8,
+                gld_transactions: 8 * 16,
+                global_store_requests: 8,
+                gst_transactions: 8 * 12,
+                global_atomic_requests: 8,
+                shared_load_requests: 1,
+                shared_atomic_requests: 1,
+                issued_slots: 300,
+                active_thread_slots: 300 + 100 * b as u64,
+                ..Default::default()
+            });
         }
         obs
     }
@@ -911,13 +848,11 @@ mod tests {
             for b in order {
                 acc.fold(&blocks[b as usize], b);
             }
-            (acc.checks, build_report(&acc, &mem))
+            build_report(&acc, &mem)
         };
-        let forward = fold_in([0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(forward, fold_in([7, 6, 5, 4, 3, 2, 1, 0]));
-        assert_eq!(forward, fold_in([5, 2, 7, 0, 3, 6, 1, 4]));
-        let (checks, report) = forward;
-        assert_eq!(checks, blocks.iter().map(|o| o.checks).sum::<u64>());
+        let report = fold_in([0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(report, fold_in([7, 6, 5, 4, 3, 2, 1, 0]));
+        assert_eq!(report, fold_in([5, 2, 7, 0, 3, 6, 1, 4]));
         // Phase p runs blocks {b : b % 3 >= p - 1}; each witness is the
         // lowest such block with the phase's worst value.
         let mut expected = Vec::new();
@@ -957,12 +892,7 @@ mod tests {
     fn unresolvable_addresses_fall_back_to_raw_hex() {
         let dev = crate::Device::v100();
         let mem = DeviceMem::new(&dev);
-        let mut obs = LintObserver::default();
-        for _ in 0..16 {
-            obs.global_load(32, 0xdead_0000);
-        }
-        obs.end_phase(16, 512);
-        let report = build_report(&obs, &mem);
+        let report = build_report(&load_phase(16, 32, 0xdead_0000), &mem);
         assert!(
             report.diags[0]
                 .pc_hint

@@ -4,12 +4,10 @@
 //! placed into **six bins** by estimated intersection workload; edges in
 //! bin *n* get `2^n` cooperating threads (capped at a warp). Fox chooses
 //! between merging and binary search per edge; following the paper's
-//! program configuration, the *registry* benchmarks the binary-search
-//! variant (it beats the merge variant on most datasets), but all three
-//! strategies — [`FoxStrategy::BinSearch`], [`FoxStrategy::Merge`]
-//! (Green-style merge path within the group) and the cost-model-driven
-//! [`FoxStrategy::Adaptive`] the paper describes — are implemented and
-//! tested.
+//! program configuration ("the intersection method based on Bin-Search
+//! is faster ... in most cases"), this kernel binary-searches every
+//! edge: each lane of a group takes keys of the shorter list and
+//! searches the longer one.
 //!
 //! The binning equalizes work *within* a warp (workload variation under
 //! 2x → high warp execution efficiency), but the edges of a bin are
@@ -17,51 +15,19 @@
 //! share no locality — the low memory-access efficiency the paper's
 //! Figure 13(b) shows.
 
-use gpu_sim::{Device, DeviceMem, KernelConfig, LaneCtx, LaunchStats, SimError};
+use gpu_sim::{Device, DeviceMem, KernelConfig, LaunchStats, SimError};
 use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
-use crate::util::{bsearch_global, diagonal_search, warp_reduce_add};
+use crate::util::{bsearch_global, warp_reduce_add};
 
 const BLOCK_DIM: u32 = 256;
 const NUM_BINS: usize = 6;
 
-/// Which intersection path the kernel takes per edge.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum FoxStrategy {
-    /// Binary search for every edge (the configuration the paper
-    /// benchmarks: "the intersection method based on Bin-Search is
-    /// faster ... in most cases").
-    #[default]
-    BinSearch,
-    /// Merge path for every edge (Fox degenerates to Green).
-    Merge,
-    /// Per-edge choice by the paper's workload estimates:
-    /// merge costs `d(u) + d(v)`, binary search
-    /// `min(d) * log2(max(d))` — take the cheaper.
-    Adaptive,
-}
-
-/// The Fox algorithm.
+/// The Fox algorithm, binary-search configuration.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Fox {
-    pub strategy: FoxStrategy,
-}
-
-impl Fox {
-    pub fn merge() -> Self {
-        Fox {
-            strategy: FoxStrategy::Merge,
-        }
-    }
-
-    pub fn adaptive() -> Self {
-        Fox {
-            strategy: FoxStrategy::Adaptive,
-        }
-    }
-}
+pub struct Fox;
 
 /// Estimated binary-search workload of an edge: each key of the shorter
 /// list costs one descent of the longer one.
@@ -69,11 +35,6 @@ fn bsearch_workload(du: u32, dv: u32) -> u64 {
     let small = du.min(dv) as u64;
     let large = du.max(dv).max(1) as u64;
     small * (64 - large.leading_zeros() as u64)
-}
-
-/// Estimated merge workload: one linear pass over both lists.
-fn merge_workload(du: u32, dv: u32) -> u64 {
-    du as u64 + dv as u64
 }
 
 /// Bin index for a workload: exponentially increasing thresholds; bin n
@@ -109,18 +70,13 @@ impl TcAlgorithm for Fox {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         // Host prepass: bin this device's edge range by estimated
-        // workload under the chosen strategy. The bins carry global edge
-        // ids, so the kernel itself is partition-agnostic.
+        // binary-search workload. The bins carry global edge ids, so the
+        // kernel itself is partition-agnostic.
         let mut bins: [Vec<u32>; NUM_BINS] = Default::default();
         for e in g.edge_lo..g.edge_hi {
             let du = g.host_out_degree(g.host_src[e as usize]);
             let dv = g.host_out_degree(g.host_dst[e as usize]);
-            let work = match self.strategy {
-                FoxStrategy::BinSearch => bsearch_workload(du, dv),
-                FoxStrategy::Merge => merge_workload(du, dv),
-                FoxStrategy::Adaptive => bsearch_workload(du, dv).min(merge_workload(du, dv)),
-            };
-            bins[bin_of(work)].push(e);
+            bins[bin_of(bsearch_workload(du, dv))].push(e);
         }
 
         let counter = mem.alloc_zeroed(1, "fox.counter")?;
@@ -130,16 +86,7 @@ impl TcAlgorithm for Fox {
                 continue;
             }
             let edge_ids = mem.alloc_from_slice(bin, "fox.bin_edges")?;
-            stats += launch_bin(
-                dev,
-                mem,
-                g,
-                edge_ids,
-                bin.len() as u32,
-                1 << n,
-                counter,
-                self.strategy,
-            )?;
+            stats += launch_bin(dev, mem, g, edge_ids, bin.len() as u32, 1 << n, counter)?;
             mem.free(edge_ids)?;
         }
 
@@ -148,9 +95,12 @@ impl TcAlgorithm for Fox {
         Ok(TcOutput { triangles, stats })
     }
 
-    /// Host kernel: the same per-edge merge-vs-binary-search workload
-    /// estimate as the GPU binning prepass, minus the bins (rayon
-    /// schedules; the bins only exist to match thread groups to work).
+    /// Host kernel: Fox's per-edge choice between merge and binary
+    /// search, taking whichever the workload estimates rate cheaper
+    /// (merge costs `d(u) + d(v)`, binary search `min(d) * log2(max(d))`).
+    /// The GPU kernel always binary-searches, and bins edges by
+    /// the binary-search estimate alone; rayon schedules here, so no
+    /// bins are needed.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
         cpu_ref::forward_parallel(dag, |a, b| {
             let (du, dv) = (a.len() as u32, b.len() as u32);
@@ -167,61 +117,8 @@ impl TcAlgorithm for Fox {
     }
 }
 
-/// Merge-path intersection of one edge across `group_size` lanes (the
-/// Green kernel structure at group granularity). Returns this lane's
-/// match count for its merge-path segment.
-#[allow(clippy::too_many_arguments)]
-fn merge_path_count(
-    lane: &mut LaneCtx,
-    g: &DeviceGraph,
-    a_base: u32,
-    an: u32,
-    b_base: u32,
-    bn: u32,
-    lane_in_group: u32,
-    group_size: u32,
-) -> u32 {
-    let total = an + bn;
-    if total == 0 {
-        return 0;
-    }
-    let d0 = (total * lane_in_group) / group_size;
-    let d1 = (total * (lane_in_group + 1)) / group_size;
-    if d1 <= d0 {
-        return 0;
-    }
-    let i0 = diagonal_search(lane, g.col_indices, a_base, an, b_base, bn, d0);
-    let j0 = d0 - i0;
-    let (mut i, mut j) = (i0, j0);
-    let mut steps = d1 - d0;
-    let mut local = 0u32;
-    while steps > 0 && i < an && j < bn {
-        let av = lane.ld_global(g.col_indices, (a_base + i) as usize);
-        let bv = lane.ld_global(g.col_indices, (b_base + j) as usize);
-        lane.compute(1);
-        match av.cmp(&bv) {
-            std::cmp::Ordering::Equal => {
-                local += 1;
-                i += 1;
-                j += 1;
-                steps = steps.saturating_sub(2);
-            }
-            std::cmp::Ordering::Less => {
-                i += 1;
-                steps -= 1;
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                steps -= 1;
-            }
-        }
-    }
-    local
-}
-
 /// One kernel per bin: groups of `group_size` lanes, each processing one
 /// (scattered) edge of the bin at a time.
-#[allow(clippy::too_many_arguments)]
 fn launch_bin(
     dev: &Device,
     mem: &DeviceMem,
@@ -230,7 +127,6 @@ fn launch_bin(
     n_edges: u32,
     group_size: u32,
     counter: gpu_sim::BufId,
-    strategy: FoxStrategy,
 ) -> Result<LaunchStats, SimError> {
     let groups_per_block = BLOCK_DIM / group_size;
     let grid = (4 * dev.config().num_sms).min(n_edges.div_ceil(groups_per_block).max(1));
@@ -252,37 +148,19 @@ fn launch_bin(
                 let v_end = lane.ld_global(g.row_offsets, v as usize + 1);
                 let (un, vn) = (u_end - u_base, v_end - v_base);
                 lane.compute(1);
-                let use_merge = match strategy {
-                    FoxStrategy::BinSearch => false,
-                    FoxStrategy::Merge => true,
-                    FoxStrategy::Adaptive => merge_workload(un, vn) < bsearch_workload(un, vn),
-                };
-                if use_merge {
-                    local += merge_path_count(
-                        lane,
-                        g,
-                        u_base,
-                        un,
-                        v_base,
-                        vn,
-                        lane_in_group,
-                        group_size,
-                    );
+                // Keys from the shorter list, search the longer.
+                let (k_base, kn, t_base, t_end) = if un <= vn {
+                    (u_base, un, v_base, v_end)
                 } else {
-                    // Keys from the shorter list, search the longer.
-                    let (k_base, kn, t_base, t_end) = if un <= vn {
-                        (u_base, un, v_base, v_end)
-                    } else {
-                        (v_base, vn, u_base, u_end)
-                    };
-                    let mut k = lane_in_group;
-                    while k < kn {
-                        let key = lane.ld_global(g.col_indices, (k_base + k) as usize);
-                        if bsearch_global(lane, g.col_indices, t_base, t_end, key) {
-                            local += 1;
-                        }
-                        k += group_size;
+                    (v_base, vn, u_base, u_end)
+                };
+                let mut k = lane_in_group;
+                while k < kn {
+                    let key = lane.ld_global(g.col_indices, (k_base + k) as usize);
+                    if bsearch_global(lane, g.col_indices, t_base, t_end, key) {
+                        local += 1;
                     }
+                    k += group_size;
                 }
                 lane.converge();
                 i += groups_total as u64;
@@ -307,13 +185,12 @@ mod tests {
         assert!(bsearch_workload(10, 100) > bsearch_workload(2, 100));
         assert!(bsearch_workload(10, 1000) > bsearch_workload(10, 100));
         assert_eq!(bsearch_workload(0, 5), 0);
-        assert_eq!(merge_workload(3, 4), 7);
     }
 
     #[test]
     fn counts_figure1_graph() {
         let n = testutil::assert_matches_reference(
-            &Fox::default(),
+            &Fox,
             &testutil::figure1_edges(),
             Orientation::DegreeAsc,
         );
@@ -322,17 +199,7 @@ mod tests {
 
     #[test]
     fn exhaustive_small_graphs_binsearch() {
-        testutil::exhaustive_small_graph_check(&Fox::default());
-    }
-
-    #[test]
-    fn exhaustive_small_graphs_merge() {
-        testutil::exhaustive_small_graph_check(&Fox::merge());
-    }
-
-    #[test]
-    fn exhaustive_small_graphs_adaptive() {
-        testutil::exhaustive_small_graph_check(&Fox::adaptive());
+        testutil::exhaustive_small_graph_check(&Fox);
     }
 
     #[test]
@@ -342,23 +209,13 @@ mod tests {
             Orientation::DegreeAsc,
             Orientation::DegreeDesc,
         ] {
-            testutil::assert_matches_reference(&Fox::default(), &testutil::figure1_edges(), o);
-        }
-    }
-
-    #[test]
-    fn adaptive_never_does_more_estimated_work() {
-        // The adaptive estimate is the min of the two pure estimates.
-        for (du, dv) in [(3, 5), (2, 4000), (100, 100), (1, 1)] {
-            let adaptive = bsearch_workload(du, dv).min(merge_workload(du, dv));
-            assert!(adaptive <= bsearch_workload(du, dv));
-            assert!(adaptive <= merge_workload(du, dv));
+            testutil::assert_matches_reference(&Fox, &testutil::figure1_edges(), o);
         }
     }
 
     #[test]
     fn metadata_matches_table1() {
-        let m = Fox::default().meta();
+        let m = Fox.meta();
         assert_eq!(m.year, 2018);
         assert_eq!(m.intersection, Intersection::MergeOrBinSearch);
         assert_eq!(m.granularity, Granularity::Fine);

@@ -20,7 +20,7 @@ pub fn all_algorithms() -> Vec<Box<dyn TcAlgorithm>> {
         Box::new(Polak),
         Box::new(Bisson),
         Box::new(TriCore),
-        Box::new(Fox::default()),
+        Box::new(Fox),
         Box::new(Hu),
         Box::new(HIndex),
         Box::new(Trust),

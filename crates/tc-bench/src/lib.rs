@@ -17,9 +17,13 @@
 pub mod bench_json;
 pub mod cli;
 
-use gpu_sim::Device;
-use graph_data::DatasetSpec;
+use bench_json::LintCell;
+use gpu_sim::{Device, DeviceMem};
+use graph_data::{clean_edges, orient, DatasetSpec};
+use tc_algos::all_algorithms;
 use tc_algos::api::TcAlgorithm;
+use tc_algos::conformance::generator_cases;
+use tc_algos::device_graph::DeviceGraph;
 use tc_core::framework::backend::SimBackend;
 use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
@@ -43,6 +47,38 @@ pub fn sweep(
     } else {
         run_matrix_parallel(&backends, algos, datasets)
     }
+}
+
+/// The SimLint diagnostic wall: every registry algorithm over the full
+/// conformance corpus on a V100 with lints forced on, one cell per
+/// (algorithm, case) in registry-major order. `tc lint_sweep` renders
+/// these cells as `LINT_sim.json` with [`bench_json::render_lint`].
+pub fn lint_wall() -> Vec<LintCell> {
+    let dev = Device::v100().with_lints();
+    let cases = generator_cases();
+    let mut cells = Vec::new();
+    for algo in all_algorithms() {
+        for case in &cases {
+            let (g, _) = clean_edges(&case.edges);
+            let dag = orient(&g, algo.preferred_orientation());
+            let mut mem = DeviceMem::new(&dev);
+            cells.push(
+                match DeviceGraph::upload(&dag, &mut mem)
+                    .and_then(|dg| algo.count(&dev, &mut mem, &dg))
+                {
+                    // A zero-launch degenerate run carries no report;
+                    // serialize it as a clean cell.
+                    Ok(out) => LintCell::from_report(
+                        algo.name(),
+                        case.name,
+                        &out.stats.lint.unwrap_or_default(),
+                    ),
+                    Err(e) => LintCell::from_error(algo.name(), case.name, &e.to_string()),
+                },
+            );
+        }
+    }
+    cells
 }
 
 /// Progress note to stderr so long sweeps show life.

@@ -4,15 +4,15 @@
 use std::io::Write;
 use std::time::Instant;
 
-use gpu_sim::{Device, DeviceMem, LintReport};
+use gpu_sim::{Device, DeviceMem};
 use graph_data::{clean_edges, orient};
 use tc_algos::all_algorithms;
 use tc_algos::conformance::generator_cases;
 use tc_algos::device_graph::DeviceGraph;
-use tc_bench::bench_json::{self, BenchCell, GateReport, LintCell};
+use tc_bench::bench_json::{self, BenchCell, GateReport};
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
-use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
+use tc_core::framework::backend::{Backend, CpuBackend};
 use tc_core::framework::partitioned::{run_partitioned, PartitionedSimBackend};
 use tc_core::framework::runner::{
     run_matrix, run_matrix_parallel, PreparedDataset, RunOutcome, RunRecord,
@@ -92,18 +92,14 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
 
     let algos = all_algorithms();
     let dev = Device::v100();
-    let sim = SimBackend { dev: &dev };
-    let part = PartitionedSimBackend {
+    let sim = PartitionedSimBackend {
         dev: &dev,
         num_devices: devices,
     };
-    // `--devices 1` stays on the plain sim backend so its records and
-    // JSON are byte-identical to runs without the flag.
-    let sim_backend: &dyn Backend = if devices > 1 { &part } else { &sim };
     let backends: Vec<&dyn Backend> = match backend_arg.as_str() {
-        "sim" => vec![sim_backend],
+        "sim" => vec![&sim],
         "cpu" => vec![&CpuBackend],
-        "both" => vec![sim_backend, &CpuBackend],
+        "both" => vec![&sim, &CpuBackend],
         other => {
             return Err(Error::Usage(format!(
                 "`--backend` must be sim|cpu|both, got `{other}`"
@@ -210,30 +206,7 @@ pub fn lint_sweep(mut args: Args) -> Result<(), Error> {
     args.finish()?;
 
     eprint_progress("lint_sweep: running the registry over the conformance corpus");
-    let dev = Device::v100().with_lints();
-    let cases = generator_cases();
-    let mut cells = Vec::new();
-    for algo in all_algorithms() {
-        for case in &cases {
-            let (g, _) = clean_edges(&case.edges);
-            let dag = orient(&g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(&dev);
-            cells.push(
-                match DeviceGraph::upload(&dag, &mut mem)
-                    .and_then(|dg| algo.count(&dev, &mut mem, &dg))
-                {
-                    // A zero-launch degenerate run carries no report;
-                    // serialize it as a clean cell.
-                    Ok(out) => LintCell::from_report(
-                        algo.name(),
-                        case.name,
-                        &out.stats.lint.unwrap_or_else(LintReport::default),
-                    ),
-                    Err(e) => LintCell::from_error(algo.name(), case.name, &e.to_string()),
-                },
-            );
-        }
-    }
+    let cells = tc_bench::lint_wall();
     let findings: usize = cells.iter().map(|c| c.diags.len()).sum();
     let clean = cells.iter().filter(|c| c.is_clean()).count();
     eprint_progress(&format!(
