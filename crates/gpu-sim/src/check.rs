@@ -1,21 +1,28 @@
-//! The record-side checker: the race detector (`gpu_sim::race`), SimSan
-//! (`gpu_sim::sanitize`) and SimLint's barrier verifier (`gpu_sim::lint`)
+//! The per-block checker: the race detector (`gpu_sim::race`), SimSan
+//! (`gpu_sim::sanitize`) and both halves of SimLint (`gpu_sim::lint`)
 //! behind one per-block hook. The rules live in their modules; this one
-//! routes each access to the enabled analyses and keeps the one phase
-//! counter every `pc_hint` names.
+//! routes each recorded access to the enabled analyses, hands SimLint's
+//! observer to the replay, and keeps the one phase counter every
+//! `pc_hint` names.
+
+use std::sync::Mutex;
 
 use crate::counters::ProfileCounters;
 use crate::device::Checks;
-use crate::lint::BarrierLint;
+use crate::lint::{BarrierLint, LintObserver};
 use crate::mem::{BufId, DeviceMem};
 use crate::race::{Access, RaceTracker};
 use crate::sanitize::SanTracker;
 use crate::SimError;
 
-/// The record-side analyses of one block. One checker lives in each
-/// worker's `BlockScratch` and is [`reset`](Self::reset) per block, so
-/// its tables keep their capacity. An analysis the device does not
-/// enable is never reset or consulted, so its statistics stay 0.
+/// The analyses of one block. One checker lives in each worker's
+/// `BlockScratch` and is [`reset`](Self::reset) per block, so its tables
+/// keep their capacity. An analysis the device does not enable is never
+/// reset or consulted, so its statistics stay 0.
+///
+/// SimLint's two halves both live here: the barrier verifier on the
+/// record side and the performance observer the replay feeds. One
+/// `Checks::lint` test, one reset and one block-end fold cover both.
 #[derive(Default)]
 pub(crate) struct BlockChecker {
     checks: Checks,
@@ -24,6 +31,7 @@ pub(crate) struct BlockChecker {
     race: RaceTracker,
     san: SanTracker,
     barrier: BarrierLint,
+    lint: LintObserver,
 }
 
 impl BlockChecker {
@@ -52,8 +60,15 @@ impl BlockChecker {
         }
         if lint {
             self.barrier.reset(block_dim);
+            self.lint.reset();
         }
         Some(self)
+    }
+
+    /// SimLint's performance observer, for the replay to show every slot
+    /// it charges; `None` unless the device enables lints.
+    pub(crate) fn observer(&mut self) -> Option<&mut LintObserver> {
+        self.checks.lint.then_some(&mut self.lint)
     }
 
     /// Vet lane `lane`'s access to shared word `idx`; `val` is the word a
@@ -126,27 +141,53 @@ impl BlockChecker {
         }
     }
 
-    /// Close the phase of block `block`. Returns the barrier verifier's
+    /// Close the phase of block `block`, whose replay charged `counters`
+    /// (handed to SimLint's observer). Returns the barrier verifier's
     /// finding, unless the block has already `faulted`: a fault cuts the
     /// phase short mid-warp, so the lanes that never ran would look
     /// divergent, and the original fault wins.
-    pub(crate) fn end_phase(&mut self, block: u32, faulted: bool) -> Option<SimError> {
+    pub(crate) fn end_phase(
+        &mut self,
+        block: u32,
+        counters: &ProfileCounters,
+        faulted: bool,
+    ) -> Option<SimError> {
         if self.checks.race {
             self.race.end_phase();
         }
-        let (lint, phase) = (self.checks.lint, self.phase);
-        let err = lint.then(|| self.barrier.end_phase(block, phase)).flatten();
+        let mut err = None;
+        if self.checks.lint {
+            self.lint.end_phase(counters);
+            err = self.barrier.end_phase(block, self.phase);
+        }
         self.phase += 1;
         err.filter(|_| !faulted)
     }
 
-    /// Add the block's check statistics to its counters.
-    pub(crate) fn fold_into(&self, c: &mut ProfileCounters) {
+    /// Block `block` completed with counters `c`: add its check
+    /// statistics to them, and fold SimLint's observations into the
+    /// launch's accumulator `lint_acc` (`Some` exactly when the device
+    /// enables lints).
+    pub(crate) fn finish(
+        &self,
+        block: u32,
+        c: &mut ProfileCounters,
+        lint_acc: Option<&Mutex<LintObserver>>,
+    ) {
         c.race_checks += self.race.checks;
         c.races_detected += self.race.races;
         c.sanitizer_checks += self.san.checks;
         c.sanitizer_reports += self.san.reports;
         c.lint_checks += self.barrier.checks;
+        if let Some(acc) = lint_acc {
+            // The observer saw every memory slot the replay issued.
+            c.lint_checks += c.issued_slots - c.compute_slots;
+            // The lock is held only for the fold, which never panics on
+            // valid observers; a poisoned lock is a simulator bug.
+            acc.lock()
+                .expect("a block panicked while folding SimLint observations")
+                .fold(&self.lint, block);
+        }
     }
 }
 

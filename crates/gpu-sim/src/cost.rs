@@ -1,3 +1,5 @@
+use crate::counters::ProfileCounters;
+
 /// Cycle costs charged per issued warp-instruction slot.
 ///
 /// Slot costs are *visible-latency* scale (what a dependent instruction
@@ -38,8 +40,8 @@ pub struct CostModel {
     pub shared_atomic_conflict: u64,
     /// Device-wide DRAM bandwidth: 32-byte sectors the memory system can
     /// deliver per cycle (V100: ~900 GB/s at 1.38 GHz ≈ 20 sectors).
-    /// Kernel time is floored at `total_sectors / dram_sectors_per_cycle`
-    /// — triangle counting is memory-bound, as the paper stresses.
+    /// Kernel time is floored at [`CostModel::dram_floor_cycles`] —
+    /// triangle counting is memory-bound, as the paper stresses.
     pub dram_sectors_per_cycle: u64,
     /// Inter-device interconnect bandwidth: bytes per (reference) cycle a
     /// device can pull from a peer in a multi-GPU run. V100 assumes an
@@ -165,6 +167,17 @@ impl CostModel {
         } else {
             self.link_latency + bytes.div_ceil(self.link_bytes_per_cycle.max(1))
         }
+    }
+
+    /// The DRAM bandwidth floor of a launch that moved `c`'s traffic: no
+    /// kernel finishes faster than DRAM delivers its sectors, however
+    /// much SM-level parallelism hides latency. Load misses, store
+    /// transactions and atomic *sectors* count (scattered atomics move a
+    /// sector per lane), and a partial trailing sector still occupies a
+    /// full delivery cycle.
+    pub fn dram_floor_cycles(&self, c: &ProfileCounters) -> u64 {
+        let sectors = c.dram_load_sectors + c.gst_transactions + c.dram_atomic_sectors;
+        sectors.div_ceil(self.dram_sectors_per_cycle.max(1))
     }
 }
 

@@ -232,16 +232,7 @@ impl Device {
 
         let parallel_slots = (self.config.num_sms * self.resident_blocks_per_sm(&cfg)) as usize;
         let compute_cycles = schedule_blocks(&cycles, parallel_slots);
-        // Triangle counting is memory-bound: the kernel can never finish
-        // faster than DRAM can deliver its sector traffic, however much
-        // SM-level parallelism hides latency. Atomic traffic enters as
-        // *sectors* (scattered atomics move a sector per lane), and a
-        // partial trailing sector still occupies a full delivery cycle.
-        let total_sectors =
-            counters.dram_load_sectors + counters.gst_transactions + counters.dram_atomic_sectors;
-        let bandwidth_cycles =
-            total_sectors.div_ceil(self.config.cost.dram_sectors_per_cycle.max(1));
-        let kernel_cycles = compute_cycles.max(bandwidth_cycles);
+        let kernel_cycles = compute_cycles.max(self.config.cost.dram_floor_cycles(&counters));
         Ok(LaunchStats {
             kernel_cycles,
             total_block_cycles: cycles.iter().sum(),
@@ -367,11 +358,16 @@ mod tests {
         assert_eq!(same.counters.dram_atomic_sectors, grid as u64);
         // Scattered is floor-bound at exactly ceil(sectors / 20): 65536
         // sectors -> 3277 cycles (truncation would say 3276).
-        let d = dev.config().cost.dram_sectors_per_cycle;
+        let cost = dev.config().cost;
+        let d = cost.dram_sectors_per_cycle;
         assert_eq!(
             scattered.kernel_cycles,
             (grid as u64 * 32).div_ceil(d),
             "bandwidth floor must bind for scattered atomics"
+        );
+        assert_eq!(
+            scattered.kernel_cycles,
+            cost.dram_floor_cycles(&scattered.counters)
         );
         // Same-sector is compute-bound on its 32-deep collisions.
         assert!(same.kernel_cycles > same.counters.dram_atomic_sectors.div_ceil(d));

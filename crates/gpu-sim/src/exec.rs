@@ -64,25 +64,26 @@ pub fn global_thread_id(block_idx: u32, block_dim: u32, tid: u32) -> u64 {
 /// its lanes finish recording, so that tiny working set keeps trace
 /// words L1-resident between record and replay.
 ///
-/// The checked path recycles the same way: the record-side checker
-/// (race detector, SimSan, barrier verifier) and the SimLint observer
-/// live here too and are reset (tables keep their capacity) only on
-/// devices that enable them. The observer is folded into the launch's
-/// accumulator as each block finishes, so no per-block lint state
-/// outlives its block.
+/// The checked path recycles the same way: the block's checker (race
+/// detector, SimSan and both halves of SimLint) lives here too and is
+/// reset (tables keep their capacity) only on devices that enable an
+/// analysis. It folds SimLint's observer into the launch's accumulator
+/// as each block finishes, so no per-block lint state outlives its
+/// block.
 #[derive(Default)]
 pub struct BlockScratch {
     shared: Vec<u32>,
     traces: Vec<LaneTrace>,
     l1: Vec<u64>,
-    replay: ReplayScratch,
+    /// The replay's address lists for one lockstep step of one warp
+    /// (see `replay_warp`).
+    step: [LaneAddrs; MEM_KINDS],
     /// Per-lane retirement flags (see [`LaneCtx::retire`]): a retired
     /// lane is skipped by every later phase of its block.
     retired: Vec<bool>,
-    /// Per-block analysis state: `run_block` resets each at block
-    /// start, and only on devices that enable an analysis it runs.
+    /// Per-block analysis state: `run_block` resets it at block start,
+    /// and only on devices that enable an analysis.
     check: BlockChecker,
-    lint: LintObserver,
 }
 
 impl BlockScratch {
@@ -112,118 +113,34 @@ impl BlockScratch {
     }
 }
 
-/// The consumer side of the record/replay split: lanes *generate*
-/// `PackedOp` words into the buffers this sink hands out, and the sink
-/// *consumes* them (replays them into cycles and counters) as soon as a
-/// warp's ≤ 32 lanes finish recording their slice of the phase. The
-/// same 32 buffers are then recycled for the next warp, so trace words
-/// are written and read back while still cache-hot and no
-/// block-lifetime trace ever exists.
-///
-/// The race detector, SimSan and the barrier verifier are *not* sink
-/// clients: one record-side checker runs them at access time inside
-/// [`LaneCtx`] and closes their phase at [`BlockCtx`]'s barrier.
-/// SimLint's performance observer is the one analysis fed from the
-/// replay side.
-pub(crate) struct FusedSink<'a> {
-    /// One buffer per warp lane (≤ 32), shared by every warp in turn.
-    traces: &'a mut [LaneTrace],
-    replay: &'a mut ReplayScratch,
-    cost: CostModel,
-    counters: ProfileCounters,
-    cycles: u64,
-    /// Counters of the warps replayed so far this phase.
-    phase_counters: ProfileCounters,
-    /// Max replay cycles over the warps seen so far this phase.
-    phase_cycles: u64,
-    /// SimLint performance observer (`Some` when the device enables
-    /// lints): shown every replayed slot, handed each phase's counters
-    /// at the barrier.
-    lint: Option<&'a mut LintObserver>,
-}
-
-impl<'a> FusedSink<'a> {
-    fn new(
-        traces: &'a mut [LaneTrace],
-        replay: &'a mut ReplayScratch,
-        cost: CostModel,
-        lint: Option<&'a mut LintObserver>,
-    ) -> Self {
-        FusedSink {
-            traces,
-            replay,
-            cost,
-            counters: ProfileCounters::default(),
-            cycles: 0,
-            phase_counters: ProfileCounters::default(),
-            phase_cycles: 0,
-            lint,
-        }
-    }
-
-    /// The buffer lane `tid` records the current phase into: its
-    /// warp-local slot.
-    #[inline]
-    fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace {
-        &mut self.traces[tid as usize % WARP_SIZE]
-    }
-
-    /// All lanes of one warp have finished recording the current phase
-    /// (called in warp order): replay the warp and recycle its buffers.
-    fn warp_complete(&mut self) {
-        let (cycles, counters) = replay_warp(
-            self.traces,
-            &self.cost,
-            self.replay,
-            self.lint.as_deref_mut(),
-        );
-        self.phase_cycles = self.phase_cycles.max(cycles);
-        self.phase_counters += counters;
-        for t in self.traces.iter_mut() {
-            t.clear();
-        }
-    }
-
-    /// Block-wide barrier: the phase is over. Folds the phase's cycle
-    /// cost (max over the block's warps — they run concurrently, the
-    /// barrier waits for the slowest) and its counters into the block
-    /// totals, and hands the same counters to the lint observer.
-    fn end_phase(&mut self) {
-        self.cycles += self.phase_cycles;
-        self.phase_cycles = 0;
-        let phase = std::mem::take(&mut self.phase_counters);
-        self.counters += phase;
-        if let Some(obs) = self.lint.as_deref_mut() {
-            obs.end_phase(&phase);
-        }
-    }
-
-    /// The block is done: yield its accumulated (cycles, counters).
-    fn finish(&self) -> (u64, ProfileCounters) {
-        (self.cycles, self.counters)
-    }
-}
-
 /// Per-block execution context handed to the kernel closure.
 ///
 /// A kernel structures its work as a sequence of [`BlockCtx::phase`]
 /// calls; each phase runs every lane of the block to completion (in lane
-/// order) and ends with an implicit block-wide barrier. Lane traces are
-/// replayed warp-by-warp for profiling and timing, the moment each warp
-/// finishes recording its slice of the phase. All growable state lives
-/// in the borrowed [`BlockScratch`] arena.
+/// order) and ends with an implicit block-wide barrier. The context is
+/// both ends of the record/replay split: lanes *generate* `PackedOp`
+/// words into its ≤ 32 lane buffers, and it *consumes* them (replays
+/// them into cycles and counters) as soon as a warp's lanes finish
+/// recording their slice of the phase. The same buffers are then
+/// recycled for the next warp, so trace words are written and read back
+/// while still cache-hot and no block-lifetime trace ever exists. All
+/// growable state lives in the borrowed [`BlockScratch`] arena.
 pub struct BlockCtx<'a> {
     mem: &'a DeviceMem,
     block_idx: u32,
     block_dim: u32,
     grid_dim: u32,
     shared: &'a mut Vec<u32>,
-    /// Consumes recorded ops: hands out recording buffers and replays
-    /// them warp by warp.
-    sink: FusedSink<'a>,
-    /// The record-side checker (`Some` when the device enables race
+    /// One recording buffer per warp lane (≤ 32), shared by every warp
+    /// in turn.
+    traces: &'a mut [LaneTrace],
+    /// The replay's per-kind address lists.
+    step: &'a mut [LaneAddrs; MEM_KINDS],
+    cost: CostModel,
+    /// The block's checker (`Some` when the device enables race
     /// detection, SimSan or SimLint): vets every access and barrier
-    /// arrival as it is recorded and poisons the block on a finding.
+    /// arrival as it is recorded and poisons the block on a finding, and
+    /// lends SimLint's observer to the replay.
     check: Option<&'a mut BlockChecker>,
     /// Per-lane retirement flags: a lane that called [`LaneCtx::retire`]
     /// is skipped by every later phase (it has exited the kernel).
@@ -238,6 +155,14 @@ pub struct BlockCtx<'a> {
     l1: &'a mut Vec<u64>,
     l1_slice: usize,
     fault: Option<SimError>,
+    /// Block totals over the phases closed so far.
+    cycles: u64,
+    counters: ProfileCounters,
+    /// The open phase: max replay cycles over its warps so far (they run
+    /// concurrently, the barrier waits for the slowest), and their
+    /// summed counters.
+    phase_cycles: u64,
+    phase_counters: ProfileCounters,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -290,7 +215,7 @@ impl<'a> BlockCtx<'a> {
                 let mut lane = LaneCtx {
                     mem: self.mem,
                     shared: self.shared,
-                    trace: self.sink.lane_trace(tid),
+                    trace: &mut self.traces[tid as usize % WARP_SIZE],
                     check: self.check.as_deref_mut(),
                     retired: &mut self.retired[tid as usize],
                     l1: &mut self.l1[l1_base..l1_base + self.l1_slice],
@@ -308,20 +233,37 @@ impl<'a> BlockCtx<'a> {
             }
             // The warp's slice of the phase is fully recorded: replay it
             // here, while its trace words are still hot.
-            self.sink.warp_complete();
+            self.replay_recorded_warp();
         }
         self.barrier();
     }
 
-    /// End the phase: close the checker's phase and fold the phase's
-    /// replay cycles.
+    /// Replay the warp whose lanes just finished recording the phase,
+    /// add it to the phase, and recycle its lane buffers. Kept out of
+    /// the per-kernel `phase::<F>` instances: the replay is one body for
+    /// every kernel.
+    fn replay_recorded_warp(&mut self) {
+        let lint = self.check.as_deref_mut().and_then(BlockChecker::observer);
+        let (cycles, counters) = replay_warp(self.traces, &self.cost, self.step, lint);
+        self.phase_cycles = self.phase_cycles.max(cycles);
+        self.phase_counters += counters;
+        for t in self.traces.iter_mut() {
+            t.clear();
+        }
+    }
+
+    /// End the phase: fold its cycles and counters into the block
+    /// totals, and close the checker's phase, which hands the same
+    /// counters to SimLint's observer.
     fn barrier(&mut self) {
+        self.cycles += std::mem::take(&mut self.phase_cycles);
+        let phase = std::mem::take(&mut self.phase_counters);
+        self.counters += phase;
         if let Some(c) = self.check.as_deref_mut() {
-            if let Some(err) = c.end_phase(self.block_idx, self.fault.is_some()) {
+            if let Some(err) = c.end_phase(self.block_idx, &phase, self.fault.is_some()) {
                 self.fault = Some(err);
             }
         }
-        self.sink.end_phase();
     }
 }
 
@@ -761,7 +703,8 @@ impl<'a> LaneCtx<'a, '_> {
 /// the [`BlockScratch`] arena (one per rayon worker) so consecutive
 /// blocks reuse every buffer. `lint_acc` is the launch's SimLint
 /// accumulator (`Some` exactly when the device enables lints): a block
-/// that completes folds its observations into it before returning.
+/// that completes has its checker fold its observations into it before
+/// returning.
 pub(crate) fn run_block<F>(
     dev: &Device,
     mem: &DeviceMem,
@@ -790,24 +733,28 @@ where
         shared,
         traces,
         l1,
-        replay,
+        step,
         retired,
         check,
-        lint,
     } = scratch;
-    let mut lint_obs = dev.config().checks.lint.then(|| lint.reset());
     let mut blk = BlockCtx {
         mem,
         block_idx,
         block_dim: cfg.block_dim,
         grid_dim: cfg.grid_dim,
         shared,
-        sink: FusedSink::new(traces, replay, dev.config().cost, lint_obs.as_deref_mut()),
+        traces,
+        step,
+        cost: dev.config().cost,
         check: check.reset(cfg.shared_words as usize, cfg.block_dim),
         retired,
         l1,
         l1_slice,
         fault: None,
+        cycles: 0,
+        counters: ProfileCounters::default(),
+        phase_cycles: 0,
+        phase_counters: ProfileCounters::default(),
     };
     kernel(&mut blk);
     // Flush any trailing un-barriered work (kernel end is a barrier).
@@ -815,20 +762,11 @@ where
     if let Some(err) = blk.fault {
         return Err(err);
     }
-    let (cycles, mut counters) = blk.sink.finish();
+    let mut counters = blk.counters;
     if let Some(c) = blk.check {
-        c.fold_into(&mut counters);
+        c.finish(block_idx, &mut counters, lint_acc);
     }
-    if let (Some(acc), Some(obs)) = (lint_acc, lint_obs) {
-        // The observer saw every memory slot the replay issued.
-        counters.lint_checks += counters.issued_slots - counters.compute_slots;
-        // The lock is held only for the fold, which never panics on
-        // valid observers; a poisoned lock is a simulator bug.
-        acc.lock()
-            .expect("a block panicked while folding SimLint observations")
-            .fold(obs, block_idx);
-    }
-    Ok((cycles, counters))
+    Ok((blk.cycles, counters))
 }
 
 /// A warp holds at most [`WARP_SIZE`] lanes and each lane contributes at
@@ -902,13 +840,6 @@ fn sector_base(addr: u64) -> u64 {
 /// kinds carry word indices.
 const GATHER_SHIFT: [u32; MEM_KINDS] = [SECTOR_SHIFT, SECTOR_SHIFT, SECTOR_SHIFT, 0, 0, 0, 0];
 
-/// Scratch for one lockstep step of one warp: one address list per
-/// memory-op kind, indexed directly by the op's tag bits.
-#[derive(Default)]
-struct StepScratch {
-    kind: [LaneAddrs; MEM_KINDS],
-}
-
 /// Replay position of one live lane, carried *inline* in the compacted
 /// lane array so the gather loop touches one cache line per lane instead
 /// of bouncing between a live-index list, a cursor table and the trace
@@ -926,13 +857,6 @@ struct LaneState<'a> {
     run_done: u32,
 }
 
-/// Reusable state for [`replay_warp`]; lives in the per-worker
-/// [`BlockScratch`] so replay performs no allocation.
-#[derive(Default)]
-pub(crate) struct ReplayScratch {
-    step: StepScratch,
-}
-
 /// Below this many addresses the quadratic seen-scan beats every other
 /// distinct-counting strategy (it degenerates to a handful of compares
 /// that the compiler keeps in registers). Above it, the slot passes
@@ -942,10 +866,15 @@ pub(crate) struct ReplayScratch {
 /// regression on Hu and GroupTC.
 const SCAN_MAX: usize = 8;
 
-/// Count distinct 32-byte sectors among the (byte) addresses of one warp
-/// load/store slot (≤ 32 addresses).
+/// Count distinct 32-byte sectors among the byte addresses of one warp
+/// slot (≤ 32 addresses). Only the global-atomic slot comes through
+/// here: the load and store lists already hold sector ids.
 fn count_sectors(addrs: &[u64]) -> u64 {
-    count_sectors_split(addrs, &[]).1
+    let mut sectors = [0u64; WARP_SIZE];
+    for (s, &addr) in sectors.iter_mut().zip(addrs) {
+        *s = addr >> SECTOR_SHIFT;
+    }
+    distinct_split(&mut sectors[..addrs.len()], &mut []).1
 }
 
 /// Distinct values in a sorted slice.
@@ -978,23 +907,6 @@ fn sorted_union_distinct(a: &[u64], b: &[u64]) -> u64 {
         }
     }
     count
-}
-
-/// Byte-address front end for [`distinct_split`]: copies the addresses
-/// into stack arrays as sector ids first. Only the (rare) global-atomic
-/// sector pass and tests come through here; the load/store slot passes
-/// gather sector ids directly and skip the conversion.
-fn count_sectors_split(misses: &[u64], hits: &[u64]) -> (u64, u64) {
-    debug_assert!(misses.len() + hits.len() <= WARP_SIZE);
-    let mut ms = [0u64; WARP_SIZE];
-    let mut hs = [0u64; WARP_SIZE];
-    for (slot, &addr) in ms.iter_mut().zip(misses) {
-        *slot = addr >> SECTOR_SHIFT;
-    }
-    for (slot, &addr) in hs.iter_mut().zip(hits) {
-        *slot = addr >> SECTOR_SHIFT;
-    }
-    distinct_split(&mut ms[..misses.len()], &mut hs[..hits.len()])
 }
 
 /// Distinct values over the two halves of one slot's list, without
@@ -1059,7 +971,7 @@ fn distinct_split(a: &mut [u64], b: &mut [u64]) -> (u64, u64) {
 }
 
 /// Worst-case same-address collision depth (atomics serialize on address).
-fn max_same_addr_depth<T: PartialEq + Ord + Copy + Default>(addrs: &[T]) -> u64 {
+fn max_same_addr_depth(addrs: &[u64]) -> u64 {
     let n = addrs.len();
     debug_assert!(n <= WARP_SIZE);
     if n <= SCAN_MAX {
@@ -1075,7 +987,7 @@ fn max_same_addr_depth<T: PartialEq + Ord + Copy + Default>(addrs: &[T]) -> u64 
     }
     // Scattered atomics: sort, then the deepest collision is the longest
     // equal run.
-    let mut buf = [T::default(); WARP_SIZE];
+    let mut buf = [0u64; WARP_SIZE];
     buf[..n].copy_from_slice(addrs);
     let buf = &mut buf[..n];
     buf.sort_unstable();
@@ -1094,7 +1006,7 @@ fn max_same_addr_depth<T: PartialEq + Ord + Copy + Default>(addrs: &[T]) -> u64 
 
 /// Shared-memory bank-conflict ways: accesses to the same word broadcast,
 /// accesses to distinct words in the same bank serialize. Adaptive like
-/// [`count_sectors_split`]: seen-scan below [`SCAN_MAX`], bitmap dedup
+/// [`distinct_split`]: seen-scan below [`SCAN_MAX`], bitmap dedup
 /// for clustered indices, sort for scattered ones.
 fn bank_conflict_ways(addrs: &mut [u64]) -> u64 {
     let n = addrs.len();
@@ -1266,7 +1178,7 @@ impl WarpTally<'_, '_> {
 fn replay_warp(
     traces: &[LaneTrace],
     cost: &CostModel,
-    scratch: &mut ReplayScratch,
+    step: &mut [LaneAddrs; MEM_KINDS],
     lint: Option<&mut LintObserver>,
 ) -> (u64, ProfileCounters) {
     let mut tally = WarpTally {
@@ -1275,7 +1187,6 @@ fn replay_warp(
         counters: ProfileCounters::default(),
         cycles: 0,
     };
-    let step = &mut scratch.step;
     // Live lanes, compacted in place: an exhausted lane swaps with the
     // last live entry and drops out, so a tail-divergent warp — one long
     // merge while 31 lanes sit finished, the common shape in triangle
@@ -1370,7 +1281,7 @@ fn replay_warp(
             let w = st.rest[0].word();
             let tag = (w & 0xf) as usize;
             if tag < MEM_KINDS {
-                step.kind[tag].push((w >> 4) >> GATHER_SHIFT[tag]);
+                step[tag].push((w >> 4) >> GATHER_SHIFT[tag]);
                 kinds |= 1 << tag;
                 st.rest = &st.rest[1..];
                 if st.rest.is_empty() {
@@ -1423,7 +1334,7 @@ fn replay_warp(
             }
             break; // all traces exhausted
         }
-        let [gl, gh, gs, ga, sl, ss, sa] = &mut step.kind;
+        let [gl, gh, gs, ga, sl, ss, sa] = step;
         // Each pass captures its lint site (lane 0's address) before the
         // distinct/conflict pass, which may reorder the list. Load and
         // store lists hold sector ids; the site is the sector's base
@@ -1461,7 +1372,7 @@ fn replay_warp(
         // Reset only the lists this step touched.
         let mut used = kinds;
         while used != 0 {
-            step.kind[used.trailing_zeros() as usize].clear();
+            step[used.trailing_zeros() as usize].clear();
             used &= used - 1;
         }
         if n_comp > 0 {
@@ -1506,12 +1417,7 @@ mod tests {
     }
 
     fn replay(traces: &[LaneTrace]) -> (u64, ProfileCounters) {
-        replay_warp(
-            traces,
-            &CostModel::v100(),
-            &mut ReplayScratch::default(),
-            None,
-        )
+        replay_warp(traces, &CostModel::v100(), &mut Default::default(), None)
     }
 
     #[test]
@@ -1541,11 +1447,15 @@ mod tests {
 
     #[test]
     fn chained_sector_counting_matches_union() {
-        // Misses and hits overlapping in sector 0 plus a hit-only sector.
-        let misses = [0u64, 4, 64];
-        let hits = [8u64, 96, 100];
-        assert_eq!(count_sectors_split(&misses, &hits), (2, 3));
-        assert_eq!(count_sectors_split(&misses, &[]).1, count_sectors(&misses));
+        // Misses and hits overlapping in sector 0 plus a hit-only sector,
+        // as the gather lists them: byte addresses [0, 4, 64] and
+        // [8, 96, 100] reduced to sector ids.
+        let (mut misses, mut hits) = ([0u64, 0, 2], [0u64, 3, 3]);
+        assert_eq!(distinct_split(&mut misses, &mut hits), (2, 3));
+        assert_eq!(
+            distinct_split(&mut misses, &mut []).1,
+            count_sectors(&[0, 4, 64])
+        );
     }
 
     #[test]
@@ -1768,12 +1678,12 @@ mod tests {
     fn scratch_reuse_across_replays_is_clean() {
         // Replay two very different warps through one scratch; the second
         // must not see any state from the first.
-        let mut scratch = ReplayScratch::default();
+        let mut step = Default::default();
         let cost = CostModel::v100();
         let first = vec![trace_of(&[Op::Compute(9), Op::GLoad(0)]); 32];
-        let _ = replay_warp(&first, &cost, &mut scratch, None);
+        let _ = replay_warp(&first, &cost, &mut step, None);
         let second = vec![trace_of(&[Op::Compute(1)])];
-        let (cycles, c) = replay_warp(&second, &cost, &mut scratch, None);
+        let (cycles, c) = replay_warp(&second, &cost, &mut step, None);
         assert_eq!(c.issued_slots, 1);
         assert_eq!(c.active_thread_slots, 1);
         assert_eq!(cycles, cost.compute);
@@ -1806,16 +1716,16 @@ mod replay_microbench {
             traces.push(t);
         }
         let cost = CostModel::v100();
-        let mut scratch = ReplayScratch::default();
+        let mut step = Default::default();
         let reps = 20_000u32;
         let t0 = std::time::Instant::now();
         let mut acc = 0u64;
         for _ in 0..reps {
-            let (cycles, c) = replay_warp(&traces, &cost, &mut scratch, None);
+            let (cycles, c) = replay_warp(&traces, &cost, &mut step, None);
             acc = acc.wrapping_add(cycles).wrapping_add(c.active_thread_slots);
         }
         let dt = t0.elapsed();
-        let (_, c1) = replay_warp(&traces, &cost, &mut scratch, None);
+        let (_, c1) = replay_warp(&traces, &cost, &mut step, None);
         let steps = c1.issued_slots;
         println!(
             "replay: {reps} reps x {} ops ({} issued slots) in {:?} -> {:.1} ns/slot (acc {acc})",

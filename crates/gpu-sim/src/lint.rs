@@ -31,8 +31,9 @@
 //!   diagnostics — and surface as a [`LintReport`] attached to
 //!   [`LaunchStats`](crate::LaunchStats).
 //!
-//! Like the race detector and SimSan, SimLint is off by default
-//! (enabled per device by [`Device::with_lints`](crate::Device::with_lints)) and is
+//! Both halves run per block in one owner, `check::BlockChecker`. Like
+//! the race detector and SimSan, SimLint is off by default (enabled per
+//! device by [`Device::with_lints`](crate::Device::with_lints)) and is
 //! zero-perturbation: the observer only *reads* values the replay
 //! already computed, so counters and cycles are byte-identical lints-on
 //! vs lints-off.
@@ -395,14 +396,14 @@ impl PhaseObs {
     }
 }
 
-/// The replay-side collector, in two roles. Each rayon worker keeps one
-/// per-block observer in its `BlockScratch`: `WarpTally::charge` shows
-/// it every slot it charges, and `FusedSink` hands it each phase's
-/// counters at the barrier. As each block finishes, `run_block` folds
-/// it into the one launch-level accumulator `Device::launch` owns,
-/// which is rendered into a [`LintReport`] once the grid is done. Live
-/// observations are therefore O(workers × phases), not O(blocks ×
-/// phases).
+/// The replay-side collector, in two roles. Each block's checker
+/// (`check::BlockChecker`, next to the barrier verifier) owns one
+/// per-block observer: `WarpTally::charge` shows it every slot it
+/// charges, and `BlockCtx`'s barrier hands it each phase's counters. As
+/// each block finishes, the checker folds it into the one launch-level
+/// accumulator `Device::launch` owns, which is rendered into a
+/// [`LintReport`] once the grid is done. Live observations are
+/// therefore O(workers × phases), not O(blocks × phases).
 ///
 /// Observation is read-only over values the replay already computed
 /// (the slot's measures, the phase's counters): the zero-perturbation
@@ -417,10 +418,9 @@ pub(crate) struct LintObserver {
 impl LintObserver {
     /// Start a new block: no phases observed. The phase table keeps its
     /// capacity across the blocks of a worker.
-    pub(crate) fn reset(&mut self) -> &mut Self {
+    pub(crate) fn reset(&mut self) {
         self.cur = PhaseObs::default();
         self.phases.clear();
-        self
     }
 
     /// One charged slot; `site` is its representative address (see

@@ -18,10 +18,10 @@ pub mod bench_json;
 pub mod cli;
 
 use bench_json::LintCell;
-use gpu_sim::{Device, DeviceMem};
+use gpu_sim::{Device, DeviceMem, SimError};
 use graph_data::{clean_edges, orient, DatasetSpec};
 use tc_algos::all_algorithms;
-use tc_algos::api::TcAlgorithm;
+use tc_algos::api::{TcAlgorithm, TcOutput};
 use tc_algos::conformance::generator_cases;
 use tc_algos::device_graph::DeviceGraph;
 use tc_core::framework::backend::SimBackend;
@@ -79,6 +79,35 @@ pub fn lint_wall() -> Vec<LintCell> {
         }
     }
     cells
+}
+
+/// The conformance cases the replay-equivalence pins cover: one
+/// representative per generator family keeps the suite in test budget.
+const PINNED_CASES: [&str; 3] = ["er-dense", "rmat-skewed", "road-grid"];
+
+/// The replay-equivalence cells in pin order: every registry algorithm
+/// on each of the `PINNED_CASES` (case-major), run on `dev` under its
+/// preferred orientation, as `(algorithm, case, outcome)`.
+/// `tc pin_replay_snapshots` prints these cells as
+/// `tests/replay_equivalence/pins.rs`, and the replay-equivalence tests
+/// compare them with it. Each cell runs when it is pulled, so a caller
+/// can stop at the first failure.
+pub fn pinned_cells(
+    dev: &Device,
+) -> impl Iterator<Item = (&'static str, &'static str, Result<TcOutput, SimError>)> + '_ {
+    let algos = all_algorithms();
+    let cases: Vec<_> = generator_cases()
+        .into_iter()
+        .filter(|c| PINNED_CASES.contains(&c.name))
+        .map(|c| (c.name, clean_edges(&c.edges).0))
+        .collect();
+    (0..cases.len() * algos.len()).map(move |i| {
+        let ((case, g), algo) = (&cases[i / algos.len()], &algos[i % algos.len()]);
+        let dag = orient(g, algo.preferred_orientation());
+        let mut mem = DeviceMem::new(dev);
+        let out = DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(dev, &mut mem, &dg));
+        (algo.name(), *case, out)
+    })
 }
 
 /// Progress note to stderr so long sweeps show life.

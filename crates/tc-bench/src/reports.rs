@@ -386,9 +386,9 @@ pub fn orientation_study(mut args: Args) -> Result<(), Error> {
     for spec in &datasets {
         eprint_progress(&format!("building {}", spec.name));
         let started = Instant::now();
-        // PreparedDataset precomputes the three standard orientations
-        // (ById, DegreeAsc, DegreeDesc) once; KCore and Random are
-        // oriented on the fly by `dag()`.
+        // PreparedDataset precomputes the orientations the registry
+        // prefers (ById, DegreeAsc) once; DegreeDesc, KCore and Random
+        // are oriented on the fly by `dag()`.
         let data = PreparedDataset::prepare(spec);
         let expected = data.ground_truth;
         let mut t = Table::new(&[
@@ -459,11 +459,11 @@ pub fn diag(mut args: Args) -> Result<(), Error> {
         match DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(&dev, &mut mem, &dg)) {
             Ok(out) => {
                 let c = out.stats.counters;
-                let sectors = c.dram_load_sectors + c.gst_transactions + c.global_atomic_requests;
+                let bw_floor = dev.config().cost.dram_floor_cycles(&c);
                 println!(
                     "{:<9} cyc={:>9} blkcyc={:>11} bw_floor={:>9} reqs={:>9} tx={:>9} dram={:>9} eff={:>5.1}% tpr={:>5.2} atom={:>8} sh={:>9} slots={:>10}",
                     algo.name(), out.stats.kernel_cycles, out.stats.total_block_cycles,
-                    sectors / 20, c.global_load_requests, c.gld_transactions,
+                    bw_floor, c.global_load_requests, c.gld_transactions,
                     c.dram_load_sectors,
                     c.warp_execution_efficiency() * 100.0, c.gld_transactions_per_request(),
                     c.global_atomic_requests,

@@ -4,11 +4,8 @@
 use std::io::Write;
 use std::time::Instant;
 
-use gpu_sim::{Device, DeviceMem};
-use graph_data::{clean_edges, orient};
+use gpu_sim::Device;
 use tc_algos::all_algorithms;
-use tc_algos::conformance::generator_cases;
-use tc_algos::device_graph::DeviceGraph;
 use tc_bench::bench_json::{self, BenchCell, GateReport};
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
@@ -333,10 +330,6 @@ pub fn scale_sweep(mut args: Args) -> Result<(), Error> {
     Ok(())
 }
 
-/// The conformance cases the replay-equivalence test pins (one
-/// representative per generator family keeps the suite in test budget).
-const PINNED_CASES: [&str; 3] = ["er-dense", "rmat-skewed", "road-grid"];
-
 /// Regenerates the pinned `LaunchStats` table for the cross-engine
 /// equivalence test (`tests/replay_equivalence.rs`): every registered
 /// algorithm over the pinned conformance graphs, on a plain benchmark
@@ -351,59 +344,48 @@ const PINNED_CASES: [&str; 3] = ["er-dense", "rmat-skewed", "road-grid"];
 pub fn pin_replay_snapshots(args: Args) -> Result<(), Error> {
     args.finish()?;
     let dev = Device::v100();
-    let algos = all_algorithms();
-    let cases = generator_cases();
 
     println!("// Generated by `cargo run --release -p tc-bench -- pin_replay_snapshots`.");
     println!("// Exact LaunchStats of every registered algorithm on the pinned");
     println!("// conformance graphs (plain V100, detector and sanitizer off).");
     println!("pub const PINS: &[Pin] = &[");
-    for case in cases.iter().filter(|c| PINNED_CASES.contains(&c.name)) {
-        let (g, _) = clean_edges(&case.edges);
-        for algo in &algos {
-            let dag = orient(&g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(&dev);
-            let out = DeviceGraph::upload(&dag, &mut mem)
-                .and_then(|dg| algo.count(&dev, &mut mem, &dg))
-                .map_err(|e| {
-                    Error::Failed(format!("{} failed on {}: {e}", algo.name(), case.name))
-                })?;
-            let s = &out.stats;
-            let c = &s.counters;
-            println!("    Pin {{");
-            println!("        algorithm: {:?},", algo.name());
-            println!("        case: {:?},", case.name);
-            println!("        triangles: {},", out.triangles);
-            println!("        kernel_cycles: {},", s.kernel_cycles);
-            println!("        total_block_cycles: {},", s.total_block_cycles);
-            println!("        blocks: {},", s.blocks);
-            println!("        counters: ProfileCounters {{");
-            for (name, v) in [
-                ("global_load_requests", c.global_load_requests),
-                ("gld_transactions", c.gld_transactions),
-                ("dram_load_sectors", c.dram_load_sectors),
-                ("global_store_requests", c.global_store_requests),
-                ("gst_transactions", c.gst_transactions),
-                ("global_atomic_requests", c.global_atomic_requests),
-                ("dram_atomic_sectors", c.dram_atomic_sectors),
-                ("shared_load_requests", c.shared_load_requests),
-                ("shared_store_requests", c.shared_store_requests),
-                ("shared_atomic_requests", c.shared_atomic_requests),
-                ("compute_slots", c.compute_slots),
-                ("issued_slots", c.issued_slots),
-                ("active_thread_slots", c.active_thread_slots),
-                // The plain device runs no checks.
-                ("race_checks", 0),
-                ("races_detected", 0),
-                ("sanitizer_checks", 0),
-                ("sanitizer_reports", 0),
-                ("lint_checks", 0),
-            ] {
-                println!("            {name}: {v},");
-            }
-            println!("        }},");
-            println!("    }},");
+    for (algo, case, out) in tc_bench::pinned_cells(&dev) {
+        let out = out.map_err(|e| Error::Failed(format!("{algo} failed on {case}: {e}")))?;
+        let s = &out.stats;
+        let c = &s.counters;
+        println!("    Pin {{");
+        println!("        algorithm: {:?},", algo);
+        println!("        case: {:?},", case);
+        println!("        triangles: {},", out.triangles);
+        println!("        kernel_cycles: {},", s.kernel_cycles);
+        println!("        total_block_cycles: {},", s.total_block_cycles);
+        println!("        blocks: {},", s.blocks);
+        println!("        counters: ProfileCounters {{");
+        for (name, v) in [
+            ("global_load_requests", c.global_load_requests),
+            ("gld_transactions", c.gld_transactions),
+            ("dram_load_sectors", c.dram_load_sectors),
+            ("global_store_requests", c.global_store_requests),
+            ("gst_transactions", c.gst_transactions),
+            ("global_atomic_requests", c.global_atomic_requests),
+            ("dram_atomic_sectors", c.dram_atomic_sectors),
+            ("shared_load_requests", c.shared_load_requests),
+            ("shared_store_requests", c.shared_store_requests),
+            ("shared_atomic_requests", c.shared_atomic_requests),
+            ("compute_slots", c.compute_slots),
+            ("issued_slots", c.issued_slots),
+            ("active_thread_slots", c.active_thread_slots),
+            // The plain device runs no checks.
+            ("race_checks", 0),
+            ("races_detected", 0),
+            ("sanitizer_checks", 0),
+            ("sanitizer_reports", 0),
+            ("lint_checks", 0),
+        ] {
+            println!("            {name}: {v},");
         }
+        println!("        }},");
+        println!("    }},");
     }
     println!("];");
     Ok(())

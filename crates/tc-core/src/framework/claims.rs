@@ -39,13 +39,17 @@ pub fn check_claims(view: &MatrixView, datasets: &[DatasetSpec]) -> Vec<ClaimRes
     let in_class = |class: SizeClass| -> Vec<&DatasetSpec> {
         datasets.iter().filter(|d| d.size_class == class).collect()
     };
-    let winner = |ds: &str| -> Option<String> {
-        view.algorithms
+    // `ds`'s times for the algorithms `keep` admits, fastest first; the
+    // sort is stable, so a tie keeps the matrix's algorithm order.
+    let ranking = |keep: fn(&str) -> bool, ds: &str| -> Vec<(&str, f64)> {
+        let mut ranked: Vec<(&str, f64)> = view
+            .algorithms
             .iter()
-            .filter(|a| in_paper(a))
-            .filter_map(|a| time(a, ds).map(|t| (a.clone(), t)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(a, _)| a)
+            .filter(|a| keep(a))
+            .filter_map(|a| time(a, ds).map(|t| (a.as_str(), t)))
+            .collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked
     };
 
     // Claim 1: "the Polak algorithm ... is the winner in processing all
@@ -57,15 +61,9 @@ pub fn check_claims(view: &MatrixView, datasets: &[DatasetSpec]) -> Vec<ClaimRes
         if !small.is_empty() {
             let mut losses = Vec::new();
             for d in &small {
-                let w = view
-                    .algorithms
-                    .iter()
-                    .filter(|a| published(a))
-                    .filter_map(|a| time(a, d.name).map(|t| (a.clone(), t)))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(a, _)| a);
-                if w.as_deref() != Some("Polak") {
-                    losses.push(format!("{} won by {}", d.name, w.unwrap_or_default()));
+                let w = ranking(published, d.name).first().map_or("", |r| r.0);
+                if w != "Polak" {
+                    losses.push(format!("{} won by {w}", d.name));
                 }
             }
             results.push(ClaimResult {
@@ -91,14 +89,9 @@ pub fn check_claims(view: &MatrixView, datasets: &[DatasetSpec]) -> Vec<ClaimRes
         if !big.is_empty() {
             let mut misses = Vec::new();
             for d in &big {
-                let mut ranked: Vec<(String, f64)> = view
-                    .algorithms
+                let rank = ranking(published, d.name)
                     .iter()
-                    .filter(|a| published(a))
-                    .filter_map(|a| time(a, d.name).map(|t| (a.clone(), t)))
-                    .collect();
-                ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-                let rank = ranked.iter().position(|(a, _)| a == "TRUST");
+                    .position(|&(a, _)| a == "TRUST");
                 match rank {
                     Some(r) if r < 3 => {}
                     Some(r) => misses.push(format!("{}: rank {}", d.name, r + 1)),
@@ -123,18 +116,14 @@ pub fn check_claims(view: &MatrixView, datasets: &[DatasetSpec]) -> Vec<ClaimRes
         let mut bottom = 0usize;
         let mut counted = 0usize;
         for d in datasets {
-            let mut ranked: Vec<(String, f64)> = view
-                .algorithms
-                .iter()
-                .filter(|a| published(a))
-                .filter_map(|a| time(a, d.name).map(|t| (a.clone(), t)))
-                .collect();
+            let mut ranked = ranking(published, d.name);
             if ranked.is_empty() {
                 continue;
             }
             counted += 1;
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1)); // slowest first
-            if ranked.iter().take(3).any(|(a, _)| a == slow) {
+            // Slowest first; stable, so ties stay in matrix order.
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            if ranked.iter().take(3).any(|&(a, _)| a == slow) {
                 bottom += 1;
             }
         }
@@ -206,8 +195,8 @@ pub fn check_claims(view: &MatrixView, datasets: &[DatasetSpec]) -> Vec<ClaimRes
     {
         let mut odd = Vec::new();
         for d in datasets {
-            if let Some(w) = winner(d.name) {
-                if !matches!(w.as_str(), "Polak" | "TRUST" | "GroupTC" | "GroupTC-H") {
+            if let Some(&(w, _)) = ranking(in_paper, d.name).first() {
+                if !matches!(w, "Polak" | "TRUST" | "GroupTC") {
                     odd.push(format!("{}: {w}", d.name));
                 }
             }

@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, ProfileCounters, SimError};
 use graph_data::{cpu_ref, orient, DagGraph, DatasetSpec, GraphStats, Orientation, UndirGraph};
+use tc_algos::all_algorithms;
 use tc_algos::api::TcAlgorithm;
 
 use rayon::prelude::*;
@@ -29,10 +30,10 @@ use crate::framework::partitioned::{run_partitioned, PartitionStats};
 /// A dataset after the preparation pipeline: generated (or loaded),
 /// cleaned, with statistics, ground truth, and oriented variants cached.
 ///
-/// Every orientation the registered algorithm set can ask for is
-/// precomputed at preparation time, so running a cell needs only `&self`
-/// — which is what lets [`run_matrix_parallel`] share one prepared
-/// dataset across concurrent cells.
+/// Every orientation a registered algorithm prefers is precomputed at
+/// preparation time, so running a cell needs only `&self` — which is
+/// what lets [`run_matrix_parallel`] share one prepared dataset across
+/// concurrent cells.
 pub struct PreparedDataset {
     pub spec: DatasetSpec,
     pub graph: UndirGraph,
@@ -42,16 +43,6 @@ pub struct PreparedDataset {
     oriented: HashMap<Orientation, DagGraph>,
 }
 
-/// The orientations precomputed for every prepared dataset: the three
-/// standard relabelings, which cover every registered algorithm and
-/// GroupTC-H. Exotic orientations (`KCore`, `Random`) stay available
-/// through [`PreparedDataset::dag`]'s compute-on-demand fallback.
-const PRECOMPUTED_ORIENTATIONS: [Orientation; 3] = [
-    Orientation::ById,
-    Orientation::DegreeAsc,
-    Orientation::DegreeDesc,
-];
-
 impl PreparedDataset {
     /// Run the pipeline for one Table II dataset.
     pub fn prepare(spec: &DatasetSpec) -> Self {
@@ -60,13 +51,18 @@ impl PreparedDataset {
     }
 
     /// Wrap an already-cleaned graph (used by the examples and tests).
+    /// The orientations precomputed are the ones the registered
+    /// algorithms prefer; any other (a study's `DegreeDesc`, `KCore` or
+    /// `Random`) stays available through [`PreparedDataset::dag`]'s
+    /// compute-on-demand fallback.
     pub fn from_graph(spec: DatasetSpec, graph: UndirGraph) -> Self {
         let stats = GraphStats::compute(&graph);
         let reference = orient(&graph, Orientation::DegreeAsc);
         let ground_truth = cpu_ref::forward_merge_parallel(&reference);
         let mut oriented = HashMap::new();
         oriented.insert(Orientation::DegreeAsc, reference);
-        for o in PRECOMPUTED_ORIENTATIONS {
+        for algo in all_algorithms() {
+            let o = algo.preferred_orientation();
             oriented.entry(o).or_insert_with(|| orient(&graph, o));
         }
         PreparedDataset {
@@ -78,8 +74,8 @@ impl PreparedDataset {
         }
     }
 
-    /// The DAG under `o`. Precomputed orientations (every orientation a
-    /// registered algorithm prefers) are served borrowed; anything else
+    /// The DAG under `o`. Precomputed orientations (the ones registered
+    /// algorithms prefer) are served borrowed; anything else
     /// is oriented on the fly, so the method needs only `&self` and a
     /// prepared dataset can be shared across concurrent runner cells.
     pub fn dag(&self, o: Orientation) -> Cow<'_, DagGraph> {
@@ -245,7 +241,6 @@ mod tests {
     use super::*;
     use crate::framework::backend::SimBackend;
     use graph_data::datasets::{GenSpec, SizeClass};
-    use tc_algos::all_algorithms;
     use tc_algos::device_graph::DeviceGraph;
 
     fn tiny_spec() -> DatasetSpec {
@@ -303,15 +298,19 @@ mod tests {
     #[test]
     fn oriented_variants_cached() {
         let data = PreparedDataset::prepare(&tiny_spec());
-        // The standard orientations are precomputed, so `dag` serves them
-        // borrowed from shared state; an exotic orientation falls back to
+        // Every orientation a registered algorithm prefers is
+        // precomputed, so `dag` serves it borrowed from shared state; any
+        // other orientation, `DegreeDesc` included, falls back to
         // computing an owned DAG on the fly.
-        for o in PRECOMPUTED_ORIENTATIONS {
+        for algo in all_algorithms() {
+            let o = algo.preferred_orientation();
             assert!(
                 matches!(data.dag(o), Cow::Borrowed(_)),
-                "{o:?} should be precomputed"
+                "{o:?} should be precomputed for {}",
+                algo.name()
             );
         }
+        assert!(matches!(data.dag(Orientation::DegreeDesc), Cow::Owned(_)));
         assert!(matches!(data.dag(Orientation::Random(3)), Cow::Owned(_)));
         let e1 = data.dag(Orientation::ById).num_edges();
         let e2 = data.dag(Orientation::DegreeAsc).num_edges();

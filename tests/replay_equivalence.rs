@@ -14,15 +14,8 @@
 //!     > tests/replay_equivalence/pins.rs
 //! ```
 
-use tc_compare::algos::all_algorithms;
-use tc_compare::algos::conformance::generator_cases;
-use tc_compare::algos::{DeviceGraph, TcOutput};
-use tc_compare::graph::{clean_edges, orient};
-use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
-
-/// One representative graph per generator family (kept in sync with the
-/// pin tool's `PINNED_CASES`).
-const PINNED_CASES: [&str; 3] = ["er-dense", "rmat-skewed", "road-grid"];
+use tc_compare::algos::TcOutput;
+use tc_compare::sim::{Device, ProfileCounters};
 
 /// One pinned launch: the exact modelled outcome of `algorithm` on
 /// `case`.
@@ -38,28 +31,20 @@ pub struct Pin {
 
 include!("replay_equivalence/pins.rs");
 
-/// Run every pinned cell on `dev` and hand each outcome, with its pin
-/// and a context string, to `check`. Asserts every pin was exercised.
+/// Run every pinned cell on `dev` (the pin tool's own cell loop) and
+/// hand each outcome, with its pin and a context string, to `check`.
+/// Asserts every pin was exercised, in pin order.
 fn for_each_pinned_cell(dev: &Device, mut check: impl FnMut(&Pin, &TcOutput, &str)) {
-    let algos = all_algorithms();
-    let cases = generator_cases();
     let mut checked = 0;
-    for case in cases.iter().filter(|c| PINNED_CASES.contains(&c.name)) {
-        let (g, _) = clean_edges(&case.edges);
-        for algo in &algos {
-            let pin = PINS
-                .iter()
-                .find(|p| p.algorithm == algo.name() && p.case == case.name)
-                .unwrap_or_else(|| panic!("no pin for {} on {}", algo.name(), case.name));
-            let dag = orient(&g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(dev);
-            let dg = DeviceGraph::upload(&dag, &mut mem).expect("upload");
-            let out = algo
-                .count(dev, &mut mem, &dg)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", algo.name(), case.name));
-            check(pin, &out, &format!("{} on {}", algo.name(), case.name));
-            checked += 1;
-        }
+    for (algorithm, case, out) in tc_bench::pinned_cells(dev) {
+        let ctx = format!("{algorithm} on {case}");
+        let out = out.unwrap_or_else(|e| panic!("{ctx} failed: {e}"));
+        let pin = PINS
+            .get(checked)
+            .filter(|p| p.algorithm == algorithm && p.case == case)
+            .unwrap_or_else(|| panic!("pin {checked} is not {ctx}"));
+        check(pin, &out, &ctx);
+        checked += 1;
     }
     // Every pin was exercised: 10 algorithms x 3 graphs.
     assert_eq!(checked, PINS.len());
