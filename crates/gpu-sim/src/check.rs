@@ -3,14 +3,16 @@
 //! behind one per-block hook. The rules live in their modules; this one
 //! routes each recorded access to the enabled analyses, hands SimLint's
 //! observer to the replay, and keeps the one phase counter every
-//! `pc_hint` names.
+//! `pc_hint` names. A global access arrives with its resolved `Buffer`,
+//! so one buffer resolution serves every analysis.
 
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use crate::counters::ProfileCounters;
 use crate::device::Checks;
 use crate::lint::{BarrierLint, LintObserver};
-use crate::mem::{BufId, DeviceMem};
+use crate::mem::Buffer;
 use crate::race::{Access, RaceTracker};
 use crate::sanitize::SanTracker;
 use crate::SimError;
@@ -90,7 +92,8 @@ impl BlockChecker {
             }
         }
         if self.checks.race {
-            let access = silent_store(access, *shared.get(idx)?, val);
+            let cur = *shared.get(idx)?;
+            let access = silent_store(access, || cur, val);
             return self.race.check_shared(lane, idx, access, phase);
         }
         None
@@ -99,27 +102,29 @@ impl BlockChecker {
     /// Vet lane `lane`'s access to word `idx` of `buf` like
     /// [`shared`](Self::shared), before the access runs, so that SimSan
     /// names redzone and freed-buffer hits instead of a bare
-    /// `MemoryFault`. Global atomics are SimSan's alone.
+    /// `MemoryFault`. Global atomics are SimSan's alone. `buf` is the
+    /// lane's resolved buffer: the shadow probe, the byte address and
+    /// the word all come from it, with no buffer-table lookup.
     pub(crate) fn global(
         &mut self,
         lane: u32,
-        mem: &DeviceMem,
-        buf: BufId,
+        buf: &Buffer,
         idx: usize,
         access: Access,
         val: u32,
     ) -> Option<SimError> {
-        let (name, phase) = (mem.name(buf), self.phase);
+        let (name, phase) = (buf.name(), self.phase);
         if self.checks.san {
-            let state = mem.shadow_state(buf, idx);
+            let state = buf.shadow_state(idx);
             let err = self.san.check_global(lane, state, name, idx, access, phase);
             if err.is_some() {
                 return err;
             }
         }
         if self.checks.race && access != Access::Atomic {
-            let access = silent_store(access, mem.try_load(buf, idx).ok()?, val);
-            let addr = mem.addr_of(buf, idx);
+            let word = buf.word(idx)?;
+            let access = silent_store(access, || word.load(Ordering::Relaxed), val);
+            let addr = buf.addr_of(idx);
             return self.race.check_global(lane, addr, name, idx, access, phase);
         }
         None
@@ -191,11 +196,12 @@ impl BlockChecker {
     }
 }
 
-/// `access` against a word holding `cur`, where a store writes `val`: a
-/// store of the current value is silent (see [`Access::Write`]).
-fn silent_store(mut access: Access, cur: u32, val: u32) -> Access {
+/// `access` against a word whose value `cur` reads, where a store
+/// writes `val`: a store of the current value is silent (see
+/// [`Access::Write`]). Only a store reads the word.
+fn silent_store(mut access: Access, cur: impl FnOnce() -> u32, val: u32) -> Access {
     if let Access::Write { changes_value } = &mut access {
-        *changes_value = cur != val;
+        *changes_value = cur() != val;
     }
     access
 }

@@ -406,8 +406,9 @@ impl<'a> LaneCtx<'a, '_> {
 
     #[inline(never)]
     fn check_global_slow(&mut self, buf: BufId, idx: usize, access: Access, val: u32) {
+        let buf = self.global_buf(buf);
         if let Some(c) = self.check.as_deref_mut() {
-            if let Some(err) = c.global(self.tid, self.mem, buf, idx, access, val) {
+            if let Some(err) = c.global(self.tid, buf, idx, access, val) {
                 self.set_fault(err);
             }
         }

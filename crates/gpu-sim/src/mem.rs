@@ -52,13 +52,14 @@ pub(crate) struct Buffer {
     shadow: Option<Vec<AtomicBool>>,
 }
 
-/// The lane-facing word accessors live on `Buffer` rather than
-/// [`DeviceMem`] so the record path can resolve a [`BufId`] to its
-/// buffer once (`DeviceMem::buffer`) and keep the reference in a
-/// per-lane cache — consecutive accesses to the same buffer, which is
-/// the overwhelmingly common pattern in a scan or probe loop, then skip
-/// the buffer-table chase entirely. The `DeviceMem::try_*` methods are
-/// thin delegating wrappers.
+/// The lane-facing word accessors and the checker's probes live on
+/// `Buffer` rather than [`DeviceMem`] so the record path can resolve a
+/// [`BufId`] to its buffer once (`DeviceMem::buffer`) and keep the
+/// reference in a per-lane cache — consecutive accesses to the same
+/// buffer, which is the overwhelmingly common pattern in a scan or
+/// probe loop, then skip the buffer-table chase entirely, and a checked
+/// access resolves its buffer once for every analysis. Only tests go
+/// through the handle-keyed `DeviceMem` wrappers.
 impl Buffer {
     #[inline]
     fn mark_init(&self, idx: usize) {
@@ -83,16 +84,50 @@ impl Buffer {
         }
     }
 
+    /// Debug name of the buffer.
+    #[inline]
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
     #[inline]
     pub(crate) fn addr_of(&self, idx: usize) -> u64 {
         self.base + (idx as u64) * 4
     }
 
+    /// The word at `idx`, or `None` out of bounds.
+    #[inline]
+    pub(crate) fn word(&self, idx: usize) -> Option<&AtomicU32> {
+        self.data.get(idx)
+    }
+
     #[inline]
     fn try_word(&self, idx: usize) -> Result<&AtomicU32, SimError> {
-        match self.data.get(idx) {
-            Some(w) => Ok(w),
-            None => Err(self.oob(idx)),
+        self.word(idx).ok_or_else(|| self.oob(idx))
+    }
+
+    /// SimSan probe: where `idx` sits in the shadow lattice.
+    #[inline]
+    pub(crate) fn shadow_state(&self, idx: usize) -> ShadowState {
+        if self.freed {
+            return ShadowState::Freed;
+        }
+        if idx < self.data.len() {
+            return match &self.shadow {
+                None => ShadowState::Init,
+                Some(shadow) => {
+                    if shadow[idx].load(Ordering::Relaxed) {
+                        ShadowState::Init
+                    } else {
+                        ShadowState::Uninit
+                    }
+                }
+            };
+        }
+        if (idx as u64) < self.padded_words {
+            ShadowState::Redzone
+        } else {
+            ShadowState::OutOfBounds
         }
     }
 
@@ -105,11 +140,6 @@ impl Buffer {
             Some(w) => Ok((w.load(Ordering::Relaxed), self.addr_of(idx))),
             None => Err(self.oob(idx)),
         }
-    }
-
-    #[inline]
-    pub(crate) fn try_load(&self, idx: usize) -> Result<u32, SimError> {
-        Ok(self.try_word(idx)?.load(Ordering::Relaxed))
     }
 
     #[inline]
@@ -358,32 +388,6 @@ impl DeviceMem {
         })
     }
 
-    /// SimSan probe: where `idx` of `id` sits in the shadow lattice.
-    #[inline]
-    pub(crate) fn shadow_state(&self, id: BufId, idx: usize) -> ShadowState {
-        let buf = &self.buffers[id.0];
-        if buf.freed {
-            return ShadowState::Freed;
-        }
-        if idx < buf.data.len() {
-            return match &buf.shadow {
-                None => ShadowState::Init,
-                Some(shadow) => {
-                    if shadow[idx].load(Ordering::Relaxed) {
-                        ShadowState::Init
-                    } else {
-                        ShadowState::Uninit
-                    }
-                }
-            };
-        }
-        if (idx as u64) < buf.padded_words {
-            ShadowState::Redzone
-        } else {
-            ShadowState::OutOfBounds
-        }
-    }
-
     /// Number of words in a buffer.
     pub fn len(&self, id: BufId) -> usize {
         self.buffers[id.0].data.len()
@@ -411,11 +415,6 @@ impl DeviceMem {
     /// Debug name of the buffer.
     pub fn name(&self, id: BufId) -> &str {
         &self.buffers[id.0].name
-    }
-
-    #[inline]
-    pub(crate) fn addr_of(&self, id: BufId, idx: usize) -> u64 {
-        self.buffers[id.0].addr_of(idx)
     }
 
     /// Reverse lookup for diagnostics: which live buffer (and word index
@@ -461,14 +460,21 @@ impl DeviceMem {
         }
     }
 
-    #[inline]
-    pub(crate) fn try_load(&self, id: BufId, idx: usize) -> Result<u32, SimError> {
-        self.buffers[id.0].try_load(idx)
-    }
-
     // Handle-keyed convenience wrappers for the buffer accessors above;
     // the lane path resolves the handle once via [`DeviceMem::buffer`]
     // instead, so only tests go through these.
+
+    #[cfg(test)]
+    #[inline]
+    pub(crate) fn addr_of(&self, id: BufId, idx: usize) -> u64 {
+        self.buffers[id.0].addr_of(idx)
+    }
+
+    #[cfg(test)]
+    #[inline]
+    pub(crate) fn shadow_state(&self, id: BufId, idx: usize) -> ShadowState {
+        self.buffers[id.0].shadow_state(idx)
+    }
 
     #[cfg(test)]
     #[inline]

@@ -35,13 +35,16 @@
 //! kernels under test only communicate across blocks through atomics,
 //! which are exempt by design.
 //!
+//! Both record tables are epoch-stamped, so a barrier empties them in
+//! O(1): shared words live in a dense table indexed by word, global
+//! words in an open-addressing table keyed by byte address.
+//!
 //! Detection is off by default (a launch pays ~zero cost: one branch per
 //! access) and is enabled for every launch on a device via
 //! [`Device::with_race_detection`](crate::Device::with_race_detection).
 //! A detected race poisons the block like a memory fault and surfaces as
 //! [`SimError::DataRace`].
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::lint::SourceLoc;
@@ -107,12 +110,14 @@ impl Access {
     }
 }
 
-/// Sentinel: no lane recorded.
-const NO_LANE: u32 = u32::MAX;
+/// Sentinel: no lane recorded. Lane ids fit a `u16` because
+/// `Device::launch` rejects blocks of more than 1024 lanes.
+const NO_LANE: u16 = u16::MAX;
 
 /// Per-word access record for the current phase. `epoch` stamps which
 /// phase the record belongs to, so per-phase (and per-block) reset is
-/// O(1) instead of O(shared words).
+/// O(1) instead of O(words): a record from an older epoch reads as
+/// fresh (see [`RaceTracker::epoch`]).
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
     epoch: u64,
@@ -120,11 +125,11 @@ struct SlotState {
     /// (two suffice: any write conflicts with a reader other than the
     /// writing lane, and with two distinct readers recorded one of them
     /// always qualifies).
-    readers: [u32; 2],
+    readers: [u16; 2],
     /// The lane that exclusively plain-stored the word this phase.
-    writer: u32,
+    writer: u16,
     /// The first lane that atomically updated the word this phase.
-    atomic: u32,
+    atomic: u16,
 }
 
 impl SlotState {
@@ -143,7 +148,7 @@ impl SlotState {
     /// Record `access` by `lane` and return the conflicting lane plus
     /// whether the conflict is read/write (`true`) or write/write
     /// (`false`), if any.
-    fn check(&mut self, lane: u32, access: Access) -> Option<(u32, bool)> {
+    fn check(&mut self, lane: u16, access: Access) -> Option<(u16, bool)> {
         match access {
             Access::Read => {
                 if self.writer != NO_LANE && self.writer != lane {
@@ -190,10 +195,108 @@ impl SlotState {
     }
 }
 
+/// One bucket of [`WordTable`]: a global byte address and its record
+/// (24 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    addr: u64,
+    state: SlotState,
+}
+
+const _: () = assert!(std::mem::size_of::<Bucket>() <= 24);
+
+/// The global words a block plain-accessed in the current phase: an
+/// open-addressing table keyed by byte address, hashed with one
+/// multiply and probed linearly. A bucket whose record is from another
+/// epoch is empty, so a new phase empties the table without touching
+/// it. Within one epoch nothing is deleted, so every probe chain is
+/// unbroken and a lookup stops at the first empty bucket. The table
+/// keeps its capacity across phases and blocks; it doubles when the
+/// current epoch's records would pass 3/4 of it, and only those
+/// records move.
+#[derive(Debug, Default)]
+struct WordTable {
+    /// A power of two buckets (or none before the first insert).
+    buckets: Vec<Bucket>,
+    /// The epoch `live` counts.
+    epoch: u64,
+    /// Buckets holding a record of `epoch`.
+    live: usize,
+}
+
+impl WordTable {
+    /// Bucket count of the first allocation.
+    const MIN_BUCKETS: usize = 64;
+
+    /// The record of `addr` in `epoch`, inserted fresh if the epoch has
+    /// none yet. `epoch` is never 0 (the stamp of unused buckets) and
+    /// never moves backwards.
+    fn slot(&mut self, addr: u64, epoch: u64) -> &mut SlotState {
+        debug_assert!(epoch >= self.epoch && epoch != 0);
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            self.live = 0;
+        }
+        let mut i = match self.probe(addr) {
+            Ok(i) => return &mut self.buckets[i].state,
+            Err(i) => i,
+        };
+        if (self.live + 1) * 4 > self.buckets.len() * 3 {
+            self.grow();
+            i = self.probe(addr).unwrap_err();
+        }
+        self.live += 1;
+        let b = &mut self.buckets[i];
+        b.addr = addr;
+        b.state.reset(epoch);
+        &mut b.state
+    }
+
+    /// `Ok` with the bucket holding `addr`'s current record, or `Err`
+    /// with the empty bucket ending its probe chain (`Err(0)` in an
+    /// unallocated table).
+    #[inline]
+    fn probe(&self, addr: u64) -> Result<usize, usize> {
+        let n = self.buckets.len();
+        if n == 0 {
+            return Err(0);
+        }
+        let mut i = home(addr, n);
+        loop {
+            let b = &self.buckets[i];
+            if b.state.epoch != self.epoch {
+                return Err(i);
+            }
+            if b.addr == addr {
+                return Ok(i);
+            }
+            i = (i + 1) & (n - 1);
+        }
+    }
+
+    /// Double the bucket count, re-inserting the current epoch's
+    /// records and dropping the stale ones.
+    #[cold]
+    fn grow(&mut self) {
+        let n = (2 * self.buckets.len()).max(Self::MIN_BUCKETS);
+        let empty = Bucket {
+            addr: 0,
+            state: SlotState::FRESH,
+        };
+        let old = std::mem::replace(&mut self.buckets, vec![empty; n]);
+        for b in old.into_iter().filter(|b| b.state.epoch == self.epoch) {
+            let i = self.probe(b.addr).unwrap_err();
+            self.buckets[i] = b;
+        }
+    }
+}
+
 /// The per-block race detector: shared-word and global-word access
 /// tables for the current barrier phase, plus running statistics. One
 /// tracker lives in each worker's `BlockScratch` and is
 /// [`reset`](Self::reset) per block, so its tables keep their capacity.
+/// Both tables are epoch-stamped, so a barrier or a new block costs one
+/// increment of [`epoch`](Self::epoch).
 #[derive(Debug, Default)]
 pub(crate) struct RaceTracker {
     /// Stamp of the current phase in the slot tables. Unlike the
@@ -201,11 +304,11 @@ pub(crate) struct RaceTracker {
     /// tracker serves, so a new block or phase invalidates every slot
     /// without touching it (0 marks untouched slots).
     epoch: u64,
-    /// Dense table over the block's shared words, epoch-stamped.
+    /// Dense table over the block's shared words.
     shared: Vec<SlotState>,
     /// Sparse table over the global byte addresses the block touched
     /// with plain accesses this phase.
-    global: HashMap<u64, SlotState>,
+    global: WordTable,
     /// Conflict checks performed (one per tracked access).
     pub checks: u64,
     /// Races found (the block poisons on the first, so 0 or 1).
@@ -233,7 +336,6 @@ impl RaceTracker {
     /// become irrelevant.
     pub fn end_phase(&mut self) {
         self.epoch += 1;
-        self.global.clear();
     }
 
     /// Check one shared-memory access in barrier phase `phase`. Returns
@@ -250,7 +352,7 @@ impl RaceTracker {
         if slot.epoch != self.epoch {
             slot.reset(self.epoch);
         }
-        let (other, read_write) = slot.check(lane, access)?;
+        let (other, read_write) = slot.check(lane_id(lane), access)?;
         self.races += 1;
         let kind = if read_write {
             RaceKind::SharedReadWrite
@@ -260,7 +362,7 @@ impl RaceTracker {
         Some(SimError::DataRace {
             addr: idx as u64,
             kind,
-            lanes: (other, lane),
+            lanes: (other.into(), lane),
             pc_hint: SourceLoc::Shared { phase, idx }.to_string(),
         })
     }
@@ -277,11 +379,8 @@ impl RaceTracker {
         phase: u64,
     ) -> Option<SimError> {
         self.checks += 1;
-        let slot = self.global.entry(addr).or_insert(SlotState::FRESH);
-        if slot.epoch != self.epoch {
-            slot.reset(self.epoch);
-        }
-        let (other, read_write) = slot.check(lane, access)?;
+        let slot = self.global.slot(addr, self.epoch);
+        let (other, read_write) = slot.check(lane_id(lane), access)?;
         self.races += 1;
         let kind = if read_write {
             RaceKind::GlobalReadWrite
@@ -291,10 +390,25 @@ impl RaceTracker {
         Some(SimError::DataRace {
             addr,
             kind,
-            lanes: (other, lane),
+            lanes: (other.into(), lane),
             pc_hint: SourceLoc::Global { phase, buffer, idx }.to_string(),
         })
     }
+}
+
+/// The home bucket of `addr` in a table of `n` (a power of two)
+/// buckets. Fibonacci hashing: the multiply mixes every address bit
+/// into the high bits, which pick the bucket.
+#[inline]
+fn home(addr: u64, n: usize) -> usize {
+    (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n.trailing_zeros())) as usize
+}
+
+/// A lane's id in the `u16` slot fields (see [`NO_LANE`]).
+#[inline]
+fn lane_id(lane: u32) -> u16 {
+    debug_assert!(lane < u32::from(NO_LANE), "lane {lane} exceeds a block");
+    lane as u16
 }
 
 #[cfg(test)]
@@ -434,5 +548,146 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Two addresses with the same home bucket in a table of `n`.
+    fn colliding_pair(n: usize) -> (u64, u64) {
+        let a = 4096;
+        let b = (1..)
+            .map(|k| a + 4 * k)
+            .find(|&b| home(b, n) == home(a, n))
+            .unwrap();
+        (a, b)
+    }
+
+    #[test]
+    fn colliding_keys_share_one_probe_chain() {
+        let mut t = RaceTracker::new(0);
+        let (a, b) = colliding_pair(WordTable::MIN_BUCKETS);
+        assert!(t.check_global(0, a, "buf", 0, Access::Read, 1).is_none());
+        assert!(t.check_global(1, b, "buf", 1, W, 1).is_none());
+        let g = &t.global;
+        let n = g.buckets.len();
+        assert_eq!(n, WordTable::MIN_BUCKETS);
+        let h = home(a, n);
+        assert_eq!(g.probe(a), Ok(h));
+        assert_eq!(g.probe(b), Ok((h + 1) % n));
+        assert_eq!(g.live, 2);
+        // The two records stay apart: lane 1's write to `b` did not
+        // touch `a`, whose reader still conflicts with a foreign store.
+        assert!(matches!(
+            t.check_global(2, a, "buf", 0, W, 1),
+            Some(SimError::DataRace {
+                kind: RaceKind::GlobalReadWrite,
+                lanes: (0, 2),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn stale_epoch_bucket_counts_as_empty() {
+        let mut t = RaceTracker::new(0);
+        let (a, b) = colliding_pair(WordTable::MIN_BUCKETS);
+        assert!(t.check_global(0, a, "buf", 0, W, 1).is_none());
+        let h = home(a, t.global.buckets.len());
+        t.end_phase();
+        // After the barrier `a`'s bucket is empty: `b` lands in it.
+        assert!(t.check_global(1, b, "buf", 1, Access::Read, 2).is_none());
+        assert_eq!(t.global.buckets[h].addr, b);
+        assert_eq!(t.global.live, 1);
+        assert_eq!(t.global.probe(b), Ok(h));
+        assert!(t.global.probe(a).is_err());
+        // Lane 1 may read what lane 0 wrote before the barrier, and the
+        // re-inserted `b` keeps its new reader.
+        assert!(t.check_global(1, a, "buf", 0, Access::Read, 2).is_none());
+        assert!(matches!(
+            t.check_global(3, b, "buf", 1, W, 2),
+            Some(SimError::DataRace {
+                kind: RaceKind::GlobalReadWrite,
+                lanes: (1, 3),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn growth_keeps_current_records_and_drops_stale_ones() {
+        let mut t = RaceTracker::new(0);
+        let addr = |k: u64| (1 << 20) + 4 * k;
+        for k in 0..40 {
+            assert!(t.check_global(0, addr(k), "old", 0, W, 1).is_none());
+        }
+        assert_eq!(t.global.buckets.len(), WordTable::MIN_BUCKETS);
+        t.end_phase();
+        // 100 records pass 3/4 of 64 and of 128 buckets: two growths.
+        for k in 100..200 {
+            let err = t.check_global(k as u32, addr(k), "new", 0, Access::Read, 2);
+            assert!(err.is_none());
+        }
+        let g = &t.global;
+        assert_eq!(g.buckets.len(), 256);
+        assert_eq!(g.live, 100);
+        let stamped = |epoch| g.buckets.iter().filter(|b| b.state.epoch == epoch).count();
+        assert_eq!((stamped(t.epoch - 1), stamped(t.epoch)), (0, 100));
+        for k in 100..200 {
+            let i = g.probe(addr(k)).unwrap();
+            assert_eq!(g.buckets[i].state.readers, [k as u16, NO_LANE]);
+        }
+        for k in 0..40 {
+            assert!(g.probe(addr(k)).is_err());
+        }
+    }
+
+    #[test]
+    fn largest_lane_round_trips() {
+        let mut t = RaceTracker::new(1);
+        assert!(t.check_global(1023, 64, "buf", 16, W, 1).is_none());
+        let err = t.check_global(5, 64, "buf", 16, Access::Read, 1);
+        assert!(matches!(
+            err,
+            Some(SimError::DataRace {
+                kind: RaceKind::GlobalReadWrite,
+                lanes: (1023, 5),
+                ..
+            })
+        ));
+        assert!(t.check_shared(1022, 0, Access::Read, 1).is_none());
+        assert!(matches!(
+            t.check_shared(1023, 0, W, 1),
+            Some(SimError::DataRace {
+                kind: RaceKind::SharedReadWrite,
+                lanes: (1022, 1023),
+                ..
+            })
+        ));
+    }
+
+    /// Not a correctness test: a timing probe for the global word
+    /// table. Run with
+    /// `cargo test --release -p gpu-sim microbench -- --nocapture --ignored`.
+    #[test]
+    #[ignore]
+    fn microbench_race_global_table() {
+        const WORDS: u64 = 16 * 1024;
+        const PHASES: u64 = 200;
+        fn time(t: &mut RaceTracker, what: &str, addr: impl Fn(u64) -> u64) {
+            let t0 = std::time::Instant::now();
+            for phase in 1..=PHASES {
+                for k in 0..WORDS {
+                    let lane = (k % 256) as u32;
+                    let err = t.check_global(lane, addr(k), "buf", 0, Access::Read, phase);
+                    assert!(err.is_none());
+                }
+                t.end_phase();
+            }
+            let dt = t0.elapsed();
+            let n = PHASES * WORDS;
+            let ns = dt.as_nanos() as f64 / n as f64;
+            println!("race table, {what}: {n} checks in {dt:?} -> {ns:.1} ns/check");
+        }
+        let mut t = RaceTracker::new(0);
+        time(&mut t, "16k distinct words per phase", |k| 4 * k);
+        time(&mut t, "one word per phase", |_| 4096);
     }
 }

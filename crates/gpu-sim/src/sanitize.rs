@@ -83,7 +83,7 @@ impl fmt::Display for SanitizerKind {
 }
 
 /// Where a global word sits in the shadow lattice, as probed by
-/// [`DeviceMem::shadow_state`](crate::DeviceMem).
+/// `Buffer::shadow_state` (`gpu_sim::mem`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShadowState {
     /// The word holds a host- or kernel-defined value.

@@ -2,7 +2,9 @@
 //! observed *through* the public API — the behaviours the paper's
 //! profiling analysis depends on.
 
-use tc_compare::sim::{BufId, Device, DeviceMem, KernelConfig, LaneCtx, ProfileCounters, SimError};
+use tc_compare::sim::{
+    BufId, Device, DeviceMem, KernelConfig, LaneCtx, ProfileCounters, RaceKind, SimError,
+};
 
 #[test]
 fn coalesced_loads_beat_scattered_loads() {
@@ -438,4 +440,56 @@ fn check_counts_are_exact_and_analyses_are_independent() {
         };
         assert_eq!(unchecked, base.counters, "{what}");
     }
+}
+
+/// A global-memory race through the lane path. 256 lanes of one block
+/// each plain-read 64 distinct words in phase 1 (16,384 words, so the
+/// detector's global table grows several times mid-phase), then lane
+/// 200 stores a new value to the first word lane 3 read. In the same
+/// phase that is a read/write race naming both lanes and the word;
+/// after a barrier it is clean.
+#[test]
+fn global_race_through_the_lane_path() {
+    const BD: u32 = 256;
+    const READS: usize = 64;
+    let dev = Device::v100().with_race_detection();
+    let run = |store_phase: u32| {
+        let mut mem = DeviceMem::new(&dev);
+        let input: Vec<u32> = (0..BD * READS as u32).collect();
+        let data = mem.alloc_from_slice(&input, "data").unwrap();
+        let cfg = KernelConfig::new(1, BD);
+        let result = dev.launch(&mem, cfg, |blk| {
+            for phase in 1..=2 {
+                blk.phase(|lane| {
+                    let t = lane.tid() as usize;
+                    if phase == 1 {
+                        for j in 0..READS {
+                            lane.ld_global(data, t * READS + j);
+                        }
+                    }
+                    if phase == store_phase && t == 200 {
+                        lane.st_global(data, 3 * READS, u32::MAX);
+                    }
+                });
+            }
+        });
+        (result, mem.read_back(data)[3 * READS])
+    };
+
+    let (racy, _) = run(1);
+    assert_eq!(
+        racy.expect_err("same-phase store"),
+        SimError::DataRace {
+            addr: 4 * 3 * READS as u64,
+            kind: RaceKind::GlobalReadWrite,
+            lanes: (3, 200),
+            pc_hint: "phase 1, `data`[192]".to_string(),
+        }
+    );
+
+    let (clean, stored) = run(2);
+    let c = clean.expect("store after the barrier").counters;
+    assert_eq!(c.race_checks, BD as u64 * READS as u64 + 1);
+    assert_eq!(c.races_detected, 0);
+    assert_eq!(stored, u32::MAX);
 }
