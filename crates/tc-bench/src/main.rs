@@ -91,15 +91,15 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "bench_sweep",
         synopsis: "[DATASETS] [--serial] [--reps N] [--backend sim|cpu|both] [--devices N] \
-                   [--bench-json PATH] [--check-baseline PATH]",
-        help: "host wall time and kernel cycles per cell; the BENCH_sim.json gate \
-               (default Wiki-Talk)",
+                   [--bench-json PATH]",
+        help: "host wall time and kernel cycles per cell; --bench-json writes \
+               BENCH_sim.json (default Wiki-Talk)",
         run: tools::bench_sweep,
     },
     Command {
         name: "lint_sweep",
-        synopsis: "[--out [PATH] | --check-snapshot [PATH]]",
-        help: "the SimLint diagnostic wall; the LINT_sim.json gate",
+        synopsis: "",
+        help: "the SimLint diagnostic wall (LINT_sim.json) on stdout",
         run: tools::lint_sweep,
     },
     Command {

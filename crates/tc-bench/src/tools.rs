@@ -1,12 +1,14 @@
 //! The benchmark, lint and scaling gates CI runs, and the replay pin
-//! generator, one `tc` subcommand each.
+//! generator, one `tc` subcommand each. The bench and lint documents and
+//! the replay pins are checked by regenerating them and diffing the
+//! bytes against the committed files.
 
 use std::io::Write;
 use std::time::Instant;
 
 use gpu_sim::Device;
 use tc_algos::all_algorithms;
-use tc_bench::bench_json::{self, BenchCell, GateReport};
+use tc_bench::bench_json::{self, BenchCell};
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
 use tc_core::framework::backend::{Backend, CpuBackend};
@@ -24,32 +26,6 @@ fn positive(name: &str, value: &str) -> Result<u32, String> {
     }
 }
 
-fn read(path: &str) -> Result<String, Error> {
-    std::fs::read_to_string(path).map_err(|e| Error::Failed(format!("read {path}: {e}")))
-}
-
-/// Print a gate's advisories and failures to stderr, and fail the
-/// command unless it passed.
-fn gate(what: &str, report: &GateReport) -> Result<(), Error> {
-    for a in &report.advisories {
-        eprintln!("advisory: {a}");
-    }
-    for f in &report.failures {
-        eprintln!("FAILURE: {f}");
-    }
-    eprintln!(
-        "{what}: {} cells compared, {} advisories, {} failures",
-        report.compared,
-        report.advisories.len(),
-        report.failures.len()
-    );
-    if report.passed() {
-        Ok(())
-    } else {
-        Err(Error::Failed(format!("{what} failed")))
-    }
-}
-
 /// Sweep microbenchmark: host wall-clock time of the evaluation engine.
 ///
 /// Runs every registered algorithm over the selected datasets (default:
@@ -64,11 +40,11 @@ fn gate(what: &str, report: &GateReport) -> Result<(), Error> {
 /// to back. `--devices N` (default 1) runs the sim backend partitioned
 /// over N simulated devices; cycle figures are then per-cell makespans.
 ///
-/// `--bench-json` writes the schema-v1 trajectory file (committed as
-/// `BENCH_sim.json`). `--check-baseline` regresses this run against such
-/// a file: any overlapping cell whose deterministic `kernel_cycles`
-/// exceeds the baseline by more than 25% fails the run; wall-clock drift
-/// is advisory only. This is the CI bench-smoke regression gate.
+/// `--bench-json` writes the modelled results (committed as
+/// `BENCH_sim.json`; CI diffs a fresh Wiki-Talk document against it).
+/// A cell that fails, or whose count disagrees with the CPU reference
+/// (`MISCOUNT`), fails the run after the table and the document are
+/// written.
 pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     let serial = args.flag("--serial");
     let reps = match args.value("--reps")? {
@@ -83,7 +59,6 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
         None => 1,
     };
     let json_path = args.value("--bench-json")?;
-    let baseline_path = args.value("--check-baseline")?;
     let datasets = args.datasets(&["Wiki-Talk"])?;
     args.finish()?;
 
@@ -151,11 +126,7 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
             if multi { c.backend } else { "" },
             c.wall_ms,
             c.kernel_cycles,
-            if c.outcome == "ok" && c.verified {
-                "ok"
-            } else {
-                c.outcome
-            }
+            c.label()
         );
     }
     let sweep_wall: f64 = cells.iter().map(|c| c.wall_ms).sum();
@@ -163,43 +134,22 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     println!("total harness wall ({reps} reps):   {total_wall_ms:.1} ms");
 
     if let Some(path) = json_path {
-        let text = bench_json::render("V100", reps, total_wall_ms, &cells);
-        bench_json::validate(&text)
-            .map_err(|e| Error::Failed(format!("internal: emitted bad JSON: {e}")))?;
+        let text = bench_json::render("V100", &cells);
         crate::write_file(&path, |f| f.write_all(text.as_bytes()))?;
     }
-    if let Some(path) = baseline_path {
-        let report = bench_json::compare_to_baseline(&read(&path)?, &cells, 0.25)
-            .map_err(|e| Error::Failed(format!("baseline check against {path}: {e}")))?;
-        gate(
-            &format!("baseline check vs {path} (+25% kernel-cycle band)"),
-            &report,
-        )?;
+    if cells.iter().any(|c| !c.verified) {
+        return Err(Error::Failed(
+            "one or more cells failed or miscounted".to_string(),
+        ));
     }
     Ok(())
 }
 
 /// The SimLint diagnostic wall: every registry algorithm over the full
 /// conformance corpus with lints forced on, rendered as `LINT_sim.json`
-/// (see `bench_json` for the schema and gate semantics).
-///
-/// With no option the document goes to stdout; `--out [PATH]` writes it
-/// (default `LINT_sim.json`, refreshing the snapshot);
-/// `--check-snapshot [PATH]` regresses it against the committed
-/// snapshot: advisory diffs print to stderr, rule-level regressions
-/// exit 1.
-pub fn lint_sweep(mut args: Args) -> Result<(), Error> {
-    let out = args.flag("--out");
-    let check = args.flag("--check-snapshot");
-    if out && check {
-        return Err(Error::Usage(
-            "pass `--out` or `--check-snapshot`, not both".to_string(),
-        ));
-    }
-    let path = (out || check).then(|| {
-        args.positional()
-            .unwrap_or_else(|| "LINT_sim.json".to_string())
-    });
+/// on stdout (see `bench_json` for the schema). CI diffs it against the
+/// committed file; redirect it over that file to refresh the pin.
+pub fn lint_sweep(args: Args) -> Result<(), Error> {
     args.finish()?;
 
     eprint_progress("lint_sweep: running the registry over the conformance corpus");
@@ -210,17 +160,7 @@ pub fn lint_sweep(mut args: Args) -> Result<(), Error> {
         "lint_sweep: {} cells, {clean} clean, {findings} findings",
         cells.len()
     ));
-    let text = bench_json::render_lint("V100", &cells);
-
-    match path {
-        None => print!("{text}"),
-        Some(path) if out => crate::write_file(&path, |f| f.write_all(text.as_bytes()))?,
-        Some(path) => {
-            let report = bench_json::compare_snapshot(&read(&path)?, &cells)
-                .map_err(|e| Error::Failed(format!("snapshot check against {path}: {e}")))?;
-            gate(&format!("lint snapshot check vs {path}"), &report)?;
-        }
-    }
+    print!("{}", bench_json::render_lint("V100", &cells));
     Ok(())
 }
 

@@ -1,7 +1,7 @@
 //! Tentpole integration tests: the parallel evaluation sweep must be
 //! indistinguishable from the serial one on the wire (byte-identical
-//! deterministic CSV), and a faulting implementation must cost exactly
-//! its own cell, never the sweep.
+//! deterministic CSV and bench document), and a faulting implementation
+//! must cost exactly its own cell, never the sweep.
 
 use tc_compare::algos::all_algorithms;
 use tc_compare::algos::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcOutput};
@@ -11,6 +11,8 @@ use tc_compare::core::{run_matrix, run_matrix_parallel, RunOutcome, RunRecord, S
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};
 use tc_compare::sim::{Device, DeviceMem, KernelConfig, SimError};
+
+use tc_bench::bench_json::{render, BenchCell};
 
 fn spec(name: &'static str, gen: GenSpec, seed: u64) -> DatasetSpec {
     DatasetSpec {
@@ -109,6 +111,21 @@ fn parallel_matrix_matches_serial_record_for_record() {
     let mut parallel_csv = Vec::new();
     write_records(&mut parallel_csv, &parallel).unwrap();
     assert_eq!(serial_csv, parallel_csv, "CSV not byte-identical");
+}
+
+/// `BENCH_sim.json` is pinned by its bytes, so the bench document of a
+/// serial sweep and of a parallel sweep must be the same bytes, however
+/// their host wall times differ.
+#[test]
+fn bench_document_is_byte_identical_for_serial_and_parallel_sweeps() {
+    let dev = Device::v100();
+    let algos = all_algorithms();
+    let specs = &fixture_specs()[..1];
+    let backends = [&SimBackend { dev: &dev } as _];
+    let serial = BenchCell::from_records(&run_matrix(&backends, &algos, specs));
+    let parallel = BenchCell::from_records(&run_matrix_parallel(&backends, &algos, specs));
+    assert!(serial.iter().all(|c| c.verified));
+    assert_eq!(render("V100", &serial), render("V100", &parallel));
 }
 
 /// A deliberately broken "implementation" whose kernel reads past the
