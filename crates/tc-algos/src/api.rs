@@ -1,6 +1,9 @@
 //! The framework-facing algorithm interface: every counter in this crate
 //! implements [`TcAlgorithm`], and `tc-core`'s runner and backends drive
-//! them through it alone.
+//! them through it alone. [`TcAlgorithm::run`] is the one way a counter
+//! runs on a graph: upload, count, free and the leak check.
+
+use std::ops::Range;
 
 use gpu_sim::{Device, DeviceMem, LaunchStats, SimError};
 use graph_data::{DagGraph, Orientation};
@@ -81,6 +84,14 @@ pub trait TcAlgorithm: Sync {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError>;
 
+    /// Count the triangles of `dag` on a fresh memory image of `dev`:
+    /// upload the graph, count, free the graph and leak-check the image,
+    /// so a counter that abandons a scratch buffer fails with
+    /// [`SimError::Sanitizer`] (leak) whatever analyses `dev` runs.
+    fn run(&self, dev: &Device, dag: &DagGraph) -> Result<TcOutput, SimError> {
+        run_on_pivots(self, dev, dag, 0..dag.num_vertices())
+    }
+
     /// Count the triangles of the same oriented DAG natively on the
     /// host: a rayon-parallel CPU kernel mirroring the implementation's
     /// iterator/intersection strategy, usually as the intersection it
@@ -96,4 +107,23 @@ pub trait TcAlgorithm: Sync {
     fn count_cpu(&self, dag: &DagGraph) -> u64 {
         graph_data::cpu_ref::forward_merge_parallel(dag)
     }
+}
+
+/// [`TcAlgorithm::run`] with the device's work narrowed to the pivot
+/// vertices `pivots` (one device's share of a partitioned run, see
+/// [`DeviceGraph::restrict_to_pivots`]); the whole graph is still
+/// uploaded. The one body that uploads, frees and leak-checks.
+pub fn run_on_pivots<A: TcAlgorithm + ?Sized>(
+    algo: &A,
+    dev: &Device,
+    dag: &DagGraph,
+    pivots: Range<u32>,
+) -> Result<TcOutput, SimError> {
+    let mut mem = DeviceMem::new(dev);
+    let mut dg = DeviceGraph::upload(dag, &mut mem)?;
+    dg.restrict_to_pivots(pivots.start, pivots.end);
+    let out = algo.count(dev, &mut mem, &dg)?;
+    dg.free(&mut mem)?;
+    mem.leak_check()?;
+    Ok(out)
 }

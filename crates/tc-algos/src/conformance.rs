@@ -13,20 +13,19 @@
 //! correct because the simulator serializes lanes (or zero-fills memory
 //! that real hardware leaves as garbage) fails here with
 //! [`SimError::DataRace`] or [`SimError::Sanitizer`] instead of passing
-//! on a schedule-dependent answer. After each run the device graph is
-//! freed and [`DeviceMem::leak_check`] pins that the algorithm released
-//! every scratch buffer it allocated.
+//! on a schedule-dependent answer. Each run goes through
+//! [`TcAlgorithm::run`], whose leak check pins that the algorithm
+//! released every scratch buffer it allocated.
 //!
 //! Failure messages always embed a paste-able generator call (kept in
 //! sync with the actual case construction by `stringify!`), so any red
 //! test reproduces with a one-liner like
 //! `let edges = gen::rmat(9, 3000, 0.57, 0.19, 0.19, 0.05, 104);`.
 
-use gpu_sim::{Device, DeviceMem, SimError};
+use gpu_sim::{Device, SimError};
 use graph_data::{clean_edges, cpu_ref, gen, orient, DagGraph, EdgeList, Orientation, VertexId};
 
 use crate::api::{TcAlgorithm, TcOutput};
-use crate::device_graph::DeviceGraph;
 
 /// One conformance input: a generated graph plus the exact expression
 /// that regenerates it.
@@ -82,23 +81,18 @@ pub fn generator_cases() -> Vec<ConformanceCase> {
     ]
 }
 
-/// Run `algo` on `dag` end to end with the data-race detector, SimSan
-/// and SimLint forced on, then free the graph and leak-check the
-/// device: an algorithm that abandons a scratch buffer fails here with
-/// [`SimError::Sanitizer`] (leak), and one whose lanes disagree on a
-/// barrier fails with [`SimError::BarrierDivergence`]. Performance
-/// lints are advisory and land in `TcOutput::stats.lint`.
+/// [`TcAlgorithm::run`] on a V100 with the data-race detector, SimSan
+/// and SimLint forced on: the checked run every conformance check and
+/// kernel fixture test uses. An algorithm that abandons a scratch buffer
+/// fails with [`SimError::Sanitizer`] (leak), and one whose lanes
+/// disagree on a barrier fails with [`SimError::BarrierDivergence`].
+/// Performance lints are advisory and land in `TcOutput::stats.lint`.
 pub fn run_checked(algo: &dyn TcAlgorithm, dag: &DagGraph) -> Result<TcOutput, SimError> {
     let dev = Device::v100()
         .with_race_detection()
         .with_sanitizer()
         .with_lints();
-    let mut mem = DeviceMem::new(&dev);
-    let dg = DeviceGraph::upload(dag, &mut mem)?;
-    let out = algo.count(&dev, &mut mem, &dg)?;
-    dg.free(&mut mem)?;
-    mem.leak_check()?;
-    Ok(out)
+    algo.run(&dev, dag)
 }
 
 /// `run_checked` under the algorithm's preferred orientation, panicking

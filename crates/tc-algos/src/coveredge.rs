@@ -372,14 +372,9 @@ mod tests {
         // launch alive so the runner's dead-kernel check stays meaningful.
         let (g, _) = clean_edges(&EdgeList::new(vec![(0, 1), (1, 2), (2, 3)]));
         let dag = orient(&g, Orientation::ById);
-        let dev = Device::v100();
-        let mut mem = DeviceMem::new(&dev);
-        let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
-        let out = CoverEdge.count(&dev, &mut mem, &dg).unwrap();
+        let out = CoverEdge.run(&Device::v100(), &dag).unwrap();
         assert_eq!(out.triangles, 0);
         assert!(out.stats.kernel_cycles > 0);
-        dg.free(&mut mem).unwrap();
-        assert!(mem.leak_check().is_ok());
     }
 
     #[test]

@@ -374,8 +374,7 @@ mod tests {
 
     #[test]
     fn partial_two_hop_reduces_search_work() {
-        use crate::device_graph::DeviceGraph;
-        use gpu_sim::{Device, DeviceMem};
+        use gpu_sim::Device;
         use graph_data::{clean_edges, orient};
 
         let raw = graph_data::gen::rmat(12, 30_000, 0.57, 0.19, 0.19, 0.05, 5);
@@ -383,13 +382,8 @@ mod tests {
         let dag = orient(&g, Orientation::DegreeAsc);
         let dev = Device::v100();
 
-        let run = |algo: &GroupTc| {
-            let mut mem = DeviceMem::new(&dev);
-            let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
-            algo.count(&dev, &mut mem, &dg).unwrap()
-        };
-        let with = run(&GroupTc::default());
-        let without = run(&GroupTc::without_partial_two_hop());
+        let with = GroupTc::default().run(&dev, &dag).unwrap();
+        let without = GroupTc::without_partial_two_hop().run(&dev, &dag).unwrap();
         assert_eq!(with.triangles, without.triangles);
         assert!(
             with.stats.counters.global_load_requests < without.stats.counters.global_load_requests,

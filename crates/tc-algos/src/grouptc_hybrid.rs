@@ -317,7 +317,9 @@ mod tests {
             let dag = orient(&g, Orientation::DegreeAsc);
             let expected = cpu_ref::forward_merge(&dag);
             assert_eq!(
-                testutil::run_on_dag(&GroupTcHybrid::default(), &dag),
+                conformance::run_checked(&GroupTcHybrid::default(), &dag)
+                    .unwrap()
+                    .triangles,
                 expected
             );
         }

@@ -236,10 +236,7 @@ mod tests {
         }
         let (g, _) = clean_edges(&EdgeList::new(edges));
         let dag = orient(&g, Orientation::ById);
-        let dev = gpu_sim::Device::v100();
-        let mut mem = gpu_sim::DeviceMem::new(&dev);
-        let dg = crate::device_graph::DeviceGraph::upload(&dag, &mut mem).unwrap();
-        let res = HIndex.count(&dev, &mut mem, &dg);
+        let res = HIndex.run(&gpu_sim::Device::v100(), &dag);
         assert!(
             matches!(res, Err(SimError::KernelFault(_))),
             "expected bucket overflow, got {res:?}"

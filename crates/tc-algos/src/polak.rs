@@ -120,7 +120,6 @@ impl TcAlgorithm for Polak {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_graph::DeviceGraph;
     use graph_data::{clean_edges, cpu_ref, orient, EdgeList, Orientation};
 
     #[test]
@@ -138,10 +137,7 @@ mod tests {
             (4, 5),
         ]));
         let dag = orient(&g, Orientation::DegreeAsc);
-        let dev = Device::v100();
-        let mut mem = DeviceMem::new(&dev);
-        let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
-        let out = Polak.count(&dev, &mut mem, &dg).unwrap();
+        let out = Polak.run(&Device::v100(), &dag).unwrap();
         assert_eq!(out.triangles, 5);
         assert_eq!(out.triangles, cpu_ref::forward_merge(&dag));
         assert!(out.stats.counters.global_load_requests > 0);
@@ -152,10 +148,7 @@ mod tests {
     fn empty_graph_counts_zero() {
         let (g, _) = clean_edges(&EdgeList::new(vec![(0, 1)]));
         let dag = orient(&g, Orientation::ById);
-        let dev = Device::v100();
-        let mut mem = DeviceMem::new(&dev);
-        let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
-        assert_eq!(Polak.count(&dev, &mut mem, &dg).unwrap().triangles, 0);
+        assert_eq!(Polak.run(&Device::v100(), &dag).unwrap().triangles, 0);
     }
 
     #[test]

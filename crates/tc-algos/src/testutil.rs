@@ -1,10 +1,9 @@
 //! Shared test fixtures for the algorithm modules.
 
-use gpu_sim::{Device, DeviceMem};
-use graph_data::{clean_edges, cpu_ref, gen, orient, DagGraph, EdgeList, Orientation};
+use graph_data::{clean_edges, cpu_ref, gen, orient, EdgeList, Orientation};
 
 use crate::api::TcAlgorithm;
-use crate::device_graph::DeviceGraph;
+use crate::conformance::run_checked;
 
 /// The paper's Figure 1(a) graph (5 triangles).
 pub fn figure1_edges() -> EdgeList {
@@ -22,8 +21,10 @@ pub fn figure1_edges() -> EdgeList {
     ])
 }
 
-/// Run `algo` on `edges` under `orientation` and assert it matches the
-/// CPU Forward reference. Returns the count.
+/// Run `algo` on `edges` under `orientation` through
+/// [`run_checked`] — so every fixture-based kernel test doubles as a
+/// race-freedom, memory-state, barrier and leak check — and assert it
+/// matches the CPU Forward reference. Returns the count.
 pub fn assert_matches_reference(
     algo: &dyn TcAlgorithm,
     edges: &EdgeList,
@@ -32,7 +33,9 @@ pub fn assert_matches_reference(
     let (g, _) = clean_edges(edges);
     let dag = orient(&g, orientation);
     let expected = cpu_ref::forward_merge(&dag);
-    let out = run_on_dag(algo, &dag);
+    let out = run_checked(algo, &dag)
+        .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()))
+        .triangles;
     assert_eq!(
         out,
         expected,
@@ -42,19 +45,6 @@ pub fn assert_matches_reference(
         g.num_edges()
     );
     out
-}
-
-/// Upload a DAG and run the algorithm end to end on a fresh V100, with
-/// the data-race detector and SimSan forced on — every fixture-based
-/// kernel test doubles as a race-freedom, memory-state and leak check.
-pub fn run_on_dag(algo: &dyn TcAlgorithm, dag: &DagGraph) -> u64 {
-    let dev = Device::v100().with_race_detection().with_sanitizer();
-    let mut mem = DeviceMem::new(&dev);
-    let dg = DeviceGraph::upload(dag, &mut mem).expect("upload");
-    let triangles = algo.count(&dev, &mut mem, &dg).expect("count").triangles;
-    dg.free(&mut mem).expect("free device graph");
-    mem.leak_check().expect("algorithm leaked device buffers");
-    triangles
 }
 
 /// A batch of structurally diverse small graphs every algorithm must get

@@ -299,6 +299,7 @@ fn run_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::run_checked;
     use crate::testutil;
     use graph_data::{clean_edges, cpu_ref, gen, orient, Orientation};
 
@@ -340,7 +341,7 @@ mod tests {
             "fixture must exceed the block threshold"
         );
         let expected = cpu_ref::forward_merge(&dag);
-        assert_eq!(testutil::run_on_dag(&Trust, &dag), expected);
+        assert_eq!(run_checked(&Trust, &dag).unwrap().triangles, expected);
     }
 
     #[test]
@@ -359,7 +360,7 @@ mod tests {
         let dag = orient(&g, Orientation::DegreeDesc);
         assert!(dag.max_out_degree() > BLOCK_META_CAP);
         let expected = cpu_ref::forward_merge(&dag);
-        assert_eq!(testutil::run_on_dag(&Trust, &dag), expected);
+        assert_eq!(run_checked(&Trust, &dag).unwrap().triangles, expected);
     }
 
     #[test]
@@ -377,7 +378,7 @@ mod tests {
         let (g, _) = clean_edges(&graph_data::EdgeList::new(edges));
         let dag = orient(&g, Orientation::ById);
         let expected = cpu_ref::forward_merge(&dag);
-        assert_eq!(testutil::run_on_dag(&Trust, &dag), expected);
+        assert_eq!(run_checked(&Trust, &dag).unwrap().triangles, expected);
     }
 
     #[test]

@@ -29,18 +29,12 @@ fn all_registered_algorithms_agree_on_every_fixture() {
         };
         for algo in all_algorithms() {
             let dag = orient(&g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(&dev);
-            let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
-            let out = algo.count(&dev, &mut mem, &dg).unwrap();
+            // `run` leak-checks: auxiliary allocations must all have
+            // been released.
+            let out = algo
+                .run(&dev, &dag)
+                .unwrap_or_else(|e| panic!("{} failed on {name}: {e}", algo.name()));
             assert_eq!(out.triangles, expected, "{} wrong on {name}", algo.name());
-            // Auxiliary allocations must all have been released.
-            dg.free(&mut mem).unwrap();
-            assert_eq!(
-                mem.allocated_words(),
-                0,
-                "{} leaked device memory on {name}",
-                algo.name()
-            );
         }
     }
 }
@@ -53,9 +47,7 @@ fn every_algorithm_reports_work_proportional_stats() {
     for algo in all_algorithms() {
         let run = |g: &graph_data::UndirGraph| {
             let dag = orient(g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(&dev);
-            let dg = DeviceGraph::upload(&dag, &mut mem).unwrap();
-            algo.count(&dev, &mut mem, &dg).unwrap().stats
+            algo.run(&dev, &dag).unwrap().stats
         };
         let s = run(&small);
         let l = run(&large);

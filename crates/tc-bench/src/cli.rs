@@ -63,20 +63,20 @@ impl Args {
         }
     }
 
-    /// Consume the first positional (non-`--`) argument.
-    pub fn positional(&mut self) -> Option<String> {
-        let i = self.rest.iter().position(|a| !a.starts_with("--"))?;
-        Some(self.rest.remove(i))
-    }
-
     /// Consume the dataset selection: Table II names (case-insensitive),
     /// `--small` (the small class) or `--medium` (small + medium). With
     /// none of these, `default` is parsed the same way; an empty
-    /// `default` selects all 19 datasets.
+    /// `default` selects all 19 datasets. Options are consumed before
+    /// the datasets, so any `--` option still left is unknown (and the
+    /// value after it is not taken for a dataset name); every other
+    /// argument left is a dataset name.
     pub fn datasets(&mut self, default: &[&str]) -> Result<Vec<DatasetSpec>, String> {
         let small = self.flag("--small");
         let medium = self.flag("--medium");
-        let names: Vec<String> = std::iter::from_fn(|| self.positional()).collect();
+        if let Some(a) = self.rest.iter().find(|a| a.starts_with("--")) {
+            return Err(format!("unknown option `{a}`"));
+        }
+        let names = std::mem::take(&mut self.rest);
         let class = |keep: fn(SizeClass) -> bool| -> Vec<DatasetSpec> {
             TABLE2_DATASETS
                 .iter()
@@ -207,9 +207,15 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_option_is_not_read_as_a_dataset() {
+        let err = args(&["--devices", "2"]).datasets(&["Wiki-Talk"]);
+        assert_eq!(err.unwrap_err(), "unknown option `--devices`");
+    }
+
+    #[test]
     fn finish_rejects_leftovers() {
-        let mut a = args(&["As-Caida", "--bogus"]);
-        a.datasets(&[]).unwrap();
+        let mut a = args(&["--bogus"]);
+        assert_eq!(a.value("--csv"), Ok(None));
         assert!(a.finish().unwrap_err().contains("--bogus"));
         assert!(args(&["stray"]).finish().is_err());
     }

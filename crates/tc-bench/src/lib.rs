@@ -18,12 +18,11 @@ pub mod bench_json;
 pub mod cli;
 
 use bench_json::LintCell;
-use gpu_sim::{Device, DeviceMem, SimError};
+use gpu_sim::{Device, SimError};
 use graph_data::{clean_edges, orient, DatasetSpec};
 use tc_algos::all_algorithms;
 use tc_algos::api::{TcAlgorithm, TcOutput};
 use tc_algos::conformance::generator_cases;
-use tc_algos::device_graph::DeviceGraph;
 use tc_core::framework::backend::SimBackend;
 use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
@@ -50,9 +49,10 @@ pub fn sweep(
 }
 
 /// The SimLint diagnostic wall: every registry algorithm over the full
-/// conformance corpus on a V100 with lints forced on, one cell per
-/// (algorithm, case) in registry-major order. `tc lint_sweep` renders
-/// these cells as `LINT_sim.json` with [`bench_json::render_lint`].
+/// conformance corpus on a V100 with lints forced on, one
+/// leak-checked [`TcAlgorithm::run`] per (algorithm, case) in
+/// registry-major order. `tc lint_sweep` renders these cells as
+/// `LINT_sim.json` with [`bench_json::render_lint`].
 pub fn lint_wall() -> Vec<LintCell> {
     let dev = Device::v100().with_lints();
     let cases = generator_cases();
@@ -61,21 +61,16 @@ pub fn lint_wall() -> Vec<LintCell> {
         for case in &cases {
             let (g, _) = clean_edges(&case.edges);
             let dag = orient(&g, algo.preferred_orientation());
-            let mut mem = DeviceMem::new(&dev);
-            cells.push(
-                match DeviceGraph::upload(&dag, &mut mem)
-                    .and_then(|dg| algo.count(&dev, &mut mem, &dg))
-                {
-                    // A zero-launch degenerate run carries no report;
-                    // serialize it as a clean cell.
-                    Ok(out) => LintCell::from_report(
-                        algo.name(),
-                        case.name,
-                        &out.stats.lint.unwrap_or_default(),
-                    ),
-                    Err(e) => LintCell::from_error(algo.name(), case.name, &e.to_string()),
-                },
-            );
+            cells.push(match algo.run(&dev, &dag) {
+                // A zero-launch degenerate run carries no report;
+                // serialize it as a clean cell.
+                Ok(out) => LintCell::from_report(
+                    algo.name(),
+                    case.name,
+                    &out.stats.lint.unwrap_or_default(),
+                ),
+                Err(e) => LintCell::from_error(algo.name(), case.name, &e.to_string()),
+            });
         }
     }
     cells
@@ -86,8 +81,9 @@ pub fn lint_wall() -> Vec<LintCell> {
 const PINNED_CASES: [&str; 3] = ["er-dense", "rmat-skewed", "road-grid"];
 
 /// The replay-equivalence cells in pin order: every registry algorithm
-/// on each of the `PINNED_CASES` (case-major), run on `dev` under its
-/// preferred orientation, as `(algorithm, case, outcome)`.
+/// on each of the `PINNED_CASES` (case-major), one leak-checked
+/// [`TcAlgorithm::run`] on `dev` under its preferred orientation, as
+/// `(algorithm, case, outcome)`.
 /// `tc pin_replay_snapshots` prints these cells as
 /// `tests/replay_equivalence/pins.rs`, and the replay-equivalence tests
 /// compare them with it. Each cell runs when it is pulled, so a caller
@@ -104,9 +100,7 @@ pub fn pinned_cells(
     (0..cases.len() * algos.len()).map(move |i| {
         let ((case, g), algo) = (&cases[i / algos.len()], &algos[i % algos.len()]);
         let dag = orient(g, algo.preferred_orientation());
-        let mut mem = DeviceMem::new(dev);
-        let out = DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(dev, &mut mem, &dg));
-        (algo.name(), *case, out)
+        (algo.name(), *case, algo.run(dev, &dag))
     })
 }
 

@@ -408,10 +408,7 @@ pub fn orientation_study(mut args: Args) -> Result<(), Error> {
             let dag = data.dag(o);
             let mut row = vec![format!("{o:?}"), dag.max_out_degree().to_string()];
             for algo in &algos {
-                let mut mem = DeviceMem::new(&dev);
-                match DeviceGraph::upload(&dag, &mut mem)
-                    .and_then(|dg| algo.count(&dev, &mut mem, &dg))
-                {
+                match algo.run(&dev, &dag) {
                     Ok(out) if out.triangles != expected => {
                         return Err(Error::Failed(format!(
                             "{} under {o:?} on {} miscounted: {} != {expected}",
@@ -442,7 +439,9 @@ pub fn orientation_study(mut args: Args) -> Result<(), Error> {
 
 /// Profiling utility: a one-line counter digest per algorithm on a
 /// single dataset — handy when calibrating the cost model. `--algos`
-/// keeps only the named registry entries.
+/// keeps only the named registry entries. Every count is checked
+/// against the CPU reference: a wrong one prints `MISCOUNT`, and a
+/// failed or miscounted algorithm fails the run after the table.
 pub fn diag(mut args: Args) -> Result<(), Error> {
     let algos = match args.value("--algos")? {
         Some(list) => cli::algorithms(&list)?,
@@ -452,11 +451,19 @@ pub fn diag(mut args: Args) -> Result<(), Error> {
     args.finish()?;
 
     let dev = Device::v100();
-    let g = spec.build();
+    let data = PreparedDataset::prepare(&spec);
+    let mut any_failed = false;
     for algo in algos {
-        let dag = orient(&g, algo.preferred_orientation());
-        let mut mem = DeviceMem::new(&dev);
-        match DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(&dev, &mut mem, &dg)) {
+        match algo.run(&dev, &data.dag(algo.preferred_orientation())) {
+            Ok(out) if out.triangles != data.ground_truth => {
+                any_failed = true;
+                println!(
+                    "{:<9} MISCOUNT: counted {} expected {}",
+                    algo.name(),
+                    out.triangles,
+                    data.ground_truth
+                );
+            }
             Ok(out) => {
                 let c = out.stats.counters;
                 let bw_floor = dev.config().cost.dram_floor_cycles(&c);
@@ -471,8 +478,16 @@ pub fn diag(mut args: Args) -> Result<(), Error> {
                     c.issued_slots
                 );
             }
-            Err(e) => println!("{:<9} FAILED: {e}", algo.name()),
+            Err(e) => {
+                any_failed = true;
+                println!("{:<9} FAILED: {e}", algo.name());
+            }
         }
+    }
+    if any_failed {
+        return Err(Error::Failed(
+            "one or more algorithms failed or miscounted".to_string(),
+        ));
     }
     Ok(())
 }

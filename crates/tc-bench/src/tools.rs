@@ -11,8 +11,8 @@ use tc_algos::all_algorithms;
 use tc_bench::bench_json::{self, BenchCell};
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
-use tc_core::framework::backend::{Backend, CpuBackend};
-use tc_core::framework::partitioned::{run_partitioned, PartitionedSimBackend};
+use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
+use tc_core::framework::partitioned::run_partitioned;
 use tc_core::framework::runner::{
     run_matrix, run_matrix_parallel, PreparedDataset, RunOutcome, RunRecord,
 };
@@ -37,8 +37,7 @@ fn positive(name: &str, value: &str) -> Result<u32, String> {
 /// `--backend` selects the execution substrate: `sim` (default) runs the
 /// cycle-modelled simulator, `cpu` runs each algorithm's native rayon
 /// host kernel (kernel cycles report 0), and `both` sweeps the two back
-/// to back. `--devices N` (default 1) runs the sim backend partitioned
-/// over N simulated devices; cycle figures are then per-cell makespans.
+/// to back. Multi-device runs are `scale_sweep`'s.
 ///
 /// `--bench-json` writes the modelled results (committed as
 /// `BENCH_sim.json`; CI diffs a fresh Wiki-Talk document against it).
@@ -54,20 +53,13 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     let backend_arg = args
         .value("--backend")?
         .unwrap_or_else(|| "sim".to_string());
-    let devices = match args.value("--devices")? {
-        Some(v) => positive("--devices", &v)?,
-        None => 1,
-    };
     let json_path = args.value("--bench-json")?;
     let datasets = args.datasets(&["Wiki-Talk"])?;
     args.finish()?;
 
     let algos = all_algorithms();
     let dev = Device::v100();
-    let sim = PartitionedSimBackend {
-        dev: &dev,
-        num_devices: devices,
-    };
+    let sim = SimBackend { dev: &dev };
     let backends: Vec<&dyn Backend> = match backend_arg.as_str() {
         "sim" => vec![&sim],
         "cpu" => vec![&CpuBackend],

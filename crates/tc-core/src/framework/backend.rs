@@ -3,16 +3,17 @@
 //! on the host.
 //!
 //! A [`Backend`] turns one (algorithm, dataset) cell into a
-//! [`RunRecord`]. [`SimBackend`] wraps the existing
-//! [`run_on_dataset`] path; [`CpuBackend`] executes the algorithm's
-//! rayon host kernel ([`TcAlgorithm::count_cpu`]) with the same
+//! [`RunRecord`]. [`SimBackend`] runs the one-device
+//! [`run_partitioned`] cell, whose [`TcAlgorithm::run`] uploads, counts,
+//! frees and leak-checks; [`CpuBackend`] executes the algorithm's rayon
+//! host kernel ([`TcAlgorithm::count_cpu`]) with the same
 //! preferred-orientation pipeline. Both build their records through the
 //! runner's single fault boundary, so a panicking kernel — host or
 //! simulated — becomes [`RunOutcome::Failed`] in its own cell, exactly
 //! like a device memory fault, instead of tearing down the sweep. The
 //! sweep drivers ([`crate::framework::runner::run_matrix`] and
 //! [`crate::framework::runner::run_matrix_parallel`]) take any slice of
-//! backends.
+//! backends; a multi-device sweep calls [`run_partitioned`] itself.
 //!
 //! What the CPU path deliberately does *not* model: cycles, profiling
 //! counters, occupancy — its records carry `kernel_cycles: 0` and
@@ -23,7 +24,8 @@
 use gpu_sim::Device;
 use tc_algos::api::TcAlgorithm;
 
-use crate::framework::runner::{run_cell, run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
+use crate::framework::partitioned::run_partitioned;
+use crate::framework::runner::{run_cell, PreparedDataset, RunOutcome, RunRecord};
 
 /// An execution substrate for evaluation cells.
 pub trait Backend: Sync {
@@ -38,36 +40,31 @@ pub struct SimBackend<'d> {
 
 impl Backend for SimBackend<'_> {
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-        run_on_dataset(self.dev, algo, data)
+        run_partitioned(self.dev, algo, data, 1)
     }
 }
 
-/// The native host backend: rayon kernels, no device model.
+/// The native host backend: rayon kernels, no device model. A cell runs
+/// the algorithm's host kernel on its preferred orientation and verifies
+/// the count; a panic in the kernel surfaces as [`RunOutcome::Failed`]
+/// with the panic message, and the caller's sweep continues.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CpuBackend;
 
 impl Backend for CpuBackend {
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-        run_on_dataset_cpu(algo, data)
+        run_cell("cpu", algo, data, || {
+            let triangles = algo.count_cpu(&data.dag(algo.preferred_orientation()));
+            let outcome = RunOutcome::Ok {
+                triangles,
+                // The CPU path models nothing: no cycles, no counters.
+                kernel_cycles: 0,
+                counters: Default::default(),
+                verified: triangles == data.ground_truth,
+            };
+            (outcome, None)
+        })
     }
-}
-
-/// Run one algorithm's host kernel on one prepared dataset (the
-/// algorithm's preferred orientation) and verify the count. A panic in
-/// the kernel surfaces as [`RunOutcome::Failed`] with the panic message,
-/// and the caller's sweep continues.
-pub fn run_on_dataset_cpu(algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-    run_cell("cpu", algo, data, || {
-        let triangles = algo.count_cpu(&data.dag(algo.preferred_orientation()));
-        let outcome = RunOutcome::Ok {
-            triangles,
-            // The CPU path models nothing: no cycles, no counters.
-            kernel_cycles: 0,
-            counters: Default::default(),
-            verified: triangles == data.ground_truth,
-        };
-        (outcome, None)
-    })
 }
 
 #[cfg(test)]
@@ -110,18 +107,6 @@ mod tests {
             );
             assert_eq!(rec.kernel_cycles(), Some(0), "cpu cells model no cycles");
         }
-    }
-
-    #[test]
-    fn sim_backend_is_the_existing_runner_path() {
-        let dev = Device::v100();
-        let data = PreparedDataset::prepare(&tiny_spec());
-        let algos = all_algorithms();
-        let via_backend = SimBackend { dev: &dev }.run(algos[0].as_ref(), &data);
-        let direct = run_on_dataset(&dev, algos[0].as_ref(), &data);
-        assert_eq!(via_backend.backend, "sim");
-        assert_eq!(via_backend.algorithm, direct.algorithm);
-        assert_eq!(via_backend.kernel_cycles(), direct.kernel_cycles());
     }
 
     /// Kernels that panic — the host one and a simulated lane closure:

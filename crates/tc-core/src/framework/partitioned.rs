@@ -15,16 +15,16 @@
 //! the figure-of-merit, exactly how the strong-scaling plots in the
 //! multi-GPU literature are drawn.
 //!
-//! The devices are simulated **serially** on fresh
-//! [`gpu_sim::DeviceMem`] images; determinism is inherited from the
-//! simulator, so an N-device sweep is reproducible cycle-for-cycle.
+//! The devices are simulated **serially**, each through
+//! [`run_on_pivots`] on a fresh [`gpu_sim::DeviceMem`] image, so every
+//! device's graph is freed and its image leak-checked; determinism is
+//! inherited from the simulator, so an N-device sweep is reproducible
+//! cycle-for-cycle.
 
 use gpu_sim::{Device, LaunchStats, SimError};
-use tc_algos::api::TcAlgorithm;
-use tc_algos::device_graph::DeviceGraph;
+use tc_algos::api::{run_on_pivots, TcAlgorithm};
 use tc_algos::partition::PartitionPlan;
 
-use crate::framework::backend::Backend;
 use crate::framework::runner::{run_cell, PreparedDataset, RunOutcome, RunRecord};
 
 /// One simulated device's share of a partitioned run.
@@ -63,8 +63,10 @@ pub struct PartitionStats {
 
 /// Run one algorithm over `num_devices` simulated devices and verify the
 /// summed count: the one simulator cell body. With `num_devices <= 1` it
-/// is [`run_on_dataset`](crate::framework::runner::run_on_dataset): full
-/// work ranges, no plan, no link charges, and `partition: None`.
+/// is [`SimBackend`](crate::framework::backend::SimBackend)'s cell:
+/// exactly [`TcAlgorithm::run`] on the preferred orientation, no plan,
+/// no link charges, and `partition: None`. A device fault, a leaked
+/// buffer or a panic becomes [`RunOutcome::Failed`] in this cell alone.
 ///
 /// A successful count on a graph with edges must have cost at least one
 /// modelled cycle, summed over the devices; only the empty graph may
@@ -89,16 +91,12 @@ pub fn run_partitioned(
         let mut triangles = 0u64;
         let mut agg = LaunchStats::default();
         for d in 0..num_devices.max(1) as usize {
-            // Each device is a fresh memory image: nothing carries over.
-            let mut mem = gpu_sim::DeviceMem::new(dev);
-            let outcome = DeviceGraph::upload(&dag, &mut mem).and_then(|mut dg| {
-                if let Some((plan, _)) = &split {
-                    let (lo, hi) = plan.pivot_range(d);
-                    dg.restrict_to_pivots(lo, hi);
-                }
-                algo.count(dev, &mut mem, &dg)
-            });
-            let out = match outcome {
+            // Each device is a fresh memory image holding the whole graph;
+            // a split narrows its work to the device's pivot range.
+            let (lo, hi) = split
+                .as_ref()
+                .map_or((0, dag.num_vertices()), |(plan, _)| plan.pivot_range(d));
+            let out = match run_on_pivots(algo, dev, &dag, lo..hi) {
                 Ok(out) => out,
                 Err(e) => return (RunOutcome::Failed(e), None),
             };
@@ -147,26 +145,12 @@ pub fn run_partitioned(
     })
 }
 
-/// The N-device sim backend: [`run_partitioned`] behind the common
-/// [`Backend`] surface, so multi-device sweeps reuse the common matrix
-/// drivers unchanged.
-pub struct PartitionedSimBackend<'d> {
-    pub dev: &'d Device,
-    pub num_devices: u32,
-}
-
-impl Backend for PartitionedSimBackend<'_> {
-    fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-        run_partitioned(self.dev, algo, data, self.num_devices)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::runner::run_on_dataset;
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
     use tc_algos::all_algorithms;
+    use tc_algos::device_graph::DeviceGraph;
 
     fn tiny_spec() -> DatasetSpec {
         DatasetSpec {
@@ -188,7 +172,7 @@ mod tests {
         let dev = Device::v100();
         let data = PreparedDataset::prepare(&tiny_spec());
         for algo in all_algorithms() {
-            let single = run_on_dataset(&dev, algo.as_ref(), &data);
+            let single = run_partitioned(&dev, algo.as_ref(), &data, 1);
             for n in [2u32, 4] {
                 let multi = run_partitioned(&dev, algo.as_ref(), &data, n);
                 assert!(
@@ -210,31 +194,27 @@ mod tests {
     }
 
     #[test]
-    fn one_device_run_is_exactly_the_runner_path() {
+    fn one_device_cell_is_exactly_the_algorithm_run() {
         let dev = Device::v100();
         let data = PreparedDataset::prepare(&tiny_spec());
-        let algos = all_algorithms();
-        let direct = run_on_dataset(&dev, algos[0].as_ref(), &data);
-        let via = run_partitioned(&dev, algos[0].as_ref(), &data, 1);
+        let algo = &all_algorithms()[0];
+        let direct = algo
+            .run(&dev, &data.dag(algo.preferred_orientation()))
+            .unwrap();
+        let via = run_partitioned(&dev, algo.as_ref(), &data, 1);
         assert!(via.partition.is_none(), "no partition stats at N=1");
-        assert_eq!(via.kernel_cycles(), direct.kernel_cycles());
-        match (&via.outcome, &direct.outcome) {
-            (
-                RunOutcome::Ok {
-                    triangles: a,
-                    counters: ca,
-                    ..
-                },
-                RunOutcome::Ok {
-                    triangles: b,
-                    counters: cb,
-                    ..
-                },
-            ) => {
-                assert_eq!(a, b);
-                assert_eq!(ca, cb);
+        match &via.outcome {
+            RunOutcome::Ok {
+                triangles,
+                kernel_cycles,
+                counters,
+                verified: true,
+            } => {
+                assert_eq!(*triangles, direct.triangles);
+                assert_eq!(*kernel_cycles, direct.stats.kernel_cycles);
+                assert_eq!(*counters, direct.stats.counters);
             }
-            (a, b) => panic!("outcome mismatch: {a:?} vs {b:?}"),
+            other => panic!("expected a verified cell, got {other:?}"),
         }
     }
 
@@ -302,7 +282,7 @@ mod tests {
         let dev = Device::v100();
         let data = PreparedDataset::prepare(&tiny_spec());
         for rec in [
-            run_on_dataset(&dev, &ZeroCycleProbe, &data),
+            run_partitioned(&dev, &ZeroCycleProbe, &data, 1),
             run_partitioned(&dev, &ZeroCycleProbe, &data, 2),
         ] {
             match &rec.outcome {
@@ -313,21 +293,5 @@ mod tests {
             }
             assert!(rec.partition.is_none());
         }
-    }
-
-    #[test]
-    fn backend_surface_matches_direct_call() {
-        let dev = Device::v100();
-        let data = PreparedDataset::prepare(&tiny_spec());
-        let algos = all_algorithms();
-        let backend = PartitionedSimBackend {
-            dev: &dev,
-            num_devices: 2,
-        };
-        let via = backend.run(algos[1].as_ref(), &data);
-        let direct = run_partitioned(&dev, algos[1].as_ref(), &data, 2);
-        assert_eq!(via.backend, "sim");
-        assert_eq!(via.kernel_cycles(), direct.kernel_cycles());
-        assert_eq!(via.partition, direct.partition);
     }
 }

@@ -1,7 +1,7 @@
 //! The evaluation runner: prepares a dataset once, then runs any set of
-//! algorithms on it — each on a fresh device memory image, under its own
-//! preferred orientation — verifying every GPU count against the CPU
-//! reference. This produces the raw matrix behind Figures 11, 12, 13
+//! algorithms on it — each through `TcAlgorithm::run` on a fresh device
+//! memory image that is leak-checked afterwards, under its own preferred
+//! orientation — verifying every GPU count against the CPU reference. This produces the raw matrix behind Figures 11, 12, 13
 //! and 15.
 //!
 //! One sweep-driver pair runs every execution [`Backend`]:
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use gpu_sim::{Device, ProfileCounters, SimError};
+use gpu_sim::{ProfileCounters, SimError};
 use graph_data::{cpu_ref, orient, DagGraph, DatasetSpec, GraphStats, Orientation, UndirGraph};
 use tc_algos::all_algorithms;
 use tc_algos::api::TcAlgorithm;
@@ -25,7 +25,7 @@ use tc_algos::api::TcAlgorithm;
 use rayon::prelude::*;
 
 use crate::framework::backend::Backend;
-use crate::framework::partitioned::{run_partitioned, PartitionStats};
+use crate::framework::partitioned::PartitionStats;
 
 /// A dataset after the preparation pipeline: generated (or loaded),
 /// cleaned, with statistics, ground truth, and oriented variants cached.
@@ -180,18 +180,6 @@ pub(crate) fn run_cell(
     }
 }
 
-/// Run one algorithm on one prepared dataset (fresh device memory, the
-/// algorithm's preferred orientation) and verify the count: the
-/// one-device [`run_partitioned`].
-///
-/// Faults are isolated per cell: a kernel that accesses device memory
-/// out of bounds, overflows a fixed structure, exhausts device memory,
-/// panics or reports zero kernel cycles on a non-empty graph produces
-/// [`RunOutcome::Failed`] here and the caller's sweep continues.
-pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-    run_partitioned(dev, algo, data, 1)
-}
-
 /// The evaluation sweep, serially: dataset-major, then backend, then
 /// algorithm — so one prepared dataset serves every backend before it is
 /// dropped. Returns one record per cell.
@@ -240,6 +228,8 @@ pub fn run_matrix_parallel(
 mod tests {
     use super::*;
     use crate::framework::backend::SimBackend;
+    use crate::framework::partitioned::run_partitioned;
+    use gpu_sim::Device;
     use graph_data::datasets::{GenSpec, SizeClass};
     use tc_algos::device_graph::DeviceGraph;
 
@@ -265,7 +255,7 @@ mod tests {
         let data = PreparedDataset::prepare(&tiny_spec());
         assert!(data.ground_truth > 0, "fixture should contain triangles");
         for algo in &algos {
-            let rec = run_on_dataset(&dev, algo.as_ref(), &data);
+            let rec = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
             match &rec.outcome {
                 RunOutcome::Ok {
                     verified,
@@ -467,6 +457,68 @@ mod tests {
         }
     }
 
+    /// An "implementation" that returns without freeing the scratch
+    /// buffer its one kernel wrote: the leak check `TcAlgorithm::run`
+    /// ends with must fail the cell, whatever analyses the device runs.
+    struct LeakyAlgo;
+
+    impl tc_algos::api::TcAlgorithm for LeakyAlgo {
+        fn meta(&self) -> tc_algos::api::AlgoMeta {
+            tc_algos::api::AlgoMeta {
+                name: "leaky-probe",
+                reference: "synthetic leak probe",
+                year: 2024,
+                iterator: tc_algos::api::IteratorKind::Vertex,
+                intersection: tc_algos::api::Intersection::Merge,
+                granularity: tc_algos::api::Granularity::Coarse,
+            }
+        }
+
+        fn count(
+            &self,
+            dev: &Device,
+            mem: &mut gpu_sim::DeviceMem,
+            _dg: &DeviceGraph,
+        ) -> Result<tc_algos::api::TcOutput, SimError> {
+            let scratch = mem.alloc_zeroed(32, "leaky.scratch")?;
+            let stats = dev.launch(mem, gpu_sim::KernelConfig::new(1, 32), move |blk| {
+                blk.phase(move |lane| lane.st_global(scratch, lane.tid() as usize, 1));
+            })?;
+            // Missing: mem.free(scratch).
+            Ok(tc_algos::api::TcOutput {
+                triangles: 0,
+                stats,
+            })
+        }
+    }
+
+    #[test]
+    fn leaked_buffer_surfaces_as_failed_cell_and_csv_row() {
+        // A plain device: the leak check runs on every simulated cell,
+        // one device or many, not only under SimSan.
+        let dev = Device::v100();
+        let data = PreparedDataset::prepare(&tiny_spec());
+        let records = [
+            SimBackend { dev: &dev }.run(&LeakyAlgo, &data),
+            run_partitioned(&dev, &LeakyAlgo, &data, 2),
+        ];
+        for rec in &records {
+            match &rec.outcome {
+                RunOutcome::Failed(SimError::Sanitizer { kind, buffer, .. }) => {
+                    assert_eq!(*kind, gpu_sim::SanitizerKind::Leak);
+                    assert_eq!(buffer, "leaky.scratch");
+                }
+                other => panic!("expected Failed(Sanitizer(leak)), got {other:?}"),
+            }
+        }
+        let mut out = Vec::new();
+        crate::framework::csv::write_records(&mut out, &records[..1]).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let row = text.lines().last().unwrap();
+        assert!(row.starts_with("leaky-probe,"), "row: {row}");
+        assert!(row.contains("\"failed: sanitizer: leak"), "row: {row}");
+    }
+
     /// An "implementation" with a divergent barrier: odd lanes skip the
     /// `sync_threads` their even siblings arrive at — on hardware the
     /// block hangs; under SimLint's verifier the launch must fail.
@@ -517,7 +569,7 @@ mod tests {
         let data = PreparedDataset::prepare(&tiny_spec());
         let records: Vec<RunRecord> = algos
             .iter()
-            .map(|a| run_on_dataset(&dev, a.as_ref(), &data))
+            .map(|a| SimBackend { dev: &dev }.run(a.as_ref(), &data))
             .collect();
         let divergent = records.last().unwrap();
         match &divergent.outcome {
@@ -551,7 +603,7 @@ mod tests {
         let data = PreparedDataset::prepare(&tiny_spec());
         let records: Vec<RunRecord> = algos
             .iter()
-            .map(|a| run_on_dataset(&dev, a.as_ref(), &data))
+            .map(|a| SimBackend { dev: &dev }.run(a.as_ref(), &data))
             .collect();
         let buggy = records.last().unwrap();
         match &buggy.outcome {
@@ -587,7 +639,7 @@ mod tests {
         let data = PreparedDataset::prepare(&tiny_spec());
         let records: Vec<RunRecord> = algos
             .iter()
-            .map(|a| run_on_dataset(&dev, a.as_ref(), &data))
+            .map(|a| SimBackend { dev: &dev }.run(a.as_ref(), &data))
             .collect();
         let racy = records.last().unwrap();
         assert!(

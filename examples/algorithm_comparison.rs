@@ -8,7 +8,7 @@
 
 use tc_compare::algos::all_algorithms;
 use tc_compare::core::framework::report::{cycles_to_ms, Table};
-use tc_compare::core::{run_on_dataset, PreparedDataset, RunOutcome};
+use tc_compare::core::{Backend, PreparedDataset, RunOutcome, SimBackend};
 use tc_compare::graph::DatasetSpec;
 use tc_compare::sim::Device;
 
@@ -26,6 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let device = Device::v100();
+    let sim = SimBackend { dev: &device };
     let mut t = Table::new(&[
         "algorithm",
         "triangles",
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for algo in all_algorithms() {
         eprintln!("running {}...", algo.name());
-        let rec = run_on_dataset(&device, algo.as_ref(), &data);
+        let rec = sim.run(algo.as_ref(), &data);
         match rec.outcome {
             RunOutcome::Ok {
                 triangles,

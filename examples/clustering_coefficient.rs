@@ -9,9 +9,9 @@
 //! cargo run --release --example clustering_coefficient [dataset-name]
 //! ```
 
-use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
+use tc_compare::algos::{GroupTc, TcAlgorithm};
 use tc_compare::graph::{orient, DatasetSpec, Orientation};
-use tc_compare::sim::{Device, DeviceMem};
+use tc_compare::sim::Device;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -32,10 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Triangles on the simulated GPU.
     let dag = orient(&graph, Orientation::DegreeAsc);
-    let device = Device::v100();
-    let mut mem = DeviceMem::new(&device);
-    let dev_graph = DeviceGraph::upload(&dag, &mut mem)?;
-    let result = GroupTc::default().count(&device, &mut mem, &dev_graph)?;
+    let result = GroupTc::default().run(&Device::v100(), &dag)?;
 
     let coefficient = if wedges == 0 {
         0.0

@@ -8,10 +8,10 @@
 //! ```
 
 use tc_compare::algos::{polak::Polak, tricore::TriCore, trust::Trust};
-use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
+use tc_compare::algos::{GroupTc, TcAlgorithm};
 use tc_compare::core::framework::report::{cycles_to_ms, Table};
 use tc_compare::graph::{orient, DatasetSpec};
-use tc_compare::sim::{Device, DeviceMem};
+use tc_compare::sim::Device;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -35,9 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dag = orient(&graph, algo.preferred_orientation());
         let mut times = Vec::new();
         for (dev_name, dev) in &devices {
-            let mut mem = DeviceMem::new(dev);
-            let dg = DeviceGraph::upload(&dag, &mut mem)?;
-            let out = algo.count(dev, &mut mem, &dg)?;
+            let out = algo.run(dev, &dag)?;
             eprintln!(
                 "{} on {}: {} triangles",
                 algo.name(),

@@ -8,9 +8,9 @@
 //! list, or a binary CSR (auto-detected). Without one, a small synthetic
 //! social network is generated.
 
-use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
+use tc_compare::algos::{GroupTc, TcAlgorithm};
 use tc_compare::graph::{clean_edges, gen, io, orient, Orientation};
-use tc_compare::sim::{Device, DeviceMem};
+use tc_compare::sim::Device;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Get an edge list: from a file, or generated.
@@ -31,11 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.removed_duplicates
     );
 
-    // 3. Upload to the simulated V100 and run GroupTC.
-    let device = Device::v100();
-    let mut mem = DeviceMem::new(&device);
-    let dev_graph = DeviceGraph::upload(&dag, &mut mem)?;
-    let result = GroupTc::default().count(&device, &mut mem, &dev_graph)?;
+    // 3. Run GroupTC on a simulated V100: one call uploads the graph,
+    //    counts, frees the graph and checks nothing leaked.
+    let result = GroupTc::default().run(&Device::v100(), &dag)?;
 
     println!("triangles: {}", result.triangles);
     println!(

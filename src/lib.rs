@@ -15,18 +15,16 @@
 //! See `examples/quickstart.rs` for a five-line triangle count.
 //!
 //! ```
-//! use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm};
+//! use tc_compare::algos::{GroupTc, TcAlgorithm};
 //! use tc_compare::graph::{clean_edges, orient, EdgeList, Orientation};
-//! use tc_compare::sim::{Device, DeviceMem};
+//! use tc_compare::sim::Device;
 //!
 //! let raw = EdgeList::new(vec![(0, 1), (1, 2), (0, 2), (2, 3)]);
 //! let (graph, _) = clean_edges(&raw);
 //! let dag = orient(&graph, Orientation::DegreeAsc);
 //!
-//! let device = Device::v100();
-//! let mut mem = DeviceMem::new(&device);
-//! let on_device = DeviceGraph::upload(&dag, &mut mem)?;
-//! let out = GroupTc::default().count(&device, &mut mem, &on_device)?;
+//! // Upload, count, free the graph and leak-check, in one call.
+//! let out = GroupTc::default().run(&Device::v100(), &dag)?;
 //! assert_eq!(out.triangles, 1);
 //! # Ok::<(), tc_compare::sim::SimError>(())
 //! ```

@@ -2,8 +2,8 @@
 //! algorithms, cover-edge included) and every conformance graph, the
 //! native host kernel, the simulated kernel and the independent
 //! `cpu_ref::node_iterator` oracle must produce the same count — with
-//! the sim side running under forced race detection and SimSan, plus a
-//! per-run leak check (that is what `run_checked` does).
+//! the sim side running under forced race detection, SimSan and SimLint,
+//! plus the per-run leak check (that is what `run_checked` does).
 //!
 //! This is the acceptance gate for the backend split: the CPU execution
 //! path is born behind the same wall the sim path already lives behind,

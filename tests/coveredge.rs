@@ -10,9 +10,9 @@ use tc_compare::algos::conformance::{
     check_differential, check_orientation_invariance, check_relabel_invariance, generator_cases,
 };
 use tc_compare::algos::coveredge::{cover_plan, CoverEdge};
-use tc_compare::algos::{DeviceGraph, TcAlgorithm};
+use tc_compare::algos::TcAlgorithm;
 use tc_compare::graph::{clean_edges, cpu_ref, gen, orient, Orientation};
-use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
+use tc_compare::sim::{Device, ProfileCounters};
 
 /// CPU cover-edge count == node-iterator oracle on one raw edge list.
 fn assert_matches_oracle(edges: &tc_compare::graph::EdgeList, label: &str) {
@@ -103,9 +103,7 @@ fn run_coveredge(dev: &Device) -> tc_compare::algos::TcOutput {
     let edges = gen::rmat(10, 8000, 0.57, 0.19, 0.19, 0.05, 42);
     let (g, _) = clean_edges(&edges);
     let dag = orient(&g, Orientation::ById);
-    let mut mem = DeviceMem::new(dev);
-    let dg = DeviceGraph::upload(&dag, &mut mem).expect("upload");
-    CoverEdge.count(dev, &mut mem, &dg).expect("CoverEdge run")
+    CoverEdge.run(dev, &dag).expect("CoverEdge run")
 }
 
 /// The pinned counters of the plain (detector-off, sanitizer-off) run.

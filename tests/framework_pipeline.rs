@@ -5,7 +5,7 @@ use tc_compare::algos::{algorithm_by_name, all_algorithms};
 use tc_compare::core::framework::claims::{check_claims, render_claims};
 use tc_compare::core::framework::csv::{write_records, CSV_HEADER};
 use tc_compare::core::framework::report::{extract, MatrixView};
-use tc_compare::core::{run_matrix, PreparedDataset, SimBackend};
+use tc_compare::core::{run_matrix, Backend, PreparedDataset, SimBackend};
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};
 use tc_compare::sim::Device;
@@ -107,7 +107,7 @@ fn prepared_dataset_reuses_orientations_across_algorithms() {
     let t0 = data.ground_truth;
     // Running twice must not change ground truth or graph.
     for algo in all_algorithms() {
-        let _ = tc_compare::core::run_on_dataset(&dev, algo.as_ref(), &data);
+        let _ = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
     }
     assert_eq!(data.ground_truth, t0);
 }

@@ -10,20 +10,16 @@
 //! zero-perturbation guarantee (identical counters and cycles, modulo
 //! the `sanitizer_*` fields themselves).
 
-use tc_compare::algos::{DeviceGraph, GroupTc, TcAlgorithm, TcOutput};
+use tc_compare::algos::{GroupTc, TcAlgorithm, TcOutput};
 use tc_compare::graph::{clean_edges, gen, orient, Orientation};
-use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
+use tc_compare::sim::{Device, ProfileCounters};
 
 fn run_grouptc(dev: &Device) -> TcOutput {
     // reproduce with: let edges = gen::rmat(10, 8000, 0.57, 0.19, 0.19, 0.05, 42);
     let edges = gen::rmat(10, 8000, 0.57, 0.19, 0.19, 0.05, 42);
     let (g, _) = clean_edges(&edges);
     let dag = orient(&g, Orientation::DegreeAsc);
-    let mut mem = DeviceMem::new(dev);
-    let dg = DeviceGraph::upload(&dag, &mut mem).expect("upload");
-    GroupTc::default()
-        .count(dev, &mut mem, &dg)
-        .expect("GroupTC run")
+    GroupTc::default().run(dev, &dag).expect("GroupTC run")
 }
 
 /// The pinned counters of the plain (detector-off, sanitizer-off) run.

@@ -3,7 +3,7 @@
 //! preferred preprocessing — the property the whole evaluation rests on.
 
 use tc_compare::algos::all_algorithms;
-use tc_compare::core::{run_on_dataset, PreparedDataset, RunOutcome};
+use tc_compare::core::{Backend, PreparedDataset, RunOutcome, SimBackend};
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};
 use tc_compare::sim::Device;
@@ -75,7 +75,7 @@ fn all_algorithms_exact_on_all_generator_families() {
         let data = PreparedDataset::prepare(&s);
         assert!(data.stats.edges > 1000, "{}: fixture too small", s.name);
         for algo in &algos {
-            let rec = run_on_dataset(&dev, algo.as_ref(), &data);
+            let rec = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
             match rec.outcome {
                 RunOutcome::Ok {
                     triangles,
@@ -109,7 +109,7 @@ fn smallest_table2_dataset_verifies_for_everyone() {
     let data = PreparedDataset::prepare(spec);
     assert!(data.ground_truth > 0);
     for algo in all_algorithms() {
-        let rec = run_on_dataset(&dev, algo.as_ref(), &data);
+        let rec = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
         assert!(rec.is_verified(), "{} not verified", rec.algorithm);
     }
 }
@@ -127,7 +127,7 @@ fn profiling_counters_are_sane_for_every_algorithm() {
     );
     let data = PreparedDataset::prepare(&s);
     for algo in all_algorithms() {
-        let rec = run_on_dataset(&dev, algo.as_ref(), &data);
+        let rec = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
         let c = rec
             .counters()
             .unwrap_or_else(|| panic!("{} failed\n  {}", rec.algorithm, repro(&s)));
@@ -167,8 +167,8 @@ fn runs_are_deterministic() {
     for algo in all_algorithms() {
         let d1 = PreparedDataset::prepare(&s);
         let d2 = PreparedDataset::prepare(&s);
-        let r1 = run_on_dataset(&dev, algo.as_ref(), &d1);
-        let r2 = run_on_dataset(&dev, algo.as_ref(), &d2);
+        let r1 = SimBackend { dev: &dev }.run(algo.as_ref(), &d1);
+        let r2 = SimBackend { dev: &dev }.run(algo.as_ref(), &d2);
         match (&r1.outcome, &r2.outcome) {
             (
                 RunOutcome::Ok {

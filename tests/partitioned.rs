@@ -7,7 +7,8 @@
 use tc_compare::algos::all_algorithms;
 use tc_compare::algos::conformance::generator_cases;
 use tc_compare::core::framework::partitioned::run_partitioned;
-use tc_compare::core::framework::runner::{run_on_dataset, PreparedDataset, RunOutcome};
+use tc_compare::core::framework::runner::{PreparedDataset, RunOutcome};
+use tc_compare::core::{Backend, SimBackend};
 use tc_compare::graph::clean_edges;
 use tc_compare::graph::datasets::{DatasetSpec, GenSpec, SizeClass};
 use tc_compare::sim::Device;
@@ -44,7 +45,7 @@ fn n_device_counts_equal_single_device_for_every_registry_entry() {
     assert_eq!(algos.len(), 10, "the registry should hold ten algorithms");
     for data in prepared_cases() {
         for algo in &algos {
-            let single = run_on_dataset(&dev, algo.as_ref(), &data);
+            let single = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
             let expected = match &single.outcome {
                 RunOutcome::Ok { triangles, .. } => *triangles,
                 RunOutcome::Failed(e) => {
@@ -104,7 +105,7 @@ fn one_device_partitioned_run_carries_no_partition_stats() {
     let dev = Device::v100();
     let algos = all_algorithms();
     let data = &prepared_cases()[0];
-    let direct = run_on_dataset(&dev, algos[0].as_ref(), data);
+    let direct = SimBackend { dev: &dev }.run(algos[0].as_ref(), data);
     let via = run_partitioned(&dev, algos[0].as_ref(), data, 1);
     assert!(via.partition.is_none());
     assert_eq!(via.kernel_cycles(), direct.kernel_cycles());

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use tc_compare::algos::all_algorithms;
-use tc_compare::algos::testutil::run_on_dag;
+use tc_compare::algos::conformance::run_checked;
 use tc_compare::graph::{clean_edges, cpu_ref, io, orient, EdgeList, Orientation};
 
 /// Random raw edge list: up to 400 edges over up to 60 vertices, with
@@ -34,7 +34,9 @@ proptest! {
         // GPU algorithms under their preferred orientation.
         for algo in all_algorithms() {
             let dag_pref = orient(&g, algo.preferred_orientation());
-            prop_assert_eq!(run_on_dag(algo.as_ref(), &dag_pref), expected,
+            let sim = run_checked(algo.as_ref(), &dag_pref)
+                .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
+            prop_assert_eq!(sim.triangles, expected,
                 "{} disagrees", algo.name());
         }
     }

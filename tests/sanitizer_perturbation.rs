@@ -10,9 +10,9 @@
 use proptest::prelude::*;
 
 use tc_compare::algos::all_algorithms;
-use tc_compare::algos::{DeviceGraph, TcAlgorithm, TcOutput};
+use tc_compare::algos::{TcAlgorithm, TcOutput};
 use tc_compare::graph::{clean_edges, orient, EdgeList};
-use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
+use tc_compare::sim::{Device, ProfileCounters};
 
 /// Random raw edge list: up to 400 edges over up to 60 vertices, with
 /// self-loops and duplicates allowed (cleaning must cope).
@@ -23,12 +23,7 @@ fn raw_edges() -> impl Strategy<Value = EdgeList> {
 fn run(algo: &dyn TcAlgorithm, dev: &Device, raw: &EdgeList) -> TcOutput {
     let (g, _) = clean_edges(raw);
     let dag = orient(&g, algo.preferred_orientation());
-    let mut mem = DeviceMem::new(dev);
-    let dg = DeviceGraph::upload(&dag, &mut mem).expect("upload");
-    let out = algo.count(dev, &mut mem, &dg).expect("count");
-    dg.free(&mut mem).expect("free device graph");
-    mem.leak_check().expect("leak");
-    out
+    algo.run(dev, &dag).expect("leak-checked run")
 }
 
 proptest! {
