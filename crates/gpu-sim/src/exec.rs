@@ -1188,10 +1188,10 @@ fn replay_warp(
         counters: ProfileCounters::default(),
         cycles: 0,
     };
-    // Live lanes, compacted in place: an exhausted lane swaps with the
-    // last live entry and drops out, so a tail-divergent warp — one long
-    // merge while 31 lanes sit finished, the common shape in triangle
-    // counting — costs one lane visit per step, not 32. Compaction
+    // Live lanes, compacted in place: a later live entry overwrites an
+    // exhausted lane, which drops out (see `retire`), so a tail-divergent
+    // warp — one long merge while 31 lanes sit finished, the common shape
+    // in triangle counting — costs one lane visit per step, not 32. Compaction
     // reorders lane visits, which is safe: every per-slot pass (distinct
     // sectors, bank ways, same-address depth, lane counts) is
     // order-independent.
@@ -1249,11 +1249,7 @@ fn replay_warp(
             }
             st.rest = &st.rest[1..];
             if st.rest.is_empty() {
-                // Retire exactly like the general path's swap dance.
-                n_active -= 1;
-                lanes.swap(0, n_active);
-                n_live -= 1;
-                lanes.swap(n_active, n_live);
+                retire(&mut lanes, 0, &mut n_active, &mut n_live);
                 break;
             }
         }
@@ -1269,8 +1265,8 @@ fn replay_warp(
         // this step already advanced onto its next op, and consuming
         // that op here would skip it without counting it. Gather-time
         // positions stay valid: compute positions are strictly
-        // ascending and every swap in this loop touches only positions
-        // at or past the cursor, which is already beyond them.
+        // ascending and every retire or park in this loop touches only
+        // positions at or past the cursor, which is already beyond them.
         let mut comp_pos = [0u8; WARP_SIZE];
         let mut comp_rem = [0u32; WARP_SIZE];
         let mut n_comp = 0usize;
@@ -1286,12 +1282,7 @@ fn replay_warp(
                 kinds |= 1 << tag;
                 st.rest = &st.rest[1..];
                 if st.rest.is_empty() {
-                    // Retire: swap out of the active region, then out of
-                    // the parked region, preserving both partitions.
-                    n_active -= 1;
-                    lanes.swap(i, n_active);
-                    n_live -= 1;
-                    lanes.swap(n_active, n_live);
+                    retire(&mut lanes, i, &mut n_active, &mut n_live);
                 } else {
                     i += 1;
                 }
@@ -1324,8 +1315,9 @@ fn replay_warp(
                     debug_assert!(matches!(st.rest[0].unpack(), Op::Converge));
                     st.rest = &st.rest[1..];
                     if st.rest.is_empty() {
+                        // No code reads `lanes[n_live..]`.
                         n_live -= 1;
-                        lanes.swap(i, n_live);
+                        lanes[i] = lanes[n_live];
                     } else {
                         i += 1;
                     }
@@ -1380,7 +1372,7 @@ fn replay_warp(
             let m = if memory_issued { 1 } else { min_run as u64 };
             tally.charge(Slot::Compute(m), n_comp as u64, 0);
             let m32 = m as u32;
-            // Descending, so a retire's swaps (which touch positions at
+            // Descending, so a retire's copies (which touch positions at
             // or past the retiring one) never move a lane an earlier
             // list entry still points at.
             for j in (0..n_comp).rev() {
@@ -1391,10 +1383,7 @@ fn replay_warp(
                     st.run_done = 0;
                     st.rest = &st.rest[1..];
                     if st.rest.is_empty() {
-                        n_active -= 1;
-                        lanes.swap(p, n_active);
-                        n_live -= 1;
-                        lanes.swap(n_active, n_live);
+                        retire(&mut lanes, p, &mut n_active, &mut n_live);
                     }
                 } else {
                     debug_assert!(comp_rem[j] > m32);
@@ -1406,6 +1395,19 @@ fn replay_warp(
     // The loop only breaks when no lane has an op left to issue.
     debug_assert_eq!(n_live, 0, "replay exited with unconsumed ops");
     (tally.cycles, tally.counters)
+}
+
+/// Drops the exhausted active lane at `i` from `lanes`, which is split
+/// `[active.. | parked.. | dead]`: the last active lane moves into `i` and
+/// the last parked lane into the slot that frees, so both partitions stay
+/// contiguous. No code reads `lanes[n_live..]`, so the retiring lane is
+/// simply overwritten.
+#[inline(always)]
+fn retire(lanes: &mut [LaneState<'_>], i: usize, n_active: &mut usize, n_live: &mut usize) {
+    *n_active -= 1;
+    *n_live -= 1;
+    lanes[i] = lanes[*n_active];
+    lanes[*n_active] = lanes[*n_live];
 }
 
 #[cfg(test)]
@@ -1696,6 +1698,29 @@ mod replay_microbench {
     use super::*;
     use crate::trace::LaneTrace;
 
+    /// Replays `traces` `reps` times and prints ns per slot and per warp.
+    fn time_replay(shape: &str, traces: &[LaneTrace], reps: u32) {
+        let cost = CostModel::v100();
+        let mut step = Default::default();
+        let t0 = std::time::Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..reps {
+            let (cycles, c) = replay_warp(traces, &cost, &mut step, None);
+            acc = acc.wrapping_add(cycles).wrapping_add(c.active_thread_slots);
+        }
+        let dt = t0.elapsed();
+        let (_, c1) = replay_warp(traces, &cost, &mut step, None);
+        let steps = c1.issued_slots;
+        println!(
+            "replay {shape}: {reps} reps x {} ops ({} issued slots) in {:?} -> {:.1} ns/slot, {:.0} ns/warp (acc {acc})",
+            traces.iter().map(|t| t.ops.len()).sum::<usize>(),
+            steps,
+            dt,
+            dt.as_nanos() as f64 / (reps as f64 * steps as f64),
+            dt.as_nanos() as f64 / reps as f64,
+        );
+    }
+
     /// Not a correctness test: a timing probe for the replay hot loop.
     /// Run with `cargo test --release -p gpu-sim microbench -- --nocapture --ignored`.
     #[test]
@@ -1716,24 +1741,30 @@ mod replay_microbench {
             }
             traces.push(t);
         }
-        let cost = CostModel::v100();
-        let mut step = Default::default();
-        let reps = 20_000u32;
-        let t0 = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..reps {
-            let (cycles, c) = replay_warp(&traces, &cost, &mut step, None);
-            acc = acc.wrapping_add(cycles).wrapping_add(c.active_thread_slots);
-        }
-        let dt = t0.elapsed();
-        let (_, c1) = replay_warp(&traces, &cost, &mut step, None);
-        let steps = c1.issued_slots;
-        println!(
-            "replay: {reps} reps x {} ops ({} issued slots) in {:?} -> {:.1} ns/slot (acc {acc})",
-            traces.iter().map(|t| t.ops.len()).sum::<usize>(),
-            steps,
-            dt,
-            dt.as_nanos() as f64 / (reps as f64 * steps as f64),
-        );
+        time_replay("polak", &traces, 20_000);
+    }
+
+    /// Retire-heavy warps, where lane retirement is most of the work: 32
+    /// lanes that each issue one load and retire on the first step, and a
+    /// staircase where lane `k` runs `k + 1` compute/load pairs, so one
+    /// lane retires on every other step.
+    #[test]
+    #[ignore]
+    fn microbench_replay_retire_shape() {
+        let one_op: Vec<LaneTrace> = (0..32u64)
+            .map(|lane| LaneTrace::from_ops(&[Op::GLoad(lane * 4)]))
+            .collect();
+        time_replay("one op per lane", &one_op, 500_000);
+        let staircase: Vec<LaneTrace> = (0..32u64)
+            .map(|lane| {
+                let mut t = LaneTrace::default();
+                for k in 0..=lane {
+                    t.push_compute(1);
+                    t.push(Op::GLoad((lane * 128 + k * 4) & 0xffff));
+                }
+                t
+            })
+            .collect();
+        time_replay("staircase", &staircase, 50_000);
     }
 }

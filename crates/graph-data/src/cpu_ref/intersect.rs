@@ -4,6 +4,8 @@
 //! re-implement these against the simulator; these copies are the oracle
 //! the property tests compare against.
 
+use std::cell::RefCell;
+
 use crate::types::VertexId;
 
 /// Two-pointer merge intersection (the Forward/Polak primitive).
@@ -35,17 +37,57 @@ pub fn intersect_binsearch(a: &[VertexId], b: &[VertexId]) -> u64 {
 
 /// Hash intersection with `buckets` chained buckets (the H-INDEX/TRUST
 /// primitive). The shorter list builds the table.
+///
+/// The table is flat: a counting sort of the build side into one array of
+/// bucket starts and one array of slots, where bucket `k` is
+/// `slots[starts[k]..starts[k + 1]]`. It lives in a per-thread scratch
+/// that every call reuses and never shrinks, so once the scratch has grown
+/// to a thread's largest lists a call allocates nothing. The bucket count
+/// is rounded up to a power of two (every caller's already is: 32, 256 or
+/// 1024), so a mask picks the bucket; the count does not depend on the
+/// hash. Buckets and the chain scan per probe are those of the GPU
+/// kernels, minus their shared-memory layout.
 pub fn intersect_hash(a: &[VertexId], b: &[VertexId], buckets: usize) -> u64 {
     let (build, probe) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let buckets = buckets.max(1);
-    let mut table: Vec<Vec<VertexId>> = vec![Vec::new(); buckets];
-    for &x in build {
-        table[x as usize % buckets].push(x);
-    }
-    probe
-        .iter()
-        .filter(|&&x| table[x as usize % buckets].contains(&x))
-        .count() as u64
+    let buckets = buckets.max(1).next_power_of_two();
+    let mask = buckets - 1;
+    HASH_TABLE.with(|table| {
+        let (starts, slots) = &mut *table.borrow_mut();
+        // Count each bucket's size, prefix-sum the counts into bucket
+        // ends, then place every element by decrementing its bucket's
+        // end: once all are placed, each end has become its start.
+        starts.clear();
+        starts.resize(buckets + 1, 0);
+        for &x in build {
+            starts[x as usize & mask] += 1;
+        }
+        let mut end = 0;
+        for s in starts.iter_mut() {
+            end += *s;
+            *s = end;
+        }
+        if slots.len() < build.len() {
+            slots.resize(build.len(), 0);
+        }
+        for &x in build {
+            let s = &mut starts[x as usize & mask];
+            *s -= 1;
+            slots[*s as usize] = x;
+        }
+        probe
+            .iter()
+            .filter(|&&x| {
+                let k = x as usize & mask;
+                slots[starts[k] as usize..starts[k + 1] as usize].contains(&x)
+            })
+            .count() as u64
+    })
+}
+
+thread_local! {
+    /// `intersect_hash`'s bucket starts and slots.
+    static HASH_TABLE: RefCell<(Vec<u32>, Vec<VertexId>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Bitmap intersection (the Bisson primitive): mark one list in a bitmap
@@ -95,6 +137,53 @@ mod tests {
     #[test]
     fn single_bucket_hash_degenerates_to_scan() {
         assert_eq!(intersect_hash(A, B, 1), 2);
+    }
+
+    /// Pseudo-random strictly-ascending list of about `len` ids below
+    /// `len * 4`.
+    fn ascending(len: u32, seed: u32) -> Vec<u32> {
+        (0..len * 4)
+            .filter(|&x| {
+                (x ^ seed.wrapping_mul(0x9E37_79B9)).wrapping_mul(2_654_435_761) >> 30 == 0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_table_reuse_across_bucket_counts_and_lengths() {
+        // The per-thread table grows and shrinks its live region between
+        // calls; stale slots and starts must never leak into a count.
+        for (buckets, len) in [(1024, 3000), (32, 40), (7, 500), (1, 9), (1024, 5)] {
+            for seed in 0..4 {
+                let a = ascending(len, seed);
+                let b = ascending(len + 17 * seed, seed + 1);
+                assert_eq!(
+                    intersect_hash(&a, &b, buckets),
+                    intersect_merge(&a, &b),
+                    "buckets {buckets}, len {len}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// Not a correctness test: host cost of one hash probe at the two ends
+    /// of the callers' bucket counts. Run with
+    /// `cargo test --release -p graph-data microbench -- --nocapture --ignored`.
+    #[test]
+    #[ignore]
+    fn microbench_intersect_hash() {
+        let a = ascending(40, 1);
+        let b = ascending(400, 2);
+        for buckets in [32, 1024] {
+            let calls = 200_000;
+            let start = std::time::Instant::now();
+            let mut found = 0;
+            for _ in 0..calls {
+                found += intersect_hash(std::hint::black_box(&a), &b, buckets);
+            }
+            let ns = start.elapsed().as_nanos() as f64 / (calls * b.len()) as f64;
+            println!("intersect_hash {buckets:>4} buckets: {ns:.2} ns/probe ({found})");
+        }
     }
 
     #[test]

@@ -51,25 +51,26 @@ pub fn sweep(
 /// The SimLint diagnostic wall: every registry algorithm over the full
 /// conformance corpus on a V100 with lints forced on, one
 /// leak-checked [`TcAlgorithm::run`] per (algorithm, case) in
-/// registry-major order. `tc lint_sweep` renders these cells as
+/// registry-major order; each corpus graph is cleaned once and oriented
+/// per algorithm. `tc lint_sweep` renders these cells as
 /// `LINT_sim.json` with [`bench_json::render_lint`].
 pub fn lint_wall() -> Vec<LintCell> {
     let dev = Device::v100().with_lints();
-    let cases = generator_cases();
+    let cases: Vec<_> = generator_cases()
+        .into_iter()
+        .map(|c| (c.name, clean_edges(&c.edges).0))
+        .collect();
     let mut cells = Vec::new();
     for algo in all_algorithms() {
-        for case in &cases {
-            let (g, _) = clean_edges(&case.edges);
-            let dag = orient(&g, algo.preferred_orientation());
+        for (case, g) in &cases {
+            let dag = orient(g, algo.preferred_orientation());
             cells.push(match algo.run(&dev, &dag) {
                 // A zero-launch degenerate run carries no report;
                 // serialize it as a clean cell.
-                Ok(out) => LintCell::from_report(
-                    algo.name(),
-                    case.name,
-                    &out.stats.lint.unwrap_or_default(),
-                ),
-                Err(e) => LintCell::from_error(algo.name(), case.name, &e.to_string()),
+                Ok(out) => {
+                    LintCell::from_report(algo.name(), case, &out.stats.lint.unwrap_or_default())
+                }
+                Err(e) => LintCell::from_error(algo.name(), case, &e.to_string()),
             });
         }
     }
