@@ -43,15 +43,6 @@ pub struct CostModel {
     /// Kernel time is floored at [`CostModel::dram_floor_cycles`] —
     /// triangle counting is memory-bound, as the paper stresses.
     pub dram_sectors_per_cycle: u64,
-    /// Inter-device interconnect bandwidth: bytes per (reference) cycle a
-    /// device can pull from a peer in a multi-GPU run. V100 assumes an
-    /// NVLink 2.0 brick (~25 GB/s per direction at 1.38 GHz ≈ 18 B/cy);
-    /// the 4090 has no NVLink and is stuck with PCIe 4.0 x16
-    /// (~25 GB/s shared ≈ 10 B/cy at the reference clock).
-    pub link_bytes_per_cycle: u64,
-    /// Fixed per-transfer latency (cycles) of an inter-device pull: DMA
-    /// setup plus the first-byte round trip over the link.
-    pub link_latency: u64,
 }
 
 impl CostModel {
@@ -70,8 +61,6 @@ impl CostModel {
             shared_atomic: 30,
             shared_atomic_conflict: 10,
             dram_sectors_per_cycle: 20,
-            link_bytes_per_cycle: 18,
-            link_latency: 2_000,
         }
     }
 
@@ -108,8 +97,6 @@ impl CostModel {
             shared_atomic: 16,
             shared_atomic_conflict: 6,
             dram_sectors_per_cycle: 28,
-            link_bytes_per_cycle: 10,
-            link_latency: 5_000,
         }
     }
 
@@ -155,18 +142,6 @@ impl CostModel {
     #[inline]
     pub fn shared_atomic_slot(&self, depth: u64) -> u64 {
         self.shared_atomic + self.shared_atomic_conflict * depth.max(1).saturating_sub(1)
-    }
-
-    /// Cycles to pull `bytes` from a peer device over the interconnect:
-    /// fixed setup latency plus the bandwidth term. Zero bytes cost
-    /// nothing (no transfer is issued).
-    #[inline]
-    pub fn link_transfer_cycles(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            0
-        } else {
-            self.link_latency + bytes.div_ceil(self.link_bytes_per_cycle.max(1))
-        }
     }
 
     /// The DRAM bandwidth floor of a launch that moved `c`'s traffic: no
@@ -239,22 +214,5 @@ mod tests {
         assert!(a.global_atomic_slot(32) < v.global_atomic_slot(32));
         // ...but no miracle on DRAM round-trip latency.
         assert!(a.global_issue >= v.global_issue * 9 / 10);
-        // The 4090's PCIe link is slower than the V100's NVLink.
-        assert!(a.link_bytes_per_cycle < v.link_bytes_per_cycle);
-    }
-
-    #[test]
-    fn link_transfer_charges_latency_plus_bandwidth() {
-        let m = CostModel::v100();
-        assert_eq!(m.link_transfer_cycles(0), 0);
-        assert_eq!(m.link_transfer_cycles(1), m.link_latency + 1);
-        let big = m.link_transfer_cycles(1 << 20);
-        assert_eq!(
-            big,
-            m.link_latency + (1u64 << 20).div_ceil(m.link_bytes_per_cycle)
-        );
-        // Bandwidth-bound asymptotically: doubling bytes roughly doubles
-        // the bandwidth term.
-        assert!(m.link_transfer_cycles(2 << 20) > big + (big - m.link_latency) / 2);
     }
 }

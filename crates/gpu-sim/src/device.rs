@@ -392,8 +392,6 @@ mod tests {
             shared_atomic: 0,
             shared_atomic_conflict: 0,
             dram_sectors_per_cycle: 20,
-            link_bytes_per_cycle: 18,
-            link_latency: 0,
         };
         let dev = Device::new(cfg);
         let mut mem = DeviceMem::new(&dev);

@@ -2,9 +2,9 @@
 //! deliberately broken input in one of the four supported formats
 //! (SNAP text, binary edges, CSR, MatrixMarket). The hardened loaders
 //! must reject each with a structured `io::Error` — never a panic, and
-//! never a silently wrong edge list. CI runs this as part of the
-//! `partitioned` job; adding a new breakage class is just dropping a
-//! file in the directory.
+//! never a silently wrong edge list. CI runs this in the `test` job's
+//! `cargo test --workspace -q`; adding a new breakage class is just
+//! dropping a file in the directory.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;

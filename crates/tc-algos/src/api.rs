@@ -3,8 +3,6 @@
 //! them through it alone. [`TcAlgorithm::run`] is the one way a counter
 //! runs on a graph: upload, count, free and the leak check.
 
-use std::ops::Range;
-
 use gpu_sim::{Device, DeviceMem, LaunchStats, SimError};
 use graph_data::{DagGraph, Orientation};
 
@@ -89,7 +87,12 @@ pub trait TcAlgorithm: Sync {
     /// so a counter that abandons a scratch buffer fails with
     /// [`SimError::Sanitizer`] (leak) whatever analyses `dev` runs.
     fn run(&self, dev: &Device, dag: &DagGraph) -> Result<TcOutput, SimError> {
-        run_on_pivots(self, dev, dag, 0..dag.num_vertices())
+        let mut mem = DeviceMem::new(dev);
+        let dg = DeviceGraph::upload(dag, &mut mem)?;
+        let out = self.count(dev, &mut mem, &dg)?;
+        dg.free(&mut mem)?;
+        mem.leak_check()?;
+        Ok(out)
     }
 
     /// Count the triangles of the same oriented DAG natively on the
@@ -107,23 +110,4 @@ pub trait TcAlgorithm: Sync {
     fn count_cpu(&self, dag: &DagGraph) -> u64 {
         graph_data::cpu_ref::forward_merge_parallel(dag)
     }
-}
-
-/// [`TcAlgorithm::run`] with the device's work narrowed to the pivot
-/// vertices `pivots` (one device's share of a partitioned run, see
-/// [`DeviceGraph::restrict_to_pivots`]); the whole graph is still
-/// uploaded. The one body that uploads, frees and leak-checks.
-pub fn run_on_pivots<A: TcAlgorithm + ?Sized>(
-    algo: &A,
-    dev: &Device,
-    dag: &DagGraph,
-    pivots: Range<u32>,
-) -> Result<TcOutput, SimError> {
-    let mut mem = DeviceMem::new(dev);
-    let mut dg = DeviceGraph::upload(dag, &mut mem)?;
-    dg.restrict_to_pivots(pivots.start, pivots.end);
-    let out = algo.count(dev, &mut mem, &dg)?;
-    dg.free(&mut mem)?;
-    mem.leak_check()?;
-    Ok(out)
 }

@@ -68,9 +68,9 @@ impl TcAlgorithm for Bisson {
         // a slot in a global bitmap arena — the allocation that blows up
         // on large vertex counts.
         let grid = if use_shared {
-            g.owned_pivots().clamp(1, 2048)
+            g.num_vertices.clamp(1, 2048)
         } else {
-            g.owned_pivots().clamp(1, 320)
+            g.num_vertices.clamp(1, 320)
         };
         let global_bitmaps = if use_shared {
             None
@@ -78,7 +78,6 @@ impl TcAlgorithm for Bisson {
             Some(mem.alloc_zeroed(bitmap_words as usize * grid as usize, "bisson.bitmaps")?)
         };
         let counter = mem.alloc_zeroed(1, "bisson.counter")?;
-        let (pivot_lo, pivot_hi) = (g.pivot_lo, g.pivot_hi);
 
         let mut cfg = KernelConfig::new(grid, block_dim);
         if use_shared {
@@ -101,8 +100,8 @@ impl TcAlgorithm for Bisson {
                     }
                 });
             }
-            let mut u = pivot_lo + blk.block_idx();
-            while u < pivot_hi {
+            let mut u = blk.block_idx();
+            while u < nv {
                 // Phase 1: build the bitmap of N(u) with atomic ORs.
                 blk.phase(|lane| {
                     let base = lane.ld_global(g.row_offsets, u as usize);

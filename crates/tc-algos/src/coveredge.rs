@@ -45,9 +45,6 @@ pub struct CoverPlan {
     pub levels: Vec<u32>,
     pub cover_src: Vec<u32>,
     pub cover_dst: Vec<u32>,
-    /// Index of the input edge each cover edge came from (edge-scan
-    /// order) — the ownership key multi-device partitioning splits on.
-    pub cover_origin: Vec<u32>,
 }
 
 /// Build the cover plan from one direction of each undirected edge
@@ -105,12 +102,10 @@ pub fn cover_plan(num_vertices: u32, src: &[u32], dst: &[u32]) -> CoverPlan {
     // Cover set: the horizontal edges, endpoints normalized.
     let mut cover_src = Vec::new();
     let mut cover_dst = Vec::new();
-    let mut cover_origin = Vec::new();
-    for (e, (&u, &v)) in src.iter().zip(dst).enumerate() {
+    for (&u, &v) in src.iter().zip(dst) {
         if levels[u as usize] == levels[v as usize] {
             cover_src.push(u.min(v));
             cover_dst.push(u.max(v));
-            cover_origin.push(e as u32);
         }
     }
 
@@ -120,7 +115,6 @@ pub fn cover_plan(num_vertices: u32, src: &[u32], dst: &[u32]) -> CoverPlan {
         levels,
         cover_src,
         cover_dst,
-        cover_origin,
     }
 }
 
@@ -179,21 +173,6 @@ impl TcAlgorithm for CoverEdge {
         // Host prepass, from the planning mirrors (CPU work — real
         // implementations run the linear BFS before the timed kernel).
         let mut plan = cover_plan(g.num_vertices, &g.host_src, &g.host_dst);
-        if (g.edge_lo, g.edge_hi) != (0, g.num_edges) {
-            // Multi-device run: this device owns the cover edges whose
-            // originating edge falls in its range. Each triangle has
-            // exactly one owning cover edge, so device counts sum to the
-            // single-device total.
-            let keep: Vec<usize> = plan
-                .cover_origin
-                .iter()
-                .enumerate()
-                .filter(|&(_, &e)| g.edge_lo <= e && e < g.edge_hi)
-                .map(|(i, _)| i)
-                .collect();
-            plan.cover_src = keep.iter().map(|&i| plan.cover_src[i]).collect();
-            plan.cover_dst = keep.iter().map(|&i| plan.cover_dst[i]).collect();
-        }
         let n_cover = plan.cover_src.len() as u32;
         if plan.cover_src.is_empty() {
             // Keep the launch non-empty on cover-free graphs (paths,

@@ -1,7 +1,9 @@
 //! The oriented graph as it lives on the simulated device, plus host
 //! mirrors used for launch planning (grid sizing, workload binning,
 //! degree classification) — the part real implementations do on the CPU
-//! before the timed kernel.
+//! before the timed kernel. A cell runs on one device, so every kernel's
+//! work covers the whole graph: all `num_edges` edges and all
+//! `num_vertices` pivots.
 
 use gpu_sim::{BufId, DeviceMem, SimError};
 use graph_data::DagGraph;
@@ -20,18 +22,6 @@ pub struct DeviceGraph {
     /// Edge-centric destination array (CSR edge order).
     pub edge_dst: BufId,
     pub max_out_degree: u32,
-    /// First edge index this device owns. The full graph lives on every
-    /// device (each kernel may probe any adjacency list); a multi-GPU
-    /// partition narrows only the *work* ranges, so at the default full
-    /// range every kernel behaves — and traces — identically to a
-    /// single-device run.
-    pub edge_lo: u32,
-    /// One past the last edge index this device owns.
-    pub edge_hi: u32,
-    /// First pivot vertex this device owns (vertex-centric kernels).
-    pub pivot_lo: u32,
-    /// One past the last pivot vertex this device owns.
-    pub pivot_hi: u32,
     /// Host mirror of the offsets (launch planning only — reads of this
     /// are CPU work, not device traffic).
     pub host_offsets: Vec<u32>,
@@ -58,39 +48,10 @@ impl DeviceGraph {
             edge_src,
             edge_dst,
             max_out_degree: dag.max_out_degree(),
-            edge_lo: 0,
-            edge_hi: dag.num_edges() as u32,
-            pivot_lo: 0,
-            pivot_hi: dag.num_vertices(),
             host_offsets: csr.offsets().to_vec(),
             host_src: src,
             host_dst: dst,
         })
-    }
-
-    /// Narrow this device's work to the vertices `[pivot_lo, pivot_hi)`
-    /// and the edges they source, `[offsets[pivot_lo], offsets[pivot_hi])`
-    /// — contiguous because the edge arrays are in CSR order. The
-    /// adjacency data itself stays whole: partitioning splits work, not
-    /// the graph.
-    pub fn restrict_to_pivots(&mut self, pivot_lo: u32, pivot_hi: u32) {
-        assert!(pivot_lo <= pivot_hi && pivot_hi <= self.num_vertices);
-        self.pivot_lo = pivot_lo;
-        self.pivot_hi = pivot_hi;
-        self.edge_lo = self.host_offsets[pivot_lo as usize];
-        self.edge_hi = self.host_offsets[pivot_hi as usize];
-    }
-
-    /// Number of edges in this device's work range.
-    #[inline]
-    pub fn owned_edges(&self) -> u32 {
-        self.edge_hi - self.edge_lo
-    }
-
-    /// Number of pivot vertices in this device's work range.
-    #[inline]
-    pub fn owned_pivots(&self) -> u32 {
-        self.pivot_hi - self.pivot_lo
     }
 
     /// Host-side out-degree (planning only).
@@ -144,27 +105,6 @@ mod tests {
         assert_eq!(dg.host_out_degree(0), 2);
         assert_eq!(dg.max_out_degree, 2);
         assert!((dg.avg_out_degree() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn upload_defaults_to_full_work_range() {
-        let (_, _, dg) = upload_triangle();
-        assert_eq!((dg.edge_lo, dg.edge_hi), (0, dg.num_edges));
-        assert_eq!((dg.pivot_lo, dg.pivot_hi), (0, dg.num_vertices));
-        assert_eq!(dg.owned_edges(), dg.num_edges);
-        assert_eq!(dg.owned_pivots(), dg.num_vertices);
-    }
-
-    #[test]
-    fn restrict_narrows_work_ranges_only() {
-        let (_, mem, mut dg) = upload_triangle();
-        dg.restrict_to_pivots(1, 3);
-        assert_eq!(dg.pivot_lo, 1);
-        assert_eq!(dg.edge_lo, dg.host_offsets[1]);
-        assert_eq!(dg.edge_hi, dg.host_offsets[3]);
-        // The graph data itself stays whole.
-        assert_eq!(mem.read_back(dg.row_offsets), dg.host_offsets);
-        assert_eq!(mem.read_back(dg.edge_src), dg.host_src);
     }
 
     #[test]

@@ -69,11 +69,10 @@ impl TcAlgorithm for Fox {
         mem: &mut DeviceMem,
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
-        // Host prepass: bin this device's edge range by estimated
-        // binary-search workload. The bins carry global edge ids, so the
-        // kernel itself is partition-agnostic.
+        // Host prepass: bin every edge by estimated binary-search
+        // workload.
         let mut bins: [Vec<u32>; NUM_BINS] = Default::default();
-        for e in g.edge_lo..g.edge_hi {
+        for e in 0..g.num_edges {
             let du = g.host_out_degree(g.host_src[e as usize]);
             let dv = g.host_out_degree(g.host_dst[e as usize]);
             bins[bin_of(bsearch_workload(du, dv))].push(e);

@@ -48,12 +48,10 @@ impl TcAlgorithm for Green {
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "green.counter")?;
         // gridSize = |E| / 10 per the paper's best-found configuration,
-        // clamped to something sane for tiny graphs. |E| here is this
-        // device's edge range (the whole graph on a single device).
-        let grid = (g.owned_edges() / 10).clamp(1, 4096);
+        // clamped to something sane for tiny graphs.
+        let grid = (g.num_edges / 10).clamp(1, 4096);
         let cfg = KernelConfig::new(grid, BLOCK_DIM);
         let groups_total = grid * (BLOCK_DIM / GROUP);
-        let (edge_lo, edge_hi) = (g.edge_lo, g.edge_hi);
 
         let stats = dev.launch(mem, cfg, |blk| {
             blk.phase(|lane| {
@@ -63,9 +61,9 @@ impl TcAlgorithm for Green {
                 let group = lane.global_tid() / GROUP as u64;
                 let lane_in_group = lane.tid() % GROUP;
                 let mut local = 0u32;
-                // Groups stride over this device's edge range.
-                let mut e = edge_lo as u64 + group;
-                while e < edge_hi as u64 {
+                // Groups stride over the edge list.
+                let mut e = group;
+                while e < g.num_edges as u64 {
                     let u = lane.ld_global(g.edge_src, e as usize);
                     let v = lane.ld_global(g.edge_dst, e as usize);
                     let a_base = lane.ld_global(g.row_offsets, u as usize);

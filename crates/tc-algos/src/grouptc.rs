@@ -152,7 +152,7 @@ pub(crate) fn run_chunked(
 ) -> Result<gpu_sim::LaunchStats, SimError> {
     {
         let n = cfg.chunk_size;
-        let work_items = edge_ids.map_or(g.owned_edges(), |(_, len)| len);
+        let work_items = edge_ids.map_or(g.num_edges, |(_, len)| len);
         let chunks = work_items.div_ceil(n).max(1);
         let grid = chunks.min(8 * dev.config().num_sms);
         // Shared layout: META*n edge metadata, then two n-word ping-pong
@@ -182,8 +182,8 @@ pub(crate) fn run_chunked(
                     let e = match edge_ids {
                         // Hybrid subset: one indirection (coalesced).
                         Some((ids, _)) => lane.ld_global(ids, (chunk_base + i) as usize),
-                        // Dense walk over this device's edge range.
-                        None => g.edge_lo + chunk_base + i,
+                        // Dense walk over the edge list.
+                        None => chunk_base + i,
                     };
                     let u = lane.ld_global(g.edge_src, e as usize);
                     let v = lane.ld_global(g.edge_dst, e as usize);

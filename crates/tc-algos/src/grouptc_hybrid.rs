@@ -54,7 +54,7 @@ impl GroupTcHybrid {
     pub fn split_edges(&self, g: &DeviceGraph) -> (Vec<u32>, Vec<u32>) {
         let mut light = Vec::new();
         let mut heavy = Vec::new();
-        for e in g.edge_lo..g.edge_hi {
+        for e in 0..g.num_edges {
             let u = g.host_src[e as usize];
             let v = g.host_dst[e as usize];
             let u_end = g.host_offsets[u as usize + 1];
@@ -102,7 +102,7 @@ impl TcAlgorithm for GroupTcHybrid {
         let counter = mem.alloc_zeroed(1, "grouptc_h.counter")?;
         let mut stats = LaunchStats::default();
         if !light.is_empty() {
-            if light.len() as u32 == g.owned_edges() {
+            if light.len() as u32 == g.num_edges {
                 stats += run_chunked(dev, mem, g, self.config, None, counter)?;
             } else {
                 let ids = mem.alloc_from_slice(&light, "grouptc_h.light_ids")?;

@@ -53,9 +53,9 @@ impl TcAlgorithm for HIndex {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "hindex.counter")?;
-        let grid = (24 * dev.config().num_sms).min(g.owned_edges().max(1));
+        let grid = (24 * dev.config().num_sms).min(g.num_edges.max(1));
         let warps_total = grid * WARPS_PER_BLOCK;
-        let rounds = g.owned_edges().div_ceil(warps_total);
+        let rounds = g.num_edges.div_ceil(warps_total);
         // Per-warp shared: len[32] + SHARED_ROWS rows of 32 (row-major).
         let warp_shared_words = BUCKETS * (1 + SHARED_ROWS);
         let cfg = KernelConfig::new(grid, BLOCK_DIM)
@@ -68,7 +68,6 @@ impl TcAlgorithm for HIndex {
             (warps_total * BUCKETS * arena_rows) as usize,
             "hindex.spill_arena",
         )?;
-        let (edge_lo, edge_hi) = (g.edge_lo, g.edge_hi);
 
         let stats = dev.launch(mem, cfg, |blk| {
             let bidx = blk.block_idx();
@@ -83,8 +82,8 @@ impl TcAlgorithm for HIndex {
                 // Build: lanes stride the shorter list and insert.
                 blk.phase(|lane| {
                     let warp_global = bidx * WARPS_PER_BLOCK + lane.warp_id();
-                    let e = edge_lo + warp_global + round * warps_total;
-                    if e >= edge_hi {
+                    let e = warp_global + round * warps_total;
+                    if e >= g.num_edges {
                         return;
                     }
                     let warp_base = (lane.warp_id() * warp_shared_words) as usize;
@@ -117,8 +116,8 @@ impl TcAlgorithm for HIndex {
                 // Probe: lanes stride the longer list.
                 blk.phase(|lane| {
                     let warp_global = bidx * WARPS_PER_BLOCK + lane.warp_id();
-                    let e = edge_lo + warp_global + round * warps_total;
-                    if e >= edge_hi {
+                    let e = warp_global + round * warps_total;
+                    if e >= g.num_edges {
                         return;
                     }
                     let warp_base = (lane.warp_id() * warp_shared_words) as usize;

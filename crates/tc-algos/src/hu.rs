@@ -84,16 +84,15 @@ impl TcAlgorithm for Hu {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "hu.counter")?;
-        let grid = g.owned_pivots().clamp(1, 4 * dev.config().num_sms);
+        let grid = g.num_vertices.clamp(1, 4 * dev.config().num_sms);
         let cfg = KernelConfig::new(grid, BLOCK_DIM).with_shared_words(CACHE_WORDS);
-        let (pivot_lo, pivot_hi) = (g.pivot_lo, g.pivot_hi);
 
         let stats = dev.launch(mem, cfg, |blk| {
             let bidx = blk.block_idx();
             let gdim = blk.grid_dim();
             let mut locals = vec![0u32; BLOCK_DIM as usize];
-            let mut u = pivot_lo + bidx;
-            while u < pivot_hi {
+            let mut u = bidx;
+            while u < g.num_vertices {
                 // Step 1: cache the 1-hop neighbours of u.
                 blk.phase(|lane| {
                     let base = lane.ld_global(g.row_offsets, u as usize);

@@ -39,7 +39,6 @@ pub mod grouptc;
 pub mod grouptc_hybrid;
 pub mod hindex;
 pub mod hu;
-pub mod partition;
 pub mod polak;
 pub mod registry;
 pub mod tricore;
@@ -54,5 +53,4 @@ pub use api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, Tc
 pub use device_graph::DeviceGraph;
 pub use grouptc::{GroupTc, GroupTcConfig};
 pub use grouptc_hybrid::GroupTcHybrid;
-pub use partition::PartitionPlan;
 pub use registry::{algorithm_by_name, all_algorithms};

@@ -46,17 +46,16 @@ impl TcAlgorithm for Polak {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "polak.counter")?;
-        let grid = g.owned_edges().div_ceil(BLOCK_DIM).max(1);
+        let grid = g.num_edges.div_ceil(BLOCK_DIM).max(1);
         let cfg = KernelConfig::new(grid, BLOCK_DIM);
 
         let stats = dev.launch(mem, cfg, |blk| {
             blk.phase(|lane| {
                 // u64: edge-per-thread grids on billion-edge graphs
-                // overflow a u32 thread id. Threads cover this device's
-                // edge range (the whole graph on a single device).
-                let e = g.edge_lo as u64 + lane.global_tid();
+                // overflow a u32 thread id.
+                let e = lane.global_tid();
                 let mut local = 0u32;
-                if e < g.edge_hi as u64 {
+                if e < g.num_edges as u64 {
                     let e = e as usize;
                     // Map tid -> edge (u, v).
                     let u = lane.ld_global(g.edge_src, e);

@@ -87,12 +87,11 @@ impl TcAlgorithm for TriCore {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "tricore.counter")?;
-        let grid = (24 * dev.config().num_sms).min(g.owned_edges().max(1));
+        let grid = (24 * dev.config().num_sms).min(g.num_edges.max(1));
         let warps_total = grid * WARPS_PER_BLOCK;
-        let rounds = g.owned_edges().div_ceil(warps_total);
+        let rounds = g.num_edges.div_ceil(warps_total);
         let shared_words = WARPS_PER_BLOCK * CACHED_NODES;
         let cfg = KernelConfig::new(grid, BLOCK_DIM).with_shared_words(shared_words);
-        let (edge_lo, edge_hi) = (g.edge_lo, g.edge_hi);
 
         let stats = dev.launch(mem, cfg, |blk| {
             let bidx = blk.block_idx();
@@ -102,8 +101,8 @@ impl TcAlgorithm for TriCore {
                 // tree; lane l fills heap node l+1.
                 blk.phase(|lane| {
                     let warp_global = bidx * WARPS_PER_BLOCK + lane.warp_id();
-                    let e = edge_lo + warp_global + round * warps_total;
-                    if e >= edge_hi || lane.lane_id() >= CACHED_NODES {
+                    let e = warp_global + round * warps_total;
+                    if e >= g.num_edges || lane.lane_id() >= CACHED_NODES {
                         return;
                     }
                     let (t_base, tn, _, _) = load_edge_lists(lane, g, e as usize);
@@ -123,8 +122,8 @@ impl TcAlgorithm for TriCore {
                 // tiered tree.
                 blk.phase(|lane| {
                     let warp_global = bidx * WARPS_PER_BLOCK + lane.warp_id();
-                    let e = edge_lo + warp_global + round * warps_total;
-                    if e >= edge_hi {
+                    let e = warp_global + round * warps_total;
+                    if e >= g.num_edges {
                         return;
                     }
                     let (t_base, tn, k_base, kn) = load_edge_lists(lane, g, e as usize);

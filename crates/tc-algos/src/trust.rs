@@ -70,11 +70,10 @@ impl TcAlgorithm for Trust {
         mem: &mut DeviceMem,
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
-        // Host-side classification (launch planning), over this device's
-        // pivot range only.
+        // Host-side classification (launch planning) of every pivot.
         let mut high = Vec::new();
         let mut low = Vec::new();
-        for v in g.pivot_lo..g.pivot_hi {
+        for v in 0..g.num_vertices {
             let d = g.host_out_degree(v);
             if d > BLOCK_DEGREE {
                 high.push(v);

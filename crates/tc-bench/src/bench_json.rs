@@ -301,7 +301,6 @@ mod tests {
             dataset: "tiny-rmat",
             backend: "sim",
             outcome,
-            partition: None,
             wall: Duration::from_millis(2),
         }
     }

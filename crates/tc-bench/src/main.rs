@@ -102,12 +102,6 @@ const COMMANDS: &[Command] = &[
         run: tools::lint_sweep,
     },
     Command {
-        name: "scale_sweep",
-        synopsis: "[DATASET] [--devices-list 1,2,4,8] [--per-device]",
-        help: "strong scaling over partitioned simulated devices (default Wiki-Talk)",
-        run: tools::scale_sweep,
-    },
-    Command {
         name: "pin_replay_snapshots",
         synopsis: "",
         help: "regenerate tests/replay_equivalence/pins.rs on stdout",

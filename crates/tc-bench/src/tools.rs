@@ -1,4 +1,4 @@
-//! The benchmark, lint and scaling gates CI runs, and the replay pin
+//! The benchmark and lint gates CI runs, and the replay pin
 //! generator, one `tc` subcommand each. The bench and lint documents and
 //! the replay pins are checked by regenerating them and diffing the
 //! bytes against the committed files.
@@ -12,10 +12,7 @@ use tc_bench::bench_json::{self, BenchCell};
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
 use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
-use tc_core::framework::partitioned::run_partitioned;
-use tc_core::framework::runner::{
-    run_matrix, run_matrix_parallel, PreparedDataset, RunOutcome, RunRecord,
-};
+use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
 /// Parse the value of option `name` as a positive integer.
 fn positive(name: &str, value: &str) -> Result<u32, String> {
@@ -37,7 +34,7 @@ fn positive(name: &str, value: &str) -> Result<u32, String> {
 /// `--backend` selects the execution substrate: `sim` (default) runs the
 /// cycle-modelled simulator, `cpu` runs each algorithm's native rayon
 /// host kernel (kernel cycles report 0), and `both` sweeps the two back
-/// to back. Multi-device runs are `scale_sweep`'s.
+/// to back.
 ///
 /// `--bench-json` writes the modelled results (committed as
 /// `BENCH_sim.json`; CI diffs a fresh Wiki-Talk document against it).
@@ -153,112 +150,6 @@ pub fn lint_sweep(args: Args) -> Result<(), Error> {
         cells.len()
     ));
     print!("{}", bench_json::render_lint("V100", &cells));
-    Ok(())
-}
-
-/// Strong-scaling sweep: every registered algorithm partitioned over
-/// 1..=8 simulated devices on one dataset (default Wiki-Talk),
-/// reporting per-cell makespan cycles, speedup over the first device
-/// count and interconnect traffic, as a GitHub-flavoured markdown table
-/// (ready to paste into EXPERIMENTS.md). `--per-device` appends, for the
-/// largest device count, a per-device breakdown of kernel vs link
-/// cycles. Counts are verified against the CPU reference at every
-/// device count; a cell that fails or miscounts fails the run.
-pub fn scale_sweep(mut args: Args) -> Result<(), Error> {
-    let devices_list: Vec<u32> = match args.value("--devices-list")? {
-        Some(list) => list
-            .split(',')
-            .map(|n| positive("--devices-list", n))
-            .collect::<Result<_, _>>()?,
-        None => vec![1, 2, 4, 8],
-    };
-    let per_device = args.flag("--per-device");
-    let spec = args.dataset("Wiki-Talk")?;
-    args.finish()?;
-
-    let algos = all_algorithms();
-    let dev = Device::v100();
-    eprint_progress(&format!(
-        "scale_sweep: {} algorithms x devices {:?} on {}",
-        algos.len(),
-        devices_list,
-        spec.name
-    ));
-    let data = PreparedDataset::prepare(&spec);
-    let largest = *devices_list.iter().max().expect("non-empty list");
-
-    println!("### Strong scaling on {} (V100 link model)\n", spec.name);
-    let header: Vec<String> = devices_list
-        .iter()
-        .map(|n| format!("{n} dev (cycles / speedup / link MB)"))
-        .collect();
-    println!("| algorithm | {} |", header.join(" | "));
-    println!("|---|{}", "---|".repeat(devices_list.len()));
-
-    let mut any_failed = false;
-    let mut largest_breakdown: Vec<String> = Vec::new();
-    for algo in &algos {
-        let mut row = format!("| {} ", algo.name());
-        let mut baseline: Option<u64> = None;
-        for &n in &devices_list {
-            let rec = run_partitioned(&dev, algo.as_ref(), &data, n);
-            match &rec.outcome {
-                RunOutcome::Ok {
-                    verified: true,
-                    kernel_cycles,
-                    ..
-                } => {
-                    let cycles = *kernel_cycles;
-                    let base = *baseline.get_or_insert(cycles);
-                    let speedup = base as f64 / cycles.max(1) as f64;
-                    let link_mb = rec
-                        .partition
-                        .as_ref()
-                        .map(|p| p.total_link_bytes as f64 / 1e6)
-                        .unwrap_or(0.0);
-                    row.push_str(&format!("| {cycles} / {speedup:.2}x / {link_mb:.2} "));
-                    if per_device && n == largest {
-                        for d in rec.partition.iter().flat_map(|p| &p.per_device) {
-                            largest_breakdown.push(format!(
-                                "| {} | {} | {} | {} | {} |",
-                                algo.name(),
-                                d.device,
-                                d.kernel_cycles,
-                                d.link_cycles,
-                                d.link_bytes
-                            ));
-                        }
-                    }
-                }
-                RunOutcome::Ok { .. } => {
-                    any_failed = true;
-                    row.push_str("| MISCOUNT ");
-                }
-                RunOutcome::Failed(e) => {
-                    any_failed = true;
-                    eprint_progress(&format!("{} x{n}: {e}", algo.name()));
-                    row.push_str("| FAILED ");
-                }
-            }
-        }
-        row.push('|');
-        println!("{row}");
-    }
-
-    if per_device && !largest_breakdown.is_empty() {
-        println!("\n#### Per-device breakdown at {largest} devices\n");
-        println!("| algorithm | device | kernel cycles | link cycles | link bytes |");
-        println!("|---|---|---|---|---|");
-        for line in &largest_breakdown {
-            println!("{line}");
-        }
-    }
-
-    if any_failed {
-        return Err(Error::Failed(
-            "one or more cells failed or miscounted".to_string(),
-        ));
-    }
     Ok(())
 }
 

@@ -3,17 +3,17 @@
 //! on the host.
 //!
 //! A [`Backend`] turns one (algorithm, dataset) cell into a
-//! [`RunRecord`]. [`SimBackend`] runs the one-device
-//! [`run_partitioned`] cell, whose [`TcAlgorithm::run`] uploads, counts,
-//! frees and leak-checks; [`CpuBackend`] executes the algorithm's rayon
-//! host kernel ([`TcAlgorithm::count_cpu`]) with the same
-//! preferred-orientation pipeline. Both build their records through the
-//! runner's single fault boundary, so a panicking kernel — host or
-//! simulated — becomes [`RunOutcome::Failed`] in its own cell, exactly
-//! like a device memory fault, instead of tearing down the sweep. The
-//! sweep drivers ([`crate::framework::runner::run_matrix`] and
+//! [`RunRecord`]. [`SimBackend`] runs [`TcAlgorithm::run`], which
+//! uploads, counts, frees and leak-checks, on one simulated device;
+//! [`CpuBackend`] executes the algorithm's rayon host kernel
+//! ([`TcAlgorithm::count_cpu`]) with the same preferred-orientation
+//! pipeline. Both build their records through the runner's single fault
+//! boundary, so a panicking kernel — host or simulated — becomes
+//! [`RunOutcome::Failed`] in its own cell, exactly like a device memory
+//! fault, instead of tearing down the sweep. The sweep drivers
+//! ([`crate::framework::runner::run_matrix`] and
 //! [`crate::framework::runner::run_matrix_parallel`]) take any slice of
-//! backends; a multi-device sweep calls [`run_partitioned`] itself.
+//! backends.
 //!
 //! What the CPU path deliberately does *not* model: cycles, profiling
 //! counters, occupancy — its records carry `kernel_cycles: 0` and
@@ -21,10 +21,9 @@
 //! speed (ROADMAP item 4) and to act as a differential twin for the
 //! simulator; only [`RunRecord::wall`] is meaningful for its timing.
 
-use gpu_sim::Device;
+use gpu_sim::{Device, SimError};
 use tc_algos::api::TcAlgorithm;
 
-use crate::framework::partitioned::run_partitioned;
 use crate::framework::runner::{run_cell, PreparedDataset, RunOutcome, RunRecord};
 
 /// An execution substrate for evaluation cells.
@@ -34,13 +33,41 @@ pub trait Backend: Sync {
 }
 
 /// The cycle-modelled SIMT simulator backend (the default everywhere).
+/// A cell is [`TcAlgorithm::run`] on the preferred orientation, its
+/// count verified against the dataset's ground truth. A device fault, a
+/// leaked buffer or a panic becomes [`RunOutcome::Failed`] in this cell
+/// alone.
+///
+/// A successful count on a graph with edges must have cost at least one
+/// modelled cycle; only the empty graph may report a zero-cycle kernel.
+/// An algorithm that "succeeds" without doing modelled work has broken
+/// instrumentation, and recording it as failed keeps downstream
+/// `kernel_cycles > 0` assumptions honest.
 pub struct SimBackend<'d> {
     pub dev: &'d Device,
 }
 
 impl Backend for SimBackend<'_> {
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
-        run_partitioned(self.dev, algo, data, 1)
+        run_cell("sim", algo, data, || {
+            let dag = data.dag(algo.preferred_orientation());
+            let out = match algo.run(self.dev, &dag) {
+                Ok(out) => out,
+                Err(e) => return RunOutcome::Failed(e),
+            };
+            if out.stats.kernel_cycles == 0 && dag.num_edges() > 0 {
+                return RunOutcome::Failed(SimError::KernelFault(format!(
+                    "{} reported zero kernel cycles on a non-empty graph",
+                    algo.name()
+                )));
+            }
+            RunOutcome::Ok {
+                triangles: out.triangles,
+                kernel_cycles: out.stats.kernel_cycles,
+                counters: out.stats.counters,
+                verified: out.triangles == data.ground_truth,
+            }
+        })
     }
 }
 
@@ -55,14 +82,13 @@ impl Backend for CpuBackend {
     fn run(&self, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
         run_cell("cpu", algo, data, || {
             let triangles = algo.count_cpu(&data.dag(algo.preferred_orientation()));
-            let outcome = RunOutcome::Ok {
+            RunOutcome::Ok {
                 triangles,
                 // The CPU path models nothing: no cycles, no counters.
                 kernel_cycles: 0,
                 counters: Default::default(),
                 verified: triangles == data.ground_truth,
-            };
-            (outcome, None)
+            }
         })
     }
 }
@@ -71,7 +97,7 @@ impl Backend for CpuBackend {
 mod tests {
     use super::*;
     use crate::framework::runner::{run_matrix, run_matrix_parallel};
-    use gpu_sim::{DeviceMem, SimError};
+    use gpu_sim::{DeviceMem, LaunchStats};
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
     use tc_algos::all_algorithms;
     use tc_algos::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcOutput};
@@ -237,6 +263,72 @@ mod tests {
                 }
                 (a, b) => panic!("outcome mismatch for {}: {a:?} vs {b:?}", s.algorithm),
             }
+        }
+    }
+
+    #[test]
+    fn sim_backend_equals_the_algorithm_run() {
+        let dev = Device::v100();
+        let data = PreparedDataset::prepare(&tiny_spec());
+        let algo = &all_algorithms()[0];
+        let direct = algo
+            .run(&dev, &data.dag(algo.preferred_orientation()))
+            .unwrap();
+        let via = SimBackend { dev: &dev }.run(algo.as_ref(), &data);
+        match &via.outcome {
+            RunOutcome::Ok {
+                triangles,
+                kernel_cycles,
+                counters,
+                verified: true,
+            } => {
+                assert_eq!(*triangles, direct.triangles);
+                assert_eq!(*kernel_cycles, direct.stats.kernel_cycles);
+                assert_eq!(*counters, direct.stats.counters);
+            }
+            other => panic!("expected a verified cell, got {other:?}"),
+        }
+    }
+
+    /// An "implementation" that succeeds without launching anything:
+    /// default `LaunchStats`, zero modelled cycles.
+    struct ZeroCycleProbe;
+
+    impl TcAlgorithm for ZeroCycleProbe {
+        fn meta(&self) -> AlgoMeta {
+            AlgoMeta {
+                name: "zero-cycle-probe",
+                reference: "synthetic instrumentation probe",
+                year: 2024,
+                iterator: IteratorKind::Edge,
+                intersection: Intersection::Merge,
+                granularity: Granularity::Coarse,
+            }
+        }
+
+        fn count(
+            &self,
+            _dev: &Device,
+            _mem: &mut DeviceMem,
+            _dg: &DeviceGraph,
+        ) -> Result<TcOutput, SimError> {
+            Ok(TcOutput {
+                triangles: 0,
+                stats: LaunchStats::default(),
+            })
+        }
+    }
+
+    #[test]
+    fn zero_cycle_success_fails_on_one_device() {
+        let dev = Device::v100();
+        let data = PreparedDataset::prepare(&tiny_spec());
+        let rec = SimBackend { dev: &dev }.run(&ZeroCycleProbe, &data);
+        match &rec.outcome {
+            RunOutcome::Failed(SimError::KernelFault(msg)) => {
+                assert!(msg.contains("zero kernel cycles"), "{msg}")
+            }
+            other => panic!("expected a zero-cycle fault, got {other:?}"),
         }
     }
 }

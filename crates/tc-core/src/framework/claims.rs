@@ -262,7 +262,6 @@ mod tests {
                 counters: ProfileCounters::default(),
                 verified: true,
             },
-            partition: None,
             wall: std::time::Duration::ZERO,
         }
     }
@@ -360,7 +359,6 @@ mod tests {
                 dataset: "s1",
                 backend: "sim",
                 outcome: RunOutcome::Failed(gpu_sim::SimError::KernelFault("x".into())),
-                partition: None,
                 wall: std::time::Duration::ZERO,
             },
             rec("GroupTC", "s1", 9),

@@ -136,7 +136,6 @@ mod tests {
                     },
                     verified: true,
                 },
-                partition: None,
                 wall: std::time::Duration::from_millis(12),
             },
             RunRecord {
@@ -146,7 +145,6 @@ mod tests {
                 outcome: RunOutcome::Failed(gpu_sim::SimError::KernelFault(
                     "overflow, with comma".into(),
                 )),
-                partition: None,
                 wall: std::time::Duration::from_millis(3),
             },
         ]

@@ -5,6 +5,5 @@
 pub mod backend;
 pub mod claims;
 pub mod csv;
-pub mod partitioned;
 pub mod report;
 pub mod runner;

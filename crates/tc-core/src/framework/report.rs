@@ -261,7 +261,6 @@ mod tests {
                 counters: ProfileCounters::default(),
                 verified: true,
             },
-            partition: None,
             wall: std::time::Duration::from_millis(cycles),
         }
     }
@@ -308,7 +307,6 @@ mod tests {
                 dataset: "ds1",
                 backend: "sim",
                 outcome: RunOutcome::Failed(gpu_sim::SimError::KernelFault("boom".into())),
-                partition: None,
                 wall: std::time::Duration::ZERO,
             },
         ];

@@ -25,7 +25,6 @@ use tc_algos::api::TcAlgorithm;
 use rayon::prelude::*;
 
 use crate::framework::backend::Backend;
-use crate::framework::partitioned::PartitionStats;
 
 /// A dataset after the preparation pipeline: generated (or loaded),
 /// cleaned, with statistics, ground truth, and oriented variants cached.
@@ -112,10 +111,6 @@ pub struct RunRecord {
     /// `"sim"` and their CSV emission is unchanged by this field.
     pub backend: &'static str,
     pub outcome: RunOutcome,
-    /// Multi-device aggregate when the cell ran partitioned (see
-    /// [`crate::framework::partitioned`]); `None` for every
-    /// single-device cell, leaving CSV emission untouched.
-    pub partition: Option<PartitionStats>,
     /// Host wall-clock time spent simulating this cell (upload, kernels
     /// and verification). Unlike `outcome` this is measured, not
     /// modelled: it varies run to run and is deliberately excluded from
@@ -144,7 +139,7 @@ impl RunRecord {
 }
 
 /// Build one cell's record around `body`, which runs the cell and
-/// returns its outcome (plus multi-device stats, if any).
+/// returns its outcome.
 ///
 /// This is every backend's fault boundary. Device faults already come
 /// back as `Err` values; a panic anywhere in `body` — a host kernel, a
@@ -155,10 +150,10 @@ pub(crate) fn run_cell(
     backend: &'static str,
     algo: &dyn TcAlgorithm,
     data: &PreparedDataset,
-    body: impl FnOnce() -> (RunOutcome, Option<PartitionStats>),
+    body: impl FnOnce() -> RunOutcome,
 ) -> RunRecord {
     let started = Instant::now();
-    let (outcome, partition) = catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+    let outcome = catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
         let msg = if let Some(s) = payload.downcast_ref::<&str>() {
             s.to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -167,7 +162,7 @@ pub(crate) fn run_cell(
             "unknown panic payload".to_string()
         };
         let fault = SimError::KernelFault(format!("{backend} kernel panicked: {msg}"));
-        (RunOutcome::Failed(fault), None)
+        RunOutcome::Failed(fault)
     });
     let wall = started.elapsed();
     RunRecord {
@@ -175,7 +170,6 @@ pub(crate) fn run_cell(
         dataset: data.spec.name,
         backend,
         outcome,
-        partition,
         wall,
     }
 }
@@ -228,7 +222,6 @@ pub fn run_matrix_parallel(
 mod tests {
     use super::*;
     use crate::framework::backend::SimBackend;
-    use crate::framework::partitioned::run_partitioned;
     use gpu_sim::Device;
     use graph_data::datasets::{GenSpec, SizeClass};
     use tc_algos::device_graph::DeviceGraph;
@@ -495,24 +488,19 @@ mod tests {
     #[test]
     fn leaked_buffer_surfaces_as_failed_cell_and_csv_row() {
         // A plain device: the leak check runs on every simulated cell,
-        // one device or many, not only under SimSan.
+        // not only under SimSan.
         let dev = Device::v100();
         let data = PreparedDataset::prepare(&tiny_spec());
-        let records = [
-            SimBackend { dev: &dev }.run(&LeakyAlgo, &data),
-            run_partitioned(&dev, &LeakyAlgo, &data, 2),
-        ];
-        for rec in &records {
-            match &rec.outcome {
-                RunOutcome::Failed(SimError::Sanitizer { kind, buffer, .. }) => {
-                    assert_eq!(*kind, gpu_sim::SanitizerKind::Leak);
-                    assert_eq!(buffer, "leaky.scratch");
-                }
-                other => panic!("expected Failed(Sanitizer(leak)), got {other:?}"),
+        let rec = SimBackend { dev: &dev }.run(&LeakyAlgo, &data);
+        match &rec.outcome {
+            RunOutcome::Failed(SimError::Sanitizer { kind, buffer, .. }) => {
+                assert_eq!(*kind, gpu_sim::SanitizerKind::Leak);
+                assert_eq!(buffer, "leaky.scratch");
             }
+            other => panic!("expected Failed(Sanitizer(leak)), got {other:?}"),
         }
         let mut out = Vec::new();
-        crate::framework::csv::write_records(&mut out, &records[..1]).unwrap();
+        crate::framework::csv::write_records(&mut out, &[rec]).unwrap();
         let text = String::from_utf8(out).unwrap();
         let row = text.lines().last().unwrap();
         assert!(row.starts_with("leaky-probe,"), "row: {row}");

@@ -3,9 +3,8 @@
 //! [`framework`] is the testing framework of the paper's Section IV:
 //! the dataset preparation pipeline, the two execution backends
 //! ([`SimBackend`] and [`CpuBackend`]), the one sweep-driver pair that
-//! produces every figure's underlying matrix, report formatting, CSV,
-//! the paper-claim checks and the partitioned multi-device runner. It
-//! implements no counter itself: every algorithm, GroupTC included,
+//! produces every figure's underlying matrix, report formatting, CSV
+//! and the paper-claim checks. It implements no counter itself: every algorithm, GroupTC included,
 //! lives in `tc-algos` behind [`tc_algos::all_algorithms`], and every
 //! simulated cell runs it through `TcAlgorithm::run`.
 
