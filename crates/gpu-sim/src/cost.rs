@@ -114,14 +114,11 @@ impl CostModel {
         }
     }
 
-    /// Cost of a global store slot (write-through; no hit path).
+    /// Cost of a global store slot writing `sectors` sectors
+    /// (write-through; no hit path). Every store writes at least one.
     #[inline]
     pub fn global_slot(&self, sectors: u64) -> u64 {
-        if sectors == 0 {
-            self.global_hit
-        } else {
-            self.global_issue + self.global_sector * sectors
-        }
+        self.global_issue + self.global_sector * sectors
     }
 
     /// Cost of a shared load/store slot with a `ways`-way bank conflict
@@ -169,13 +166,13 @@ mod tests {
     #[test]
     fn coalesced_load_cheaper_than_scattered() {
         let m = CostModel::v100();
-        assert!(m.global_slot(1) < m.global_slot(32));
+        assert!(m.global_load_slot(1, 1) < m.global_load_slot(32, 32));
     }
 
     #[test]
     fn l1_hits_are_much_cheaper_than_misses() {
         let m = CostModel::v100();
-        assert!(m.global_slot(0) * 4 < m.global_slot(1));
+        assert!(m.global_load_slot(1, 0) * 4 < m.global_load_slot(1, 1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use rayon::prelude::*;
 
-use super::intersect::{intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge};
+use super::intersect::intersect_merge;
 use crate::orient::DagGraph;
 use crate::types::VertexId;
 
@@ -42,31 +42,6 @@ pub fn forward_merge_parallel(g: &DagGraph) -> u64 {
     forward_parallel(g, intersect_merge)
 }
 
-/// Forward with the binary-search primitive.
-pub fn binsearch_count(g: &DagGraph) -> u64 {
-    let csr = g.csr();
-    csr.edge_iter()
-        .map(|(u, v)| intersect_binsearch(csr.neighbors(u), csr.neighbors(v)))
-        .sum()
-}
-
-/// Forward with the hash primitive (32 buckets, as in warp-mode H-INDEX).
-pub fn hash_count(g: &DagGraph) -> u64 {
-    let csr = g.csr();
-    csr.edge_iter()
-        .map(|(u, v)| intersect_hash(csr.neighbors(u), csr.neighbors(v), 32))
-        .sum()
-}
-
-/// Forward with the bitmap primitive.
-pub fn bitmap_count(g: &DagGraph) -> u64 {
-    let csr = g.csr();
-    let n = csr.num_vertices();
-    csr.edge_iter()
-        .map(|(u, v)| intersect_bitmap(csr.neighbors(u), csr.neighbors(v), n))
-        .sum()
-}
-
 /// Per-DAG-edge triangle supports, in CSR edge order. Used by the k-truss
 /// example and by tests that cross-check per-edge contributions.
 pub fn per_edge_supports(g: &DagGraph) -> Vec<u64> {
@@ -80,6 +55,7 @@ pub fn per_edge_supports(g: &DagGraph) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::clean::clean_edges;
+    use crate::cpu_ref::{intersect_binsearch, intersect_bitmap, intersect_hash};
     use crate::orient::{orient, Orientation};
     use crate::types::EdgeList;
 
@@ -112,10 +88,17 @@ mod tests {
     fn all_itc_variants_agree() {
         let g = figure1_graph();
         let expected = forward_merge(&g);
+        let n = g.num_vertices();
         assert_eq!(forward_merge_parallel(&g), expected);
-        assert_eq!(binsearch_count(&g), expected);
-        assert_eq!(hash_count(&g), expected);
-        assert_eq!(bitmap_count(&g), expected);
+        assert_eq!(forward_parallel(&g, intersect_binsearch), expected);
+        assert_eq!(
+            forward_parallel(&g, |a, b| intersect_hash(a, b, 32)),
+            expected
+        );
+        assert_eq!(
+            forward_parallel(&g, |a, b| intersect_bitmap(a, b, n)),
+            expected
+        );
     }
 
     #[test]
@@ -143,7 +126,8 @@ mod tests {
         let (g, _) = clean_edges(&raw);
         let d = orient(&g, Orientation::DegreeAsc);
         assert_eq!(forward_merge(&d), 0);
-        assert_eq!(bitmap_count(&d), 0);
+        let n = d.num_vertices();
+        assert_eq!(forward_parallel(&d, |a, b| intersect_bitmap(a, b, n)), 0);
     }
 
     #[test]
@@ -158,6 +142,6 @@ mod tests {
         let d = orient(&g, Orientation::DegreeAsc);
         // C(5,3) = 10 triangles.
         assert_eq!(forward_merge(&d), 10);
-        assert_eq!(hash_count(&d), 10);
+        assert_eq!(forward_parallel(&d, |a, b| intersect_hash(a, b, 32)), 10);
     }
 }

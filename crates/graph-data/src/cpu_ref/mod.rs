@@ -8,7 +8,4 @@ mod itc;
 
 pub use baselines::{matmul_count, node_iterator, subgraph_match};
 pub use intersect::{intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge};
-pub use itc::{
-    binsearch_count, bitmap_count, forward_merge, forward_merge_parallel, forward_parallel,
-    hash_count, per_edge_supports,
-};
+pub use itc::{forward_merge, forward_merge_parallel, forward_parallel, per_edge_supports};

@@ -4,9 +4,11 @@
 //! * `BENCH_sim.json` — the simulator's modelled results on the bench
 //!   matrix. `tc bench_sweep --bench-json PATH` writes, per (algorithm ×
 //!   dataset) cell, the outcome, the modelled kernel cycles and whether
-//!   the count matched the CPU reference. Host wall time is measured,
-//!   not modelled, so it goes to the command's stdout table and never
-//!   into the document.
+//!   the count matched the CPU reference. A document holds one sweep
+//!   on one backend, which its `"device"` header names: `"V100"` for
+//!   the simulator, `"cpu"` for the native host kernels. Host wall time
+//!   is measured, not modelled, so it goes to the command's stdout table
+//!   and never into the document.
 //! * `LINT_sim.json` — the per-algorithm diagnostic wall. `tc lint_sweep`
 //!   runs every registry algorithm over the conformance corpus with
 //!   SimLint forced on and prints the merged [`LintReport`] of each
@@ -48,74 +50,13 @@
 use gpu_sim::LintReport;
 use tc_core::framework::runner::{RunOutcome, RunRecord};
 
-/// One (algorithm × dataset) cell of the benchmark matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCell {
-    pub algorithm: String,
-    pub dataset: String,
-    /// Execution backend (`"sim"` or `"cpu"`). Serialized only when a
-    /// document mixes backends, so a pure-sim `BENCH_sim.json` has no
-    /// `backend` field.
-    pub backend: &'static str,
-    /// `"ok"` or `"failed"`.
-    pub outcome: &'static str,
-    /// Best (minimum over reps) host wall-clock time simulating the cell.
-    /// Printed by `tc bench_sweep`, never rendered into the document.
-    pub wall_ms: f64,
-    /// Modelled kernel cycles (0 for failed cells; deterministic).
-    pub kernel_cycles: u64,
-    /// Whether the GPU count matched the CPU reference.
-    pub verified: bool,
-}
-
-impl BenchCell {
-    /// Fold one sweep's records into cells (first rep), or merge a later
-    /// rep into existing cells by taking the per-cell minimum wall time.
-    pub fn from_records(records: &[RunRecord]) -> Vec<BenchCell> {
-        records
-            .iter()
-            .map(|r| {
-                let (outcome, kernel_cycles, verified) = match &r.outcome {
-                    RunOutcome::Ok {
-                        kernel_cycles,
-                        verified,
-                        ..
-                    } => ("ok", *kernel_cycles, *verified),
-                    RunOutcome::Failed(_) => ("failed", 0, false),
-                };
-                BenchCell {
-                    algorithm: r.algorithm.clone(),
-                    dataset: r.dataset.to_string(),
-                    backend: r.backend,
-                    outcome,
-                    wall_ms: r.wall.as_secs_f64() * 1e3,
-                    kernel_cycles,
-                    verified,
-                }
-            })
-            .collect()
-    }
-
-    /// Merge another rep of the *same* matrix: keep the minimum wall time
-    /// per cell (the least-noisy estimate of the engine's speed).
-    pub fn merge_min_wall(cells: &mut [BenchCell], rep: &[RunRecord]) {
-        assert_eq!(cells.len(), rep.len(), "reps must run the same matrix");
-        for (cell, r) in cells.iter_mut().zip(rep) {
-            debug_assert_eq!(cell.algorithm, r.algorithm);
-            debug_assert_eq!(cell.backend, r.backend);
-            cell.wall_ms = cell.wall_ms.min(r.wall.as_secs_f64() * 1e3);
-        }
-    }
-
-    /// The outcome column of `tc bench_sweep`: `ok`, `failed`, or
-    /// `MISCOUNT` for a cell that ran but disagrees with the CPU
-    /// reference.
-    pub fn label(&self) -> &'static str {
-        match (self.outcome, self.verified) {
-            ("ok", true) => "ok",
-            ("ok", false) => "MISCOUNT",
-            (outcome, _) => outcome,
-        }
+/// The outcome column of `tc bench_sweep`: `ok`, `failed`, or
+/// `MISCOUNT` for a cell that ran but disagrees with the CPU reference.
+pub fn label(r: &RunRecord) -> &'static str {
+    match r.outcome {
+        RunOutcome::Failed(_) => "failed",
+        _ if r.is_verified() => "ok",
+        _ => "MISCOUNT",
     }
 }
 
@@ -146,26 +87,24 @@ fn document(schema_version: u32, device: &str, records: &[String]) -> String {
 }
 
 /// Render the full `BENCH_sim.json` document (schema version 2: modelled
-/// fields only).
-pub fn render(device: &str, cells: &[BenchCell]) -> String {
-    let multi_backend = cells.iter().any(|c| c.backend != "sim");
-    let records: Vec<String> = cells
+/// fields only) of one sweep on `device`. A failed cell renders
+/// `"kernel_cycles": 0` and `"verified": false`.
+pub fn render(device: &str, records: &[RunRecord]) -> String {
+    let records: Vec<String> = records
         .iter()
-        .map(|c| {
-            let backend = if multi_backend {
-                format!("\"backend\": \"{}\", ", c.backend)
-            } else {
-                String::new()
+        .map(|r| {
+            let outcome = match r.outcome {
+                RunOutcome::Ok { .. } => "ok",
+                RunOutcome::Failed(_) => "failed",
             };
             format!(
-                "    {{\"algorithm\": \"{}\", \"dataset\": \"{}\", {}\"outcome\": \"{}\", \
+                "    {{\"algorithm\": \"{}\", \"dataset\": \"{}\", \"outcome\": \"{}\", \
                  \"kernel_cycles\": {}, \"verified\": {}}}",
-                escape(&c.algorithm),
-                escape(&c.dataset),
-                backend,
-                c.outcome,
-                c.kernel_cycles,
-                c.verified,
+                escape(&r.algorithm),
+                escape(r.dataset),
+                outcome,
+                r.kernel_cycles().unwrap_or(0),
+                r.is_verified(),
             )
         })
         .collect();
@@ -283,31 +222,27 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn cell(algo: &str, wall: f64) -> BenchCell {
-        BenchCell {
-            algorithm: algo.to_string(),
-            dataset: "tiny-rmat".to_string(),
-            backend: "sim",
-            outcome: "ok",
-            wall_ms: wall,
+    fn ok(verified: bool) -> RunOutcome {
+        RunOutcome::Ok {
+            triangles: 7,
             kernel_cycles: 42,
-            verified: true,
+            counters: Default::default(),
+            verified,
         }
     }
 
-    fn record(outcome: RunOutcome) -> RunRecord {
+    fn record(algorithm: &str, outcome: RunOutcome, wall_ms: u64) -> RunRecord {
         RunRecord {
-            algorithm: "Polak".to_string(),
+            algorithm: algorithm.to_string(),
             dataset: "tiny-rmat",
-            backend: "sim",
             outcome,
-            wall: Duration::from_millis(2),
+            wall: Duration::from_millis(wall_ms),
         }
     }
 
     #[test]
     fn render_emits_only_modelled_fields() {
-        let text = render("V100", &[cell("Polak", 1.25)]);
+        let text = render("V100", &[record("Polak", ok(true), 1)]);
         assert_eq!(
             text,
             "{\n  \"schema_version\": 2,\n  \"device\": \"V100\",\n  \"records\": [\n    \
@@ -316,7 +251,7 @@ mod tests {
         );
         // Host wall time is measured, so two runs of one matrix that
         // differ only in it render identically.
-        assert_eq!(text, render("V100", &[cell("Polak", 99.0)]));
+        assert_eq!(text, render("V100", &[record("Polak", ok(true), 99)]));
         assert_eq!(
             render("V100", &[]),
             "{\n  \"schema_version\": 2,\n  \"device\": \"V100\",\n  \"records\": [\n  ]\n}\n"
@@ -324,46 +259,26 @@ mod tests {
     }
 
     #[test]
-    fn backend_field_appears_only_in_mixed_documents() {
-        let pure = render("V100", &[cell("Polak", 1.0)]);
-        assert!(!pure.contains("\"backend\""));
-        let mut c = cell("Polak", 2.0);
-        c.backend = "cpu";
-        let mixed = render("V100", &[cell("Polak", 1.0), c]);
-        assert!(mixed.contains("\"backend\": \"sim\""));
-        assert!(mixed.contains("\"backend\": \"cpu\""));
-    }
-
-    #[test]
     fn strings_are_escaped() {
-        let mut c = cell("we\"ird\\name", 0.5);
-        c.dataset = "line\nbreak".to_string();
-        let text = render("V100", &[c]);
+        let mut r = record("we\"ird\\name", ok(true), 1);
+        r.dataset = "line\nbreak";
+        let text = render("cpu", &[r]);
+        assert!(text.contains("\"device\": \"cpu\""));
         assert!(text.contains(r#"{"algorithm": "we\"ird\\name", "dataset": "line\nbreak", "#));
     }
 
     #[test]
-    fn label_names_failed_and_miscounted_cells() {
-        let ok = |verified| RunOutcome::Ok {
-            triangles: 7,
-            kernel_cycles: 42,
-            counters: Default::default(),
-            verified,
-        };
+    fn failed_and_miscounted_cells_are_labelled_and_unverified() {
         let failed = RunOutcome::Failed(gpu_sim::SimError::KernelFault("x".into()));
-        let cells = BenchCell::from_records(&[record(ok(true)), record(ok(false)), record(failed)]);
-        let labels: Vec<&str> = cells.iter().map(BenchCell::label).collect();
+        let records = [
+            record("Polak", ok(true), 1),
+            record("Polak", ok(false), 1),
+            record("Polak", failed, 1),
+        ];
+        let labels: Vec<&str> = records.iter().map(label).collect();
         assert_eq!(labels, ["ok", "MISCOUNT", "failed"]);
-    }
-
-    #[test]
-    fn merge_min_wall_takes_per_cell_minimum() {
-        let mut cells = vec![cell("Polak", 5.0)];
-        let rep = vec![record(RunOutcome::Failed(gpu_sim::SimError::KernelFault(
-            "x".into(),
-        )))];
-        BenchCell::merge_min_wall(&mut cells, &rep);
-        assert!((cells[0].wall_ms - 2.0).abs() < 1e-9);
+        let text = render("V100", &records[2..]);
+        assert!(text.contains(r#""outcome": "failed", "kernel_cycles": 0, "verified": false}"#));
     }
 
     #[test]

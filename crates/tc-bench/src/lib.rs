@@ -23,10 +23,11 @@ use graph_data::{clean_edges, orient, DatasetSpec};
 use tc_algos::all_algorithms;
 use tc_algos::api::{TcAlgorithm, TcOutput};
 use tc_algos::conformance::generator_cases;
-use tc_core::framework::backend::SimBackend;
+use tc_core::framework::backend::Backend;
 use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 
-/// Run the given algorithms over the given datasets on a simulated V100.
+/// Run the given algorithms over the given datasets on `backend` (the
+/// paper's figures use a `SimBackend` on a V100).
 ///
 /// By default cells are fanned out across a rayon pool; `serial` runs
 /// them one at a time instead (for debugging, or to minimize peak memory
@@ -35,16 +36,15 @@ use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 /// records `Failed` for its own cell without taking the rest of the
 /// sweep down.
 pub fn sweep(
+    backend: &dyn Backend,
     algos: &[Box<dyn TcAlgorithm>],
     datasets: &[DatasetSpec],
     serial: bool,
 ) -> Vec<RunRecord> {
-    let dev = Device::v100();
-    let backends = [&SimBackend { dev: &dev } as _];
     if serial {
-        run_matrix(&backends, algos, datasets)
+        run_matrix(backend, algos, datasets)
     } else {
-        run_matrix_parallel(&backends, algos, datasets)
+        run_matrix_parallel(backend, algos, datasets)
     }
 }
 

@@ -90,7 +90,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bench_sweep",
-        synopsis: "[DATASETS] [--serial] [--reps N] [--backend sim|cpu|both] [--bench-json PATH]",
+        synopsis: "[DATASETS] [--serial] [--reps N] [--backend sim|cpu] [--bench-json PATH]",
         help: "host wall time and kernel cycles per cell; --bench-json writes \
                BENCH_sim.json (default Wiki-Talk)",
         run: tools::bench_sweep,

@@ -11,6 +11,7 @@ use tc_algos::device_graph::DeviceGraph;
 use tc_algos::{polak::Polak, trust::Trust, GroupTc, GroupTcConfig, GroupTcHybrid};
 use tc_bench::cli::{self, Args, Error};
 use tc_bench::{eprint_progress, sweep};
+use tc_core::framework::backend::SimBackend;
 use tc_core::framework::report::{
     cycles_to_ms, extract, format_sig, human_count, wall_summary, MatrixView, Table,
 };
@@ -147,7 +148,8 @@ pub fn all_figures(mut args: Args) -> Result<(), Error> {
         datasets.len(),
         if serial { "serial" } else { "parallel" }
     ));
-    let records = sweep(&algos, &datasets, serial);
+    let dev = Device::v100();
+    let records = sweep(&SimBackend { dev: &dev }, &algos, &datasets, serial);
     eprintln!("[tc-bench] {}", wall_summary(&records, 5));
 
     // Verification summary first: every successful run must be exact.
@@ -260,7 +262,8 @@ pub fn ablation_grouptc(mut args: Args) -> Result<(), Error> {
         Box::new(Named("chunk-64", chunk(64))),
         Box::new(Named("chunk-1024", chunk(1024))),
     ];
-    let records = sweep(&algos, &datasets, false);
+    let dev = Device::v100();
+    let records = sweep(&SimBackend { dev: &dev }, &algos, &datasets, false);
     eprintln!("[tc-bench] {}", wall_summary(&records, 3));
     if !records.iter().all(|r| r.is_verified()) {
         return Err(Error::Failed(
@@ -338,7 +341,8 @@ pub fn future_work(mut args: Args) -> Result<(), Error> {
         Box::new(GroupTc::default()),
         Box::new(GroupTcHybrid::default()),
     ];
-    let records = sweep(&algos, &datasets, false);
+    let dev = Device::v100();
+    let records = sweep(&SimBackend { dev: &dev }, &algos, &datasets, false);
     if !records.iter().all(|r| r.is_verified()) {
         return Err(Error::Failed("all counts must verify".to_string()));
     }

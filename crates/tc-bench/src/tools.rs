@@ -8,11 +8,11 @@ use std::time::Instant;
 
 use gpu_sim::Device;
 use tc_algos::all_algorithms;
-use tc_bench::bench_json::{self, BenchCell};
+use tc_bench::bench_json;
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
 use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
-use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
+use tc_core::framework::runner::RunRecord;
 
 /// Parse the value of option `name` as a positive integer.
 fn positive(name: &str, value: &str) -> Result<u32, String> {
@@ -31,25 +31,24 @@ fn positive(name: &str, value: &str) -> Result<u32, String> {
 /// measures the *simulator's* speed, not the modelled device time, which
 /// is deterministic and pinned by the snapshot tests.
 ///
-/// `--backend` selects the execution substrate: `sim` (default) runs the
-/// cycle-modelled simulator, `cpu` runs each algorithm's native rayon
-/// host kernel (kernel cycles report 0), and `both` sweeps the two back
-/// to back.
+/// `--backend` selects the execution substrate of the sweep: `sim`
+/// (default) runs the cycle-modelled simulator, `cpu` runs each
+/// algorithm's native rayon host kernel (kernel cycles report 0). To
+/// compare the two, run the command once per backend.
 ///
-/// `--bench-json` writes the modelled results (committed as
-/// `BENCH_sim.json`; CI diffs a fresh Wiki-Talk document against it).
-/// A cell that fails, or whose count disagrees with the CPU reference
-/// (`MISCOUNT`), fails the run after the table and the document are
-/// written.
+/// `--bench-json` writes the modelled results, with a `"device"` header
+/// naming the substrate (`"V100"` or `"cpu"`); the sim document on
+/// Wiki-Talk is committed as `BENCH_sim.json`, and CI diffs a fresh one
+/// against it. A cell that fails, or whose count disagrees with the CPU
+/// reference (`MISCOUNT`), fails the run after the table and the
+/// document are written.
 pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     let serial = args.flag("--serial");
     let reps = match args.value("--reps")? {
         Some(v) => positive("--reps", &v)?,
         None => 3,
     };
-    let backend_arg = args
-        .value("--backend")?
-        .unwrap_or_else(|| "sim".to_string());
+    let backend_arg = args.value("--backend")?;
     let json_path = args.value("--bench-json")?;
     let datasets = args.datasets(&["Wiki-Talk"])?;
     args.finish()?;
@@ -57,32 +56,25 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     let algos = all_algorithms();
     let dev = Device::v100();
     let sim = SimBackend { dev: &dev };
-    let backends: Vec<&dyn Backend> = match backend_arg.as_str() {
-        "sim" => vec![&sim],
-        "cpu" => vec![&CpuBackend],
-        "both" => vec![&sim, &CpuBackend],
-        other => {
+    let (backend, device): (&dyn Backend, &str) = match backend_arg.as_deref() {
+        None | Some("sim") => (&sim, "V100"),
+        Some("cpu") => (&CpuBackend, "cpu"),
+        Some(other) => {
             return Err(Error::Usage(format!(
-                "`--backend` must be sim|cpu|both, got `{other}`"
+                "`--backend` must be sim|cpu, got `{other}`"
             )))
         }
     };
     let mode = if serial { "serial" } else { "parallel" };
     eprint_progress(&format!(
-        "bench_sweep: {} algorithms x {} datasets x {} backend(s) ({backend_arg}), \
-         {reps} rep(s), {mode}",
+        "bench_sweep: {} algorithms x {} datasets on {device}, {reps} rep(s), {mode}",
         algos.len(),
         datasets.len(),
-        backends.len(),
     ));
 
     let run = |label: &str| -> Vec<RunRecord> {
         let started = Instant::now();
-        let records = if serial {
-            run_matrix(&backends, &algos, &datasets)
-        } else {
-            run_matrix_parallel(&backends, &algos, &datasets)
-        };
+        let records = tc_bench::sweep(backend, &algos, &datasets, serial);
         eprint_progress(&format!(
             "{label}: {:.1} ms",
             started.elapsed().as_secs_f64() * 1e3
@@ -91,42 +83,40 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     };
 
     let total_started = Instant::now();
-    let mut cells = BenchCell::from_records(&run("rep 1"));
+    // Every rep runs the same matrix in the same order; each cell keeps
+    // its best (minimum) wall time, the least-noisy estimate of the
+    // engine's speed.
+    let mut records = run("rep 1");
     for rep in 1..reps {
-        BenchCell::merge_min_wall(&mut cells, &run(&format!("rep {}", rep + 1)));
+        for (best, r) in records.iter_mut().zip(run(&format!("rep {}", rep + 1))) {
+            best.wall = best.wall.min(r.wall);
+        }
     }
     let total_wall_ms = total_started.elapsed().as_secs_f64() * 1e3;
 
-    let multi = backends.len() > 1;
     println!(
-        "{:<12} {:<18} {:<7} {:>10} {:>14} {:>9}",
-        "algorithm",
-        "dataset",
-        if multi { "backend" } else { "" },
-        "wall ms",
-        "kernel cycles",
-        "outcome"
+        "{:<12} {:<18} {:>10} {:>14} {:>9}",
+        "algorithm", "dataset", "wall ms", "kernel cycles", "outcome"
     );
-    for c in &cells {
+    for r in &records {
         println!(
-            "{:<12} {:<18} {:<7} {:>10.3} {:>14} {:>9}",
-            c.algorithm,
-            c.dataset,
-            if multi { c.backend } else { "" },
-            c.wall_ms,
-            c.kernel_cycles,
-            c.label()
+            "{:<12} {:<18} {:>10.3} {:>14} {:>9}",
+            r.algorithm,
+            r.dataset,
+            r.wall.as_secs_f64() * 1e3,
+            r.kernel_cycles().unwrap_or(0),
+            bench_json::label(r)
         );
     }
-    let sweep_wall: f64 = cells.iter().map(|c| c.wall_ms).sum();
+    let sweep_wall: f64 = records.iter().map(|r| r.wall.as_secs_f64() * 1e3).sum();
     println!("best-rep sweep wall (sum of cells): {sweep_wall:.1} ms");
     println!("total harness wall ({reps} reps):   {total_wall_ms:.1} ms");
 
     if let Some(path) = json_path {
-        let text = bench_json::render("V100", &cells);
+        let text = bench_json::render(device, &records);
         crate::write_file(&path, |f| f.write_all(text.as_bytes()))?;
     }
-    if cells.iter().any(|c| !c.verified) {
+    if !records.iter().all(RunRecord::is_verified) {
         return Err(Error::Failed(
             "one or more cells failed or miscounted".to_string(),
         ));

@@ -12,8 +12,8 @@
 //! [`RunOutcome::Failed`] in its own cell, exactly like a device memory
 //! fault, instead of tearing down the sweep. The sweep drivers
 //! ([`crate::framework::runner::run_matrix`] and
-//! [`crate::framework::runner::run_matrix_parallel`]) take any slice of
-//! backends.
+//! [`crate::framework::runner::run_matrix_parallel`]) run one backend
+//! per sweep; to compare substrates, run one sweep per backend.
 //!
 //! What the CPU path deliberately does *not* model: cycles, profiling
 //! counters, occupancy — its records carry `kernel_cycles: 0` and
@@ -96,7 +96,7 @@ impl Backend for CpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::runner::{run_matrix, run_matrix_parallel};
+    use crate::framework::runner::run_matrix_parallel;
     use gpu_sim::{DeviceMem, LaunchStats};
     use graph_data::datasets::{DatasetSpec, GenSpec, SizeClass};
     use tc_algos::all_algorithms;
@@ -124,7 +124,6 @@ mod tests {
         assert!(data.ground_truth > 0);
         for algo in all_algorithms() {
             let rec = CpuBackend.run(algo.as_ref(), &data);
-            assert_eq!(rec.backend, "cpu");
             assert!(
                 rec.is_verified(),
                 "{}: cpu outcome {:?}",
@@ -180,10 +179,9 @@ mod tests {
     fn panicking_cpu_kernel_is_isolated_as_failed() {
         let mut algos = all_algorithms();
         algos.push(Box::new(PanickyAlgo));
-        let backends: [&dyn Backend; 1] = [&CpuBackend];
         let specs = [tiny_spec()];
         // The panic must not tear down the parallel sweep.
-        let records = run_matrix_parallel(&backends, &algos, &specs);
+        let records = run_matrix_parallel(&CpuBackend, &algos, &specs);
         assert_eq!(records.len(), algos.len());
         let failed = records.last().unwrap();
         assert_eq!(failed.algorithm, "panic-probe");
@@ -207,17 +205,13 @@ mod tests {
         let dev = Device::v100();
         let mut algos = all_algorithms();
         algos.push(Box::new(PanickyAlgo));
-        let backends: [&dyn Backend; 1] = [&SimBackend { dev: &dev }];
         let specs = [tiny_spec()];
         // The panic unwinds out of a block worker inside `Device::launch`;
         // it must not tear down the parallel sweep either.
-        let records = run_matrix_parallel(&backends, &algos, &specs);
+        let records = run_matrix_parallel(&SimBackend { dev: &dev }, &algos, &specs);
         assert_eq!(records.len(), algos.len());
         let failed = records.last().unwrap();
-        assert_eq!(
-            (failed.algorithm.as_str(), failed.backend),
-            ("panic-probe", "sim")
-        );
+        assert_eq!(failed.algorithm, "panic-probe");
         match &failed.outcome {
             RunOutcome::Failed(SimError::KernelFault(msg)) => {
                 assert!(
@@ -231,39 +225,6 @@ mod tests {
             records[..records.len() - 1].iter().all(|r| r.is_verified()),
             "healthy sim cells still verify"
         );
-    }
-
-    #[test]
-    fn multi_backend_sweep_order_and_parity() {
-        let dev = Device::v100();
-        let backends: [&dyn Backend; 2] = [&SimBackend { dev: &dev }, &CpuBackend];
-        let algos = all_algorithms();
-        let specs = [tiny_spec()];
-        let serial = run_matrix(&backends, &algos, &specs);
-        let parallel = run_matrix_parallel(&backends, &algos, &specs);
-        assert_eq!(serial.len(), 2 * algos.len());
-        assert_eq!(serial.len(), parallel.len());
-        // Backend-major within a dataset: sim block, then cpu block.
-        for (i, r) in serial.iter().enumerate() {
-            let expect = if i < algos.len() { "sim" } else { "cpu" };
-            assert_eq!(r.backend, expect, "record {i}");
-            assert_eq!(r.algorithm, algos[i % algos.len()].name());
-            assert!(r.is_verified(), "{} on {}", r.algorithm, r.backend);
-        }
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.algorithm, p.algorithm);
-            assert_eq!(s.backend, p.backend);
-            assert_eq!(s.is_verified(), p.is_verified());
-        }
-        // Sim and cpu agree on every triangle count.
-        for (s, c) in serial[..algos.len()].iter().zip(&serial[algos.len()..]) {
-            match (&s.outcome, &c.outcome) {
-                (RunOutcome::Ok { triangles: st, .. }, RunOutcome::Ok { triangles: ct, .. }) => {
-                    assert_eq!(st, ct, "{}", s.algorithm)
-                }
-                (a, b) => panic!("outcome mismatch for {}: {a:?} vs {b:?}", s.algorithm),
-            }
-        }
     }
 
     #[test]

@@ -255,7 +255,6 @@ mod tests {
         RunRecord {
             algorithm: algo.into(),
             dataset: ds,
-            backend: "sim",
             outcome: RunOutcome::Ok {
                 triangles: 0,
                 kernel_cycles: cycles,
@@ -357,7 +356,6 @@ mod tests {
             RunRecord {
                 algorithm: "H-INDEX".into(),
                 dataset: "s1",
-                backend: "sim",
                 outcome: RunOutcome::Failed(gpu_sim::SimError::KernelFault("x".into())),
                 wall: std::time::Duration::ZERO,
             },

@@ -7,40 +7,25 @@ use std::io::{self, Write};
 use crate::framework::report::cycles_to_ms;
 use crate::framework::runner::{RunOutcome, RunRecord};
 
-/// The one column list. `$backend` splices the `backend` column in after
-/// `dataset` and `$timed` appends `host_wall_ms`; a macro, so that every
-/// header stays a `&str` constant.
+/// The one column list; `$timed` appends `host_wall_ms`. A macro, so
+/// that both headers stay `&str` constants.
 macro_rules! header {
-    ($($backend:literal)?; $($timed:literal)?) => {
+    ($($timed:literal)?) => {
         concat!(
-            "algorithm,dataset,",
-            $($backend,)?
-            "status,triangles,verified,kernel_cycles,time_ms,global_load_requests,\
-             gld_transactions,gld_transactions_per_request,dram_load_sectors,\
-             global_store_requests,global_atomic_requests,warp_execution_efficiency,\
-             shared_requests,issued_slots",
+            "algorithm,dataset,status,triangles,verified,kernel_cycles,time_ms,\
+             global_load_requests,gld_transactions,gld_transactions_per_request,\
+             dram_load_sectors,global_store_requests,global_atomic_requests,\
+             warp_execution_efficiency,shared_requests,issued_slots",
             $($timed)?
         )
     };
 }
 
 /// Column header of [`write_records`].
-pub const CSV_HEADER: &str = header!(;);
+pub const CSV_HEADER: &str = header!();
 /// Header of [`write_records_timed`]: [`CSV_HEADER`] plus the measured
 /// host wall-clock column.
-pub const CSV_TIMED_HEADER: &str = header!(; ",host_wall_ms");
-/// [`CSV_HEADER`] with the `backend` column, emitted only when a record
-/// set mixes backends (see [`is_multi_backend`]).
-pub const CSV_BACKEND_HEADER: &str = header!("backend,";);
-/// [`CSV_TIMED_HEADER`] with the `backend` column.
-pub const CSV_BACKEND_TIMED_HEADER: &str = header!("backend,"; ",host_wall_ms");
-
-/// Whether a record set needs the `backend` column: any non-`"sim"`
-/// cell. Pure sim sweeps — everything written before backends existed —
-/// keep their exact historical shape, byte for byte.
-pub fn is_multi_backend(records: &[RunRecord]) -> bool {
-    records.iter().any(|r| r.backend != "sim")
-}
+pub const CSV_TIMED_HEADER: &str = header!(",host_wall_ms");
 
 /// Write the matrix as CSV. Failed cells carry the error in `status` and
 /// empty numeric fields. Only modelled quantities are emitted, so the
@@ -58,23 +43,13 @@ pub fn write_records_timed<W: Write>(w: W, records: &[RunRecord]) -> io::Result<
     write_rows(w, records, true)
 }
 
-/// The one row writer: the header, then one row per record, with the
-/// `backend` column when the set mixes backends and `host_wall_ms` when
-/// `timed`. The modelled part of a row is the same either way.
+/// The one row writer: the header, then one row per record, with
+/// `host_wall_ms` when `timed`. The modelled part of a row is the same
+/// either way.
 fn write_rows<W: Write>(mut w: W, records: &[RunRecord], timed: bool) -> io::Result<()> {
-    let backend = is_multi_backend(records);
-    let header = match (backend, timed) {
-        (false, false) => CSV_HEADER,
-        (false, true) => CSV_TIMED_HEADER,
-        (true, false) => CSV_BACKEND_HEADER,
-        (true, true) => CSV_BACKEND_TIMED_HEADER,
-    };
-    writeln!(w, "{header}")?;
+    writeln!(w, "{}", if timed { CSV_TIMED_HEADER } else { CSV_HEADER })?;
     for r in records {
         write!(w, "{},{},", r.algorithm, r.dataset)?;
-        if backend {
-            write!(w, "{},", r.backend)?;
-        }
         match &r.outcome {
             RunOutcome::Ok {
                 triangles,
@@ -123,7 +98,6 @@ mod tests {
             RunRecord {
                 algorithm: "Polak".into(),
                 dataset: "ds",
-                backend: "sim",
                 outcome: RunOutcome::Ok {
                     triangles: 42,
                     kernel_cycles: 1380,
@@ -141,7 +115,6 @@ mod tests {
             RunRecord {
                 algorithm: "H-INDEX".into(),
                 dataset: "ds",
-                backend: "sim",
                 outcome: RunOutcome::Failed(gpu_sim::SimError::KernelFault(
                     "overflow, with comma".into(),
                 )),
@@ -199,39 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn mixed_backends_gain_the_backend_column() {
-        let mut recs = records();
-        recs[0].backend = "cpu";
-        let mut out = Vec::new();
-        write_records(&mut out, &recs).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], CSV_BACKEND_HEADER);
-        assert!(
-            lines[1].starts_with("Polak,ds,cpu,ok,"),
-            "line: {}",
-            lines[1]
-        );
-        assert!(
-            lines[2].starts_with("H-INDEX,ds,sim,"),
-            "line: {}",
-            lines[2]
-        );
-        assert_eq!(
-            lines[0].split(',').count(),
-            lines[1].split(',').count(),
-            "header arity matches rows"
-        );
-        let mut timed = Vec::new();
-        write_records_timed(&mut timed, &recs).unwrap();
-        let timed = String::from_utf8(timed).unwrap();
-        assert!(timed.starts_with(CSV_BACKEND_TIMED_HEADER));
-        assert!(timed.contains("Polak,ds,cpu,ok,"));
-    }
-
-    #[test]
     fn pure_sim_sweeps_stay_byte_identical() {
-        // The legacy single-backend shape, pinned: no backend column, no
+        // The historical shape, pinned: no backend column, no
         // reordering — artifacts written before backends existed diff
         // clean against artifacts written now.
         let mut out = Vec::new();

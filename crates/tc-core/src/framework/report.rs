@@ -190,19 +190,11 @@ pub fn wall_summary(records: &[RunRecord], slowest: usize) -> String {
         records.len()
     );
     for r in by_wall.iter().take(slowest) {
-        // Tag non-sim cells so mixed sweeps stay readable; pure sim
-        // summaries keep their historical shape.
-        let tag = if r.backend == "sim" {
-            String::new()
-        } else {
-            format!(" [{}]", r.backend)
-        };
         out.push_str(&format!(
-            "\n  {:>8.1} ms  {} / {}{}",
+            "\n  {:>8.1} ms  {} / {}",
             r.wall.as_secs_f64() * 1e3,
             r.algorithm,
-            r.dataset,
-            tag
+            r.dataset
         ));
     }
     out
@@ -254,7 +246,6 @@ mod tests {
         RunRecord {
             algorithm: algo.to_string(),
             dataset,
-            backend: "sim",
             outcome: RunOutcome::Ok {
                 triangles: 1,
                 kernel_cycles: cycles,
@@ -305,7 +296,6 @@ mod tests {
             RunRecord {
                 algorithm: "H-INDEX".into(),
                 dataset: "ds1",
-                backend: "sim",
                 outcome: RunOutcome::Failed(gpu_sim::SimError::KernelFault("boom".into())),
                 wall: std::time::Duration::ZERO,
             },
@@ -332,21 +322,6 @@ mod tests {
         // Only the slowest cell is listed.
         assert!(s.contains("TRUST"));
         assert!(!s.contains("Polak"));
-        // Pure sim rows carry no backend tag.
-        assert!(!s.contains('['), "summary: {s}");
-    }
-
-    #[test]
-    fn wall_summary_tags_non_sim_cells() {
-        let mut slow = ok_record("TRUST", "ds1", 3000);
-        slow.backend = "cpu";
-        let records = vec![ok_record("Polak", "ds1", 1000), slow];
-        let s = wall_summary(&records, 2);
-        assert!(s.contains("TRUST / ds1 [cpu]"), "summary: {s}");
-        assert!(
-            s.contains("Polak / ds1\n") || s.ends_with("Polak / ds1"),
-            "summary: {s}"
-        );
     }
 
     #[test]

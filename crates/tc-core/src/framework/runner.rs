@@ -4,13 +4,14 @@
 //! orientation — verifying every GPU count against the CPU reference. This produces the raw matrix behind Figures 11, 12, 13
 //! and 15.
 //!
-//! One sweep-driver pair runs every execution [`Backend`]:
+//! One sweep-driver pair runs any one execution [`Backend`]:
 //! [`run_matrix`] (serial, dataset-major) and [`run_matrix_parallel`],
-//! which fans the (dataset x backend x algorithm) cells over a thread
-//! pool and returns records in the exact same order. Every cell is built
-//! by `run_cell`, the single fault boundary: device faults and panics
-//! alike become [`RunOutcome::Failed`] in their own cell instead of
-//! aborting the sweep.
+//! which fans the (dataset x algorithm) cells over a thread pool and
+//! returns records in the exact same order. A sweep runs on one backend,
+//! so its records need no backend tag. Every cell is built by
+//! `run_cell`, the single fault boundary: device faults and panics alike
+//! become [`RunOutcome::Failed`] in their own cell instead of aborting
+//! the sweep.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -106,10 +107,6 @@ pub enum RunOutcome {
 pub struct RunRecord {
     pub algorithm: String,
     pub dataset: &'static str,
-    /// Which execution backend produced the cell (`"sim"` or `"cpu"`,
-    /// see [`crate::framework::backend`]). Single-backend sweeps are all
-    /// `"sim"` and their CSV emission is unchanged by this field.
-    pub backend: &'static str,
     pub outcome: RunOutcome,
     /// Host wall-clock time spent simulating this cell (upload, kernels
     /// and verification). Unlike `outcome` this is measured, not
@@ -144,10 +141,10 @@ impl RunRecord {
 /// This is every backend's fault boundary. Device faults already come
 /// back as `Err` values; a panic anywhere in `body` — a host kernel, a
 /// simulated kernel closure, a host-side accessor — is caught here and
-/// recorded as `Failed(KernelFault("<backend> kernel panicked: …"))`,
-/// so the caller's sweep continues.
+/// recorded as `Failed(KernelFault("<tag> kernel panicked: …"))`, where
+/// `tag` names the backend, so the caller's sweep continues.
 pub(crate) fn run_cell(
-    backend: &'static str,
+    tag: &str,
     algo: &dyn TcAlgorithm,
     data: &PreparedDataset,
     body: impl FnOnce() -> RunOutcome,
@@ -161,60 +158,52 @@ pub(crate) fn run_cell(
         } else {
             "unknown panic payload".to_string()
         };
-        let fault = SimError::KernelFault(format!("{backend} kernel panicked: {msg}"));
+        let fault = SimError::KernelFault(format!("{tag} kernel panicked: {msg}"));
         RunOutcome::Failed(fault)
     });
     let wall = started.elapsed();
     RunRecord {
         algorithm: algo.name().to_string(),
         dataset: data.spec.name,
-        backend,
         outcome,
         wall,
     }
 }
 
-/// The evaluation sweep, serially: dataset-major, then backend, then
-/// algorithm — so one prepared dataset serves every backend before it is
-/// dropped. Returns one record per cell.
+/// The evaluation sweep on `backend`, serially: dataset-major, then
+/// algorithm — so each prepared dataset is dropped before the next is
+/// built. Returns one record per cell.
 pub fn run_matrix(
-    backends: &[&dyn Backend],
+    backend: &dyn Backend,
     algos: &[Box<dyn TcAlgorithm>],
     datasets: &[DatasetSpec],
 ) -> Vec<RunRecord> {
-    let mut records = Vec::with_capacity(backends.len() * algos.len() * datasets.len());
+    let mut records = Vec::with_capacity(algos.len() * datasets.len());
     for spec in datasets {
         let data = PreparedDataset::prepare(spec);
-        for backend in backends {
-            for algo in algos {
-                records.push(backend.run(algo.as_ref(), &data));
-            }
+        for algo in algos {
+            records.push(backend.run(algo.as_ref(), &data));
         }
     }
     records
 }
 
-/// The evaluation sweep, parallel: datasets are prepared concurrently,
-/// then every (dataset x backend x algorithm) cell is fanned over the
+/// The evaluation sweep on `backend`, parallel: datasets are prepared
+/// concurrently, then every (dataset x algorithm) cell is fanned over the
 /// thread pool. Records come back in exactly [`run_matrix`]'s order, and
 /// because the simulator is deterministic the modelled outcomes are
 /// identical to the serial sweep's — only the measured
 /// [`RunRecord::wall`] fields differ.
 pub fn run_matrix_parallel(
-    backends: &[&dyn Backend],
+    backend: &dyn Backend,
     algos: &[Box<dyn TcAlgorithm>],
     datasets: &[DatasetSpec],
 ) -> Vec<RunRecord> {
     let prepared: Vec<PreparedDataset> =
         datasets.par_iter().map(PreparedDataset::prepare).collect();
-    let cells: Vec<(usize, usize, usize)> = (0..datasets.len())
-        .flat_map(|d| {
-            (0..backends.len()).flat_map(move |b| (0..algos.len()).map(move |a| (d, b, a)))
-        })
-        .collect();
-    cells
+    (0..datasets.len() * algos.len())
         .into_par_iter()
-        .map(|(d, b, a)| backends[b].run(algos[a].as_ref(), &prepared[d]))
+        .map(|i| backend.run(algos[i % algos.len()].as_ref(), &prepared[i / algos.len()]))
         .collect()
 }
 
@@ -242,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn all_nine_algorithms_verify_on_tiny_dataset() {
+    fn every_registered_algorithm_verifies_on_tiny_dataset() {
         let dev = Device::v100();
         let algos = all_algorithms();
         let data = PreparedDataset::prepare(&tiny_spec());
@@ -271,7 +260,7 @@ mod tests {
         let dev = Device::v100();
         let algos = all_algorithms();
         let specs = [tiny_spec()];
-        let records = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
+        let records = run_matrix(&SimBackend { dev: &dev }, &algos, &specs);
         assert_eq!(records.len(), algos.len());
         assert!(records.iter().all(|r| r.is_verified()));
         assert!(records.iter().all(|r| r.kernel_cycles().unwrap() > 0));
@@ -305,8 +294,8 @@ mod tests {
         let dev = Device::v100();
         let algos = all_algorithms();
         let specs = [tiny_spec()];
-        let serial = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
-        let parallel = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
+        let serial = run_matrix(&SimBackend { dev: &dev }, &algos, &specs);
+        let parallel = run_matrix_parallel(&SimBackend { dev: &dev }, &algos, &specs);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.algorithm, p.algorithm);
@@ -653,7 +642,7 @@ mod tests {
         let mut algos = all_algorithms();
         algos.push(Box::new(OobAlgo));
         let specs = [tiny_spec()];
-        let records = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
+        let records = run_matrix_parallel(&SimBackend { dev: &dev }, &algos, &specs);
         assert_eq!(records.len(), algos.len());
         let failed: Vec<&RunRecord> = records
             .iter()

@@ -1,4 +1,4 @@
-//! Mini Figure 11: run all nine algorithms on one dataset and print a
+//! Mini Figure 11: run all ten algorithms on one dataset and print a
 //! comparison of modelled time, profiling counters, and correctness —
 //! the unified framework as a downstream user would drive it.
 //!

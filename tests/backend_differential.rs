@@ -11,10 +11,7 @@
 //! without a red test naming the exact generator one-liner.
 
 use tc_compare::algos::conformance::{generator_cases, run_checked};
-use tc_compare::core::framework::csv;
-use tc_compare::core::{
-    all_algorithms, run_matrix, Backend, CpuBackend, PreparedDataset, SimBackend,
-};
+use tc_compare::core::{all_algorithms, Backend, CpuBackend, PreparedDataset, SimBackend};
 use tc_compare::graph::datasets::{DatasetSpec, GenSpec, SizeClass};
 use tc_compare::graph::{clean_edges, cpu_ref, orient};
 use tc_compare::sim::Device;
@@ -63,49 +60,6 @@ fn cpu_and_sim_agree_with_the_oracle_on_every_conformance_graph() {
             );
         }
     }
-}
-
-#[test]
-fn multi_backend_sweep_verifies_and_tags_its_csv() {
-    let spec = DatasetSpec {
-        name: "backend-tiny-rmat",
-        paper_vertices: 0,
-        paper_edges: 0,
-        paper_avg_degree: 0.0,
-        size_class: SizeClass::Small,
-        gen: GenSpec::Rmat {
-            scale: 9,
-            raw_edges: 4000,
-        },
-        seed: 11,
-    };
-    let dev = Device::v100();
-    let backends: [&dyn Backend; 2] = [&SimBackend { dev: &dev }, &CpuBackend];
-    let algos = all_algorithms();
-    let records = run_matrix(&backends, &algos, &[spec]);
-    assert_eq!(records.len(), 2 * algos.len());
-    assert!(
-        records.iter().all(|r| r.is_verified()),
-        "every (backend x algorithm) cell must verify"
-    );
-    // Sim and cpu halves agree cell by cell.
-    let (sim, cpu) = records.split_at(algos.len());
-    for (s, c) in sim.iter().zip(cpu) {
-        assert_eq!(s.algorithm, c.algorithm);
-        assert_eq!((s.backend, c.backend), ("sim", "cpu"));
-    }
-    // The mixed-backend CSV carries the backend column...
-    let mut out = Vec::new();
-    csv::write_records(&mut out, &records).unwrap();
-    let text = String::from_utf8(out).unwrap();
-    assert!(text.starts_with(csv::CSV_BACKEND_HEADER));
-    assert!(text.contains(",cpu,ok,"));
-    // ...while the sim-only half keeps the historical header untouched.
-    let mut sim_only = Vec::new();
-    csv::write_records(&mut sim_only, sim).unwrap();
-    assert!(String::from_utf8(sim_only)
-        .unwrap()
-        .starts_with(csv::CSV_HEADER));
 }
 
 #[test]

@@ -46,7 +46,7 @@ fn sweep_report_csv_and_claims_end_to_end() {
     let dev = Device::v100();
     let algos = all_algorithms();
     let specs = specs();
-    let records = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
+    let records = run_matrix(&SimBackend { dev: &dev }, &algos, &specs);
     assert_eq!(records.len(), algos.len() * specs.len());
     assert!(records.iter().all(|r| r.is_verified()), "all cells verify");
 

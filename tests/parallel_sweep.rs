@@ -12,7 +12,7 @@ use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};
 use tc_compare::sim::{Device, DeviceMem, KernelConfig, SimError};
 
-use tc_bench::bench_json::{render, BenchCell};
+use tc_bench::bench_json::render;
 
 fn spec(name: &'static str, gen: GenSpec, seed: u64) -> DatasetSpec {
     DatasetSpec {
@@ -73,8 +73,8 @@ fn parallel_matrix_matches_serial_record_for_record() {
     let dev = Device::v100();
     let algos = all_algorithms();
     let specs = fixture_specs();
-    let serial = run_matrix(&[&SimBackend { dev: &dev }], &algos, &specs);
-    let parallel = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
+    let serial = run_matrix(&SimBackend { dev: &dev }, &algos, &specs);
+    let parallel = run_matrix_parallel(&SimBackend { dev: &dev }, &algos, &specs);
     assert_eq!(serial.len(), algos.len() * specs.len());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -121,10 +121,10 @@ fn bench_document_is_byte_identical_for_serial_and_parallel_sweeps() {
     let dev = Device::v100();
     let algos = all_algorithms();
     let specs = &fixture_specs()[..1];
-    let backends = [&SimBackend { dev: &dev } as _];
-    let serial = BenchCell::from_records(&run_matrix(&backends, &algos, specs));
-    let parallel = BenchCell::from_records(&run_matrix_parallel(&backends, &algos, specs));
-    assert!(serial.iter().all(|c| c.verified));
+    let sim = SimBackend { dev: &dev };
+    let serial = run_matrix(&sim, &algos, specs);
+    let parallel = run_matrix_parallel(&sim, &algos, specs);
+    assert!(serial.iter().all(RunRecord::is_verified));
     assert_eq!(render("V100", &serial), render("V100", &parallel));
 }
 
@@ -170,7 +170,7 @@ fn faulting_algorithm_yields_failed_cells_while_sweep_continues() {
     let mut algos = all_algorithms();
     algos.push(Box::new(OobAlgo));
     let specs = fixture_specs();
-    let records = run_matrix_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
+    let records = run_matrix_parallel(&SimBackend { dev: &dev }, &algos, &specs);
     assert_eq!(records.len(), algos.len() * specs.len());
 
     let failed: Vec<&RunRecord> = records

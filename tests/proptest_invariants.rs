@@ -26,10 +26,17 @@ proptest! {
         prop_assert_eq!(cpu_ref::subgraph_match(&g), expected);
         for o in [Orientation::ById, Orientation::DegreeAsc, Orientation::DegreeDesc] {
             let dag = orient(&g, o);
+            let n = dag.num_vertices();
             prop_assert_eq!(cpu_ref::forward_merge(&dag), expected);
-            prop_assert_eq!(cpu_ref::binsearch_count(&dag), expected);
-            prop_assert_eq!(cpu_ref::hash_count(&dag), expected);
-            prop_assert_eq!(cpu_ref::bitmap_count(&dag), expected);
+            prop_assert_eq!(cpu_ref::forward_parallel(&dag, cpu_ref::intersect_binsearch), expected);
+            prop_assert_eq!(
+                cpu_ref::forward_parallel(&dag, |a, b| cpu_ref::intersect_hash(a, b, 32)),
+                expected
+            );
+            prop_assert_eq!(
+                cpu_ref::forward_parallel(&dag, |a, b| cpu_ref::intersect_bitmap(a, b, n)),
+                expected
+            );
         }
         // GPU algorithms under their preferred orientation.
         for algo in all_algorithms() {
