@@ -180,9 +180,7 @@ impl BlockChecker {
         lint_acc: Option<&Mutex<LintObserver>>,
     ) {
         c.race_checks += self.race.checks;
-        c.races_detected += self.race.races;
         c.sanitizer_checks += self.san.checks;
-        c.sanitizer_reports += self.san.reports;
         c.lint_checks += self.barrier.checks;
         if let Some(acc) = lint_acc {
             // The observer saw every memory slot the replay issued.

@@ -1,8 +1,14 @@
+//! The cycle price of a replay. Every constant of [`CostModel`] is a
+//! price per counted event: the replay only counts ([`ProfileCounters`]),
+//! and [`CostModel::cycles`] prices a finished warp once, as the sum of
+//! each constant times the counter it multiplies. Each field's doc names
+//! that counter.
+
 use crate::counters::ProfileCounters;
 
-/// Cycle costs charged per issued warp-instruction slot.
+/// Cycle prices per counted event.
 ///
-/// Slot costs are *visible-latency* scale (what a dependent instruction
+/// Prices are *visible-latency* scale (what a dependent instruction
 /// chain experiences after intra-warp overlap), not raw throughput: a
 /// merge whose next load depends on the previous comparison pays the
 /// cache round-trip each step, which is exactly why Polak's long
@@ -14,29 +20,36 @@ use crate::counters::ProfileCounters;
 /// sectors on the wire).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Cycles per arithmetic warp instruction.
+    /// Cycles per arithmetic warp instruction (`compute_slots`).
     pub compute: u64,
-    /// Cycles for a global load slot fully served by the L1 model.
+    /// Cycles per global load slot, the L1 round-trip every load pays
+    /// (`global_load_requests`).
     pub global_hit: u64,
-    /// Extra cycles per additional L1 wavefront: a divergent request
+    /// Cycles per L1 wavefront beyond a load's first
+    /// (`gld_transactions − global_load_requests`): a divergent request
     /// touching k sectors occupies the LSU/L1 pipe for ~k cycles even
     /// when every sector hits.
     pub l1_wavefront: u64,
-    /// Base cycles for a global load/store slot that misses to DRAM.
+    /// Cycles per DRAM round-trip: a load slot with any L1 miss, or a
+    /// store slot (`global_load_miss_requests + global_store_requests`).
     pub global_issue: u64,
-    /// Additional cycles per 32-byte DRAM sector transferred.
+    /// Cycles per 32-byte sector moved to or from DRAM by a load or a
+    /// store (`dram_load_sectors + gst_transactions`).
     pub global_sector: u64,
-    /// Cycles per shared-memory access slot (conflict-free).
+    /// Cycles per shared load or store slot
+    /// (`shared_load_requests + shared_store_requests`).
     pub shared_access: u64,
-    /// Extra cycles per additional shared-memory bank conflict way.
+    /// Cycles per extra bank-conflict way (`shared_bank_conflicts`).
     pub shared_conflict: u64,
-    /// Base cycles per global atomic slot.
+    /// Cycles per global atomic slot (`global_atomic_requests`).
     pub global_atomic: u64,
-    /// Extra cycles per same-address collision way of a global atomic.
+    /// Cycles per serialized same-address update of a global atomic
+    /// (`global_atomic_collisions`).
     pub global_atomic_conflict: u64,
-    /// Base cycles per shared atomic slot.
+    /// Cycles per shared atomic slot (`shared_atomic_requests`).
     pub shared_atomic: u64,
-    /// Extra cycles per same-address collision way of a shared atomic.
+    /// Cycles per serialized same-address update of a shared atomic
+    /// (`shared_atomic_collisions`).
     pub shared_atomic_conflict: u64,
     /// Device-wide DRAM bandwidth: 32-byte sectors the memory system can
     /// deliver per cycle (V100: ~900 GB/s at 1.38 GHz ≈ 20 sectors).
@@ -100,45 +113,23 @@ impl CostModel {
         }
     }
 
-    /// Cost of a global load slot addressing `total_sectors` distinct
-    /// sectors of which `miss_sectors` went to DRAM: the L1 pipe
-    /// serializes one wavefront per sector (even on hits), and any miss
-    /// adds the DRAM round-trip plus per-sector transfer.
-    #[inline]
-    pub fn global_load_slot(&self, total_sectors: u64, miss_sectors: u64) -> u64 {
-        let l1 = self.global_hit + self.l1_wavefront * total_sectors.saturating_sub(1);
-        if miss_sectors == 0 {
-            l1
-        } else {
-            l1 + self.global_issue + self.global_sector * miss_sectors
-        }
-    }
-
-    /// Cost of a global store slot writing `sectors` sectors
-    /// (write-through; no hit path). Every store writes at least one.
-    #[inline]
-    pub fn global_slot(&self, sectors: u64) -> u64 {
-        self.global_issue + self.global_sector * sectors
-    }
-
-    /// Cost of a shared load/store slot with a `ways`-way bank conflict
-    /// (`ways == 1` means conflict-free).
-    #[inline]
-    pub fn shared_slot(&self, ways: u64) -> u64 {
-        self.shared_access + self.shared_conflict * ways.saturating_sub(1)
-    }
-
-    /// Cost of a global atomic slot whose worst single-address collision
-    /// depth within the warp is `depth`.
-    #[inline]
-    pub fn global_atomic_slot(&self, depth: u64) -> u64 {
-        self.global_atomic + self.global_atomic_conflict * depth.max(1).saturating_sub(1)
-    }
-
-    /// Cost of a shared atomic slot.
-    #[inline]
-    pub fn shared_atomic_slot(&self, depth: u64) -> u64 {
-        self.shared_atomic + self.shared_atomic_conflict * depth.max(1).saturating_sub(1)
+    /// The cycles of the slots counted in `c`: each price times the
+    /// counter it multiplies. Every slot's price is linear in that
+    /// slot's counts, so pricing a warp's summed counters once equals
+    /// summing its slots' prices. A load slot addresses at least one
+    /// sector, so `gld_transactions ≥ global_load_requests`.
+    pub fn cycles(&self, c: &ProfileCounters) -> u64 {
+        self.compute * c.compute_slots
+            + self.global_hit * c.global_load_requests
+            + self.l1_wavefront * (c.gld_transactions - c.global_load_requests)
+            + self.global_issue * (c.global_load_miss_requests + c.global_store_requests)
+            + self.global_sector * (c.dram_load_sectors + c.gst_transactions)
+            + self.shared_access * (c.shared_load_requests + c.shared_store_requests)
+            + self.shared_conflict * c.shared_bank_conflicts
+            + self.global_atomic * c.global_atomic_requests
+            + self.global_atomic_conflict * c.global_atomic_collisions
+            + self.shared_atomic * c.shared_atomic_requests
+            + self.shared_atomic_conflict * c.shared_atomic_collisions
     }
 
     /// The DRAM bandwidth floor of a launch that moved `c`'s traffic: no
@@ -153,49 +144,115 @@ impl CostModel {
     }
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::v100()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One global load slot addressing `sectors` sectors, `misses` of
+    /// them L1 misses.
+    fn load(sectors: u64, misses: u64) -> ProfileCounters {
+        ProfileCounters {
+            global_load_requests: 1,
+            gld_transactions: sectors,
+            dram_load_sectors: misses,
+            global_load_miss_requests: u64::from(misses > 0),
+            ..Default::default()
+        }
+    }
+
+    /// One global store slot writing `sectors` sectors.
+    fn store(sectors: u64) -> ProfileCounters {
+        ProfileCounters {
+            global_store_requests: 1,
+            gst_transactions: sectors,
+            ..Default::default()
+        }
+    }
+
+    /// One shared load slot with a `ways`-way bank conflict.
+    fn shared(ways: u64) -> ProfileCounters {
+        ProfileCounters {
+            shared_load_requests: 1,
+            shared_bank_conflicts: ways.saturating_sub(1),
+            ..Default::default()
+        }
+    }
+
+    /// One global atomic slot of collision depth `depth`.
+    fn global_atomic(depth: u64) -> ProfileCounters {
+        ProfileCounters {
+            global_atomic_requests: 1,
+            global_atomic_collisions: depth.saturating_sub(1),
+            ..Default::default()
+        }
+    }
+
+    /// One shared atomic slot of collision depth `depth`.
+    fn shared_atomic(depth: u64) -> ProfileCounters {
+        ProfileCounters {
+            shared_atomic_requests: 1,
+            shared_atomic_collisions: depth.saturating_sub(1),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn coalesced_load_cheaper_than_scattered() {
         let m = CostModel::v100();
-        assert!(m.global_load_slot(1, 1) < m.global_load_slot(32, 32));
+        assert!(m.cycles(&load(1, 1)) < m.cycles(&load(32, 32)));
     }
 
     #[test]
     fn l1_hits_are_much_cheaper_than_misses() {
         let m = CostModel::v100();
-        assert!(m.global_load_slot(1, 0) * 4 < m.global_load_slot(1, 1));
+        assert!(m.cycles(&load(1, 0)) * 4 < m.cycles(&load(1, 1)));
     }
 
     #[test]
     fn conflict_free_shared_is_base_cost() {
         let m = CostModel::v100();
-        assert_eq!(m.shared_slot(1), m.shared_access);
-        assert_eq!(m.shared_slot(0), m.shared_access);
-        assert!(m.shared_slot(4) > m.shared_slot(1));
+        assert_eq!(m.cycles(&shared(1)), m.shared_access);
+        assert_eq!(m.cycles(&shared(0)), m.shared_access);
+        assert!(m.cycles(&shared(4)) > m.cycles(&shared(1)));
     }
 
     #[test]
     fn atomic_collision_depth_scales_cost() {
         let m = CostModel::v100();
-        assert_eq!(m.global_atomic_slot(0), m.global_atomic);
-        assert_eq!(m.global_atomic_slot(1), m.global_atomic);
-        assert!(m.global_atomic_slot(32) > m.global_atomic_slot(1));
-        assert!(m.shared_atomic_slot(8) > m.shared_atomic_slot(1));
+        assert_eq!(m.cycles(&global_atomic(0)), m.global_atomic);
+        assert_eq!(m.cycles(&global_atomic(1)), m.global_atomic);
+        assert!(m.cycles(&global_atomic(32)) > m.cycles(&global_atomic(1)));
+        assert!(m.cycles(&shared_atomic(8)) > m.cycles(&shared_atomic(1)));
     }
 
     #[test]
     fn shared_cheaper_than_global_miss() {
         let m = CostModel::v100();
-        assert!(m.shared_slot(1) < m.global_slot(1));
+        assert!(m.cycles(&shared(1)) < m.cycles(&store(1)));
+    }
+
+    #[test]
+    fn summed_slots_price_as_the_sum_of_their_prices() {
+        let m = CostModel::v100();
+        let slots = [
+            load(3, 2),
+            load(5, 0),
+            store(2),
+            shared(4),
+            global_atomic(7),
+            shared_atomic(3),
+            ProfileCounters {
+                compute_slots: 9,
+                ..Default::default()
+            },
+        ];
+        let mut sum = ProfileCounters::default();
+        for s in slots {
+            sum += s;
+        }
+        let priced: u64 = slots.iter().map(|s| m.cycles(s)).sum();
+        assert_eq!(m.cycles(&sum), priced);
+        assert_eq!(m.cycles(&ProfileCounters::default()), 0);
     }
 
     #[test]
@@ -205,10 +262,10 @@ mod tests {
         assert_ne!(a, v);
         // Ada: cheaper ALU/shared/L1, looser bandwidth floor...
         assert!(a.compute < v.compute);
-        assert!(a.shared_slot(1) < v.shared_slot(1));
-        assert!(a.global_load_slot(4, 0) < v.global_load_slot(4, 0));
+        assert!(a.cycles(&shared(1)) < v.cycles(&shared(1)));
+        assert!(a.cycles(&load(4, 0)) < v.cycles(&load(4, 0)));
         assert!(a.dram_sectors_per_cycle > v.dram_sectors_per_cycle);
-        assert!(a.global_atomic_slot(32) < v.global_atomic_slot(32));
+        assert!(a.cycles(&global_atomic(32)) < v.cycles(&global_atomic(32)));
         // ...but no miracle on DRAM round-trip latency.
         assert!(a.global_issue >= v.global_issue * 9 / 10);
     }

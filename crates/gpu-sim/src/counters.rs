@@ -24,6 +24,9 @@ pub struct ProfileCounters {
     /// Subset of load sectors that actually went to DRAM (cache misses);
     /// this is what the bandwidth floor consumes.
     pub dram_load_sectors: u64,
+    /// Load requests with at least one L1-miss sector: each pays one
+    /// DRAM round-trip, however many sectors it misses.
+    pub global_load_miss_requests: u64,
     pub global_store_requests: u64,
     pub gst_transactions: u64,
     pub global_atomic_requests: u64,
@@ -34,9 +37,18 @@ pub struct ProfileCounters {
     /// there, as before, undercounted scattered atomics 32x and
     /// overcounted fully-colliding ones not at all.)
     pub dram_atomic_sectors: u64,
+    /// Σ(depth − 1) over global atomic slots, where depth is the most
+    /// lanes of the slot that hit one address: the serialized extra
+    /// updates.
+    pub global_atomic_collisions: u64,
     pub shared_load_requests: u64,
     pub shared_store_requests: u64,
+    /// Σ(ways − 1) over shared load and store slots: the extra
+    /// wavefronts nvprof reports as `shared_ld/st_bank_conflict`.
+    pub shared_bank_conflicts: u64,
     pub shared_atomic_requests: u64,
+    /// Σ(depth − 1) over shared atomic slots.
+    pub shared_atomic_collisions: u64,
     pub compute_slots: u64,
     /// Total warp instruction slots issued (all kinds).
     pub issued_slots: u64,
@@ -46,18 +58,10 @@ pub struct ProfileCounters {
     /// the device enables race detection); a nonzero value on a clean
     /// run is the evidence the kernel actually ran under the detector.
     pub race_checks: u64,
-    /// Races the detector found. Normally reported through
-    /// [`crate::SimError::DataRace`] instead (the first race fails the
-    /// launch), so this stays zero on successful launches.
-    pub races_detected: u64,
     /// Accesses vetted by SimSan (see `gpu_sim::sanitize`); zero unless
     /// the device enables the sanitizer — a nonzero value on a clean run
     /// is the evidence the kernel actually ran sanitized.
     pub sanitizer_checks: u64,
-    /// Sanitizer reports raised. Like `races_detected`, the first report
-    /// fails the launch as [`crate::SimError::Sanitizer`], so this stays
-    /// zero on successful launches.
-    pub sanitizer_reports: u64,
     /// Observations made by SimLint (see `gpu_sim::lint`): barrier
     /// arrivals vetted plus replay slots aggregated for the performance
     /// rules. Zero unless the device enables lints — like `race_checks`
@@ -100,20 +104,22 @@ impl AddAssign for ProfileCounters {
         self.global_load_requests += rhs.global_load_requests;
         self.gld_transactions += rhs.gld_transactions;
         self.dram_load_sectors += rhs.dram_load_sectors;
+        self.global_load_miss_requests += rhs.global_load_miss_requests;
         self.global_store_requests += rhs.global_store_requests;
         self.gst_transactions += rhs.gst_transactions;
         self.global_atomic_requests += rhs.global_atomic_requests;
         self.dram_atomic_sectors += rhs.dram_atomic_sectors;
+        self.global_atomic_collisions += rhs.global_atomic_collisions;
         self.shared_load_requests += rhs.shared_load_requests;
         self.shared_store_requests += rhs.shared_store_requests;
+        self.shared_bank_conflicts += rhs.shared_bank_conflicts;
         self.shared_atomic_requests += rhs.shared_atomic_requests;
+        self.shared_atomic_collisions += rhs.shared_atomic_collisions;
         self.compute_slots += rhs.compute_slots;
         self.issued_slots += rhs.issued_slots;
         self.active_thread_slots += rhs.active_thread_slots;
         self.race_checks += rhs.race_checks;
-        self.races_detected += rhs.races_detected;
         self.sanitizer_checks += rhs.sanitizer_checks;
-        self.sanitizer_reports += rhs.sanitizer_reports;
         self.lint_checks += rhs.lint_checks;
     }
 }
@@ -195,30 +201,34 @@ mod tests {
             global_load_requests: 1,
             gld_transactions: 2,
             dram_load_sectors: 1,
+            global_load_miss_requests: 17,
             global_store_requests: 3,
             gst_transactions: 4,
             global_atomic_requests: 5,
             dram_atomic_sectors: 16,
+            global_atomic_collisions: 18,
             shared_load_requests: 6,
             shared_store_requests: 7,
+            shared_bank_conflicts: 19,
             shared_atomic_requests: 8,
+            shared_atomic_collisions: 20,
             compute_slots: 9,
             issued_slots: 10,
             active_thread_slots: 11,
             race_checks: 12,
-            races_detected: 13,
             sanitizer_checks: 14,
-            sanitizer_reports: 15,
             lint_checks: 16,
         };
         a += a;
         assert_eq!(a.global_load_requests, 2);
+        assert_eq!(a.global_load_miss_requests, 34);
         assert_eq!(a.dram_atomic_sectors, 32);
+        assert_eq!(a.global_atomic_collisions, 36);
+        assert_eq!(a.shared_bank_conflicts, 38);
+        assert_eq!(a.shared_atomic_collisions, 40);
         assert_eq!(a.active_thread_slots, 22);
         assert_eq!(a.race_checks, 24);
-        assert_eq!(a.races_detected, 26);
         assert_eq!(a.sanitizer_checks, 28);
-        assert_eq!(a.sanitizer_reports, 30);
         assert_eq!(a.lint_checks, 32);
     }
 

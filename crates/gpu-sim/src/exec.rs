@@ -239,13 +239,14 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Replay the warp whose lanes just finished recording the phase,
-    /// add it to the phase, and recycle its lane buffers. Kept out of
-    /// the per-kernel `phase::<F>` instances: the replay is one body for
-    /// every kernel.
+    /// price its counters once, add it to the phase, and recycle its
+    /// lane buffers. Pricing stays per warp because a phase costs the
+    /// maximum over its warps. Kept out of the per-kernel `phase::<F>`
+    /// instances: the replay is one body for every kernel.
     fn replay_recorded_warp(&mut self) {
         let lint = self.check.as_deref_mut().and_then(BlockChecker::observer);
-        let (cycles, counters) = replay_warp(self.traces, &self.cost, self.step, lint);
-        self.phase_cycles = self.phase_cycles.max(cycles);
+        let counters = replay_warp(self.traces, self.step, lint);
+        self.phase_cycles = self.phase_cycles.max(self.cost.cycles(&counters));
         self.phase_counters += counters;
         for t in self.traces.iter_mut() {
             t.clear();
@@ -1058,7 +1059,7 @@ fn bank_conflict_ways(addrs: &mut [u64]) -> u64 {
     ways
 }
 
-/// One issued warp slot: its kind and the measures its charge depends
+/// One issued warp slot: its kind and the measures its counters depend
 /// on. The general lockstep step derives the measures from its slot
 /// lists; the single-active-lane drain knows them up front (one lane
 /// touches one sector, one bank, one address).
@@ -1082,25 +1083,24 @@ pub(crate) enum Slot {
     SAtomic(u64),
 }
 
-/// What one warp's replay has charged so far, and the one rule that
-/// charges it: [`WarpTally::charge`] is the only place a slot's
-/// counters, `CostModel` price and SimLint observation are applied, so
-/// both replay paths stay identical by construction.
-struct WarpTally<'c, 'l> {
-    cost: &'c CostModel,
+/// What one warp's replay has counted so far, and the one rule that
+/// counts it: [`WarpTally::charge`] is the only place a slot's counters
+/// and SimLint observation are applied, so both replay paths stay
+/// identical by construction. The warp is priced once, from its
+/// counters (see [`CostModel::cycles`]).
+struct WarpTally<'l> {
     lint: Option<&'l mut LintObserver>,
     counters: ProfileCounters,
-    cycles: u64,
 }
 
-impl WarpTally<'_, '_> {
-    /// Charge one slot issued by `active` lanes. `site` is the lint's
+impl WarpTally<'_> {
+    /// Count one slot issued by `active` lanes. `site` is the lint's
     /// representative address: a sector's base byte address for loads
     /// and stores, the byte address for global atomics, the word index
     /// for shared kinds (unused for compute).
     #[inline(always)]
     fn charge(&mut self, slot: Slot, active: u64, site: u64) {
-        let (c, cost) = (&mut self.counters, self.cost);
+        let c = &mut self.counters;
         let steps = match slot {
             Slot::Compute(steps) => steps,
             _ => 1,
@@ -1108,23 +1108,19 @@ impl WarpTally<'_, '_> {
         c.issued_slots += steps;
         c.active_thread_slots += steps * active;
         match slot {
-            Slot::Compute(steps) => {
-                c.compute_slots += steps;
-                self.cycles += steps * cost.compute;
-            }
+            Slot::Compute(steps) => c.compute_slots += steps,
             Slot::GLoad(sectors, misses) => {
                 // nvprof's gld_transactions counts wavefronts (distinct
                 // sectors addressed) regardless of cache hits; the DRAM
-                // floor charges only the miss half.
+                // floor counts only the miss half.
                 c.global_load_requests += 1;
                 c.gld_transactions += sectors;
                 c.dram_load_sectors += misses;
-                self.cycles += cost.global_load_slot(sectors, misses);
+                c.global_load_miss_requests += u64::from(misses > 0);
             }
             Slot::GStore(sectors) => {
                 c.global_store_requests += 1;
                 c.gst_transactions += sectors;
-                self.cycles += cost.global_slot(sectors);
             }
             Slot::GAtomic(depth, sectors) => {
                 // Atomics are resolved in L2 but still move their sectors
@@ -1133,19 +1129,19 @@ impl WarpTally<'_, '_> {
                 // traffic.
                 c.global_atomic_requests += 1;
                 c.dram_atomic_sectors += sectors;
-                self.cycles += cost.global_atomic_slot(depth);
+                c.global_atomic_collisions += depth.saturating_sub(1);
             }
-            Slot::SLoad(ways) | Slot::SStore(ways) => {
-                if matches!(slot, Slot::SLoad(_)) {
-                    c.shared_load_requests += 1;
-                } else {
-                    c.shared_store_requests += 1;
-                }
-                self.cycles += cost.shared_slot(ways);
+            Slot::SLoad(ways) => {
+                c.shared_load_requests += 1;
+                c.shared_bank_conflicts += ways.saturating_sub(1);
+            }
+            Slot::SStore(ways) => {
+                c.shared_store_requests += 1;
+                c.shared_bank_conflicts += ways.saturating_sub(1);
             }
             Slot::SAtomic(depth) => {
                 c.shared_atomic_requests += 1;
-                self.cycles += cost.shared_atomic_slot(depth);
+                c.shared_atomic_collisions += depth.saturating_sub(1);
             }
         }
         if let Some(obs) = self.lint.as_deref_mut() {
@@ -1154,7 +1150,7 @@ impl WarpTally<'_, '_> {
     }
 }
 
-/// Replay the lanes of one warp in lockstep and return (cycles, counters).
+/// Replay the lanes of one warp in lockstep and return its counters.
 ///
 /// At each step, the next un-replayed op of every still-active lane is
 /// gathered; lanes that diverged onto different op kinds serialize into
@@ -1178,15 +1174,12 @@ impl WarpTally<'_, '_> {
 /// loop would stay shifted against their siblings forever.
 fn replay_warp(
     traces: &[LaneTrace],
-    cost: &CostModel,
     step: &mut [LaneAddrs; MEM_KINDS],
     lint: Option<&mut LintObserver>,
-) -> (u64, ProfileCounters) {
+) -> ProfileCounters {
     let mut tally = WarpTally {
-        cost,
         lint,
         counters: ProfileCounters::default(),
-        cycles: 0,
     };
     // Live lanes, compacted in place: a later live entry overwrites an
     // exhausted lane, which drops out (see `retire`), so a tail-divergent
@@ -1207,7 +1200,7 @@ fn replay_warp(
         }
     }
     if n_live == 0 {
-        return (0, tally.counters);
+        return tally.counters;
     }
     // Lanes stalled at a `Converge` marker are *parked* past `n_active`
     // (the array is split `[active.. | parked.. | dead]`), so a warp
@@ -1394,7 +1387,7 @@ fn replay_warp(
     }
     // The loop only breaks when no lane has an op left to issue.
     debug_assert_eq!(n_live, 0, "replay exited with unconsumed ops");
-    (tally.cycles, tally.counters)
+    tally.counters
 }
 
 /// Drops the exhausted active lane at `i` from `lanes`, which is split
@@ -1419,8 +1412,10 @@ mod tests {
         LaneTrace::from_ops(ops)
     }
 
+    /// The warp's V100 cycles and counters.
     fn replay(traces: &[LaneTrace]) -> (u64, ProfileCounters) {
-        replay_warp(traces, &CostModel::v100(), &mut Default::default(), None)
+        let c = replay_warp(traces, &mut Default::default(), None);
+        (CostModel::v100().cycles(&c), c)
     }
 
     #[test]
@@ -1519,7 +1514,11 @@ mod tests {
         assert_eq!(c.global_load_requests, 1);
         assert_eq!(c.gld_transactions, 1);
         assert_eq!(c.dram_load_sectors, 1);
-        assert_eq!(cycles, cost.global_load_slot(1, 1));
+        assert_eq!(c.global_load_miss_requests, 1);
+        assert_eq!(
+            cycles,
+            cost.global_hit + cost.global_issue + cost.global_sector
+        );
     }
 
     #[test]
@@ -1535,8 +1534,15 @@ mod tests {
         assert_eq!(c.global_load_requests, 1);
         assert_eq!(c.gld_transactions, 2);
         assert_eq!(c.dram_load_sectors, 0);
-        assert_eq!(cycles, cost.global_load_slot(2, 0));
-        assert!(cycles < cost.global_load_slot(2, 2));
+        assert_eq!(c.global_load_miss_requests, 0);
+        assert_eq!(cycles, cost.global_hit + cost.l1_wavefront);
+        // The same slot with both sectors missing pays the DRAM trip.
+        let missed = ProfileCounters {
+            dram_load_sectors: 2,
+            global_load_miss_requests: 1,
+            ..c
+        };
+        assert!(cycles < cost.cycles(&missed));
     }
 
     #[test]
@@ -1682,14 +1688,16 @@ mod tests {
         // Replay two very different warps through one scratch; the second
         // must not see any state from the first.
         let mut step = Default::default();
-        let cost = CostModel::v100();
         let first = vec![trace_of(&[Op::Compute(9), Op::GLoad(0)]); 32];
-        let _ = replay_warp(&first, &cost, &mut step, None);
+        let _ = replay_warp(&first, &mut step, None);
         let second = vec![trace_of(&[Op::Compute(1)])];
-        let (cycles, c) = replay_warp(&second, &cost, &mut step, None);
-        assert_eq!(c.issued_slots, 1);
-        assert_eq!(c.active_thread_slots, 1);
-        assert_eq!(cycles, cost.compute);
+        let one_compute = ProfileCounters {
+            issued_slots: 1,
+            active_thread_slots: 1,
+            compute_slots: 1,
+            ..Default::default()
+        };
+        assert_eq!(replay_warp(&second, &mut step, None), one_compute);
     }
 }
 
@@ -1705,11 +1713,13 @@ mod replay_microbench {
         let t0 = std::time::Instant::now();
         let mut acc = 0u64;
         for _ in 0..reps {
-            let (cycles, c) = replay_warp(traces, &cost, &mut step, None);
-            acc = acc.wrapping_add(cycles).wrapping_add(c.active_thread_slots);
+            let c = replay_warp(traces, &mut step, None);
+            acc = acc
+                .wrapping_add(cost.cycles(&c))
+                .wrapping_add(c.active_thread_slots);
         }
         let dt = t0.elapsed();
-        let (_, c1) = replay_warp(traces, &cost, &mut step, None);
+        let c1 = replay_warp(traces, &mut step, None);
         let steps = c1.issued_slots;
         println!(
             "replay {shape}: {reps} reps x {} ops ({} issued slots) in {:?} -> {:.1} ns/slot, {:.0} ns/warp (acc {acc})",

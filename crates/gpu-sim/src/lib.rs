@@ -19,7 +19,7 @@
 //!    sectors per request while strided cooperative probing touches 1-2,
 //!    reproducing `gld_transactions_per_request`.
 //!
-//! A [`CostModel`] converts issued slots into cycles and a wave scheduler
+//! A [`CostModel`] prices each warp's counters in cycles and a wave scheduler
 //! maps blocks onto streaming multiprocessors, yielding a kernel "time"
 //! that is deterministic and hardware-independent.
 //!

@@ -40,11 +40,11 @@
 //! enabled per device ([`Device::with_sanitizer`](crate::Device::with_sanitizer)).
 //! A report poisons the block exactly like `MemoryFault`/`DataRace` and
 //! surfaces as [`SimError::Sanitizer`](crate::SimError::Sanitizer);
-//! `sanitizer_checks`/`sanitizer_reports` land in
+//! `sanitizer_checks` lands in
 //! [`ProfileCounters`](crate::ProfileCounters). Checks never touch the
 //! lane traces, the L1 model or the cost model, so a sanitizer-clean
 //! kernel produces byte-identical counters and cycle counts with the
-//! sanitizer on or off (modulo the two `sanitizer_*` fields themselves).
+//! sanitizer on or off (modulo `sanitizer_checks` itself).
 
 use std::fmt;
 
@@ -110,8 +110,6 @@ pub(crate) struct SanTracker {
     shared_init: Vec<bool>,
     /// Accesses vetted (the evidence a run actually ran sanitized).
     pub checks: u64,
-    /// Reports raised (the block poisons on the first, so 0 or 1).
-    pub reports: u64,
 }
 
 impl SanTracker {
@@ -129,7 +127,6 @@ impl SanTracker {
         self.shared_init.clear();
         self.shared_init.resize(shared_words, false);
         self.checks = 0;
-        self.reports = 0;
     }
 
     /// Check one shared-memory access in barrier phase `phase`.
@@ -145,7 +142,6 @@ impl SanTracker {
         let init = self.shared_init.get_mut(idx)?;
         self.checks += 1;
         if access.reads() && !*init {
-            self.reports += 1;
             return Some(SimError::Sanitizer {
                 kind: SanitizerKind::UninitRead,
                 buffer: "shared".to_string(),
@@ -183,7 +179,6 @@ impl SanTracker {
             ShadowState::Uninit if access.reads() => SanitizerKind::UninitRead,
             _ => return None,
         };
-        self.reports += 1;
         Some(SimError::Sanitizer {
             kind,
             buffer: buffer.to_string(),
@@ -223,7 +218,6 @@ mod tests {
         }
         assert!(t.check_shared(0, 1, W, 1).is_none());
         assert!(t.check_shared(5, 1, Access::Read, 1).is_none());
-        assert_eq!(t.reports, 1);
         assert_eq!(t.checks, 3);
     }
 

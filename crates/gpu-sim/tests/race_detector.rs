@@ -67,7 +67,6 @@ fn synchronized_twin_passes_and_was_actually_checked() {
         stats.counters.race_checks > 0,
         "detector must have inspected the accesses"
     );
-    assert_eq!(stats.counters.races_detected, 0);
 }
 
 #[test]
@@ -109,14 +108,12 @@ fn conflicting_shared_writes_race_but_same_value_flags_do_not() {
     let cfg = KernelConfig::new(1, 32).with_shared_words(4);
 
     // Many lanes raising the same flag: the benign idiom must pass.
-    let stats = dev
-        .launch(&mem, cfg, |blk| {
-            blk.phase(|lane| {
-                lane.st_shared(0, 1);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.counters.races_detected, 0);
+    dev.launch(&mem, cfg, |blk| {
+        blk.phase(|lane| {
+            lane.st_shared(0, 1);
+        });
+    })
+    .unwrap();
 
     // Distinct values: schedule-dependent on hardware, must fail.
     let err = dev
@@ -143,14 +140,12 @@ fn shared_atomics_are_exempt_but_mixing_with_plain_stores_races() {
     let cfg = KernelConfig::new(1, 64).with_shared_words(2);
 
     // All lanes atomicAdd one slot: fine.
-    let stats = dev
-        .launch(&mem, cfg, |blk| {
-            blk.phase(|lane| {
-                lane.atomic_add_shared(0, 1);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.counters.races_detected, 0);
+    dev.launch(&mem, cfg, |blk| {
+        blk.phase(|lane| {
+            lane.atomic_add_shared(0, 1);
+        });
+    })
+    .unwrap();
 
     // Half the lanes atomicAdd, one lane plain-stores: race.
     let err = dev
@@ -175,14 +170,12 @@ fn plain_global_stores_race_within_a_block_but_atomics_do_not() {
     let cfg = KernelConfig::new(1, 32);
 
     // atomicAdd from every lane: exempt.
-    let stats = dev
-        .launch(&mem, cfg, |blk| {
-            blk.phase(|lane| {
-                lane.atomic_add_global(buf, 0, 1);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.counters.races_detected, 0);
+    dev.launch(&mem, cfg, |blk| {
+        blk.phase(|lane| {
+            lane.atomic_add_global(buf, 0, 1);
+        });
+    })
+    .unwrap();
     assert_eq!(mem.read_back(buf)[0], 32);
 
     // Plain stores of distinct values to one word from every lane: the
@@ -213,7 +206,6 @@ fn detection_off_by_default_and_costs_nothing() {
     let cfg = KernelConfig::new(1, 32).with_shared_words(32);
     let stats = dev.launch(&mem, cfg, racy_neighbour_exchange).unwrap();
     assert_eq!(stats.counters.race_checks, 0);
-    assert_eq!(stats.counters.races_detected, 0);
 }
 
 #[test]

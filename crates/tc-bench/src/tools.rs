@@ -165,7 +165,6 @@ pub fn pin_replay_snapshots(args: Args) -> Result<(), Error> {
     for (algo, case, out) in tc_bench::pinned_cells(&dev) {
         let out = out.map_err(|e| Error::Failed(format!("{algo} failed on {case}: {e}")))?;
         let s = &out.stats;
-        let c = &s.counters;
         println!("    Pin {{");
         println!("        algorithm: {:?},", algo);
         println!("        case: {:?},", case);
@@ -173,31 +172,9 @@ pub fn pin_replay_snapshots(args: Args) -> Result<(), Error> {
         println!("        kernel_cycles: {},", s.kernel_cycles);
         println!("        total_block_cycles: {},", s.total_block_cycles);
         println!("        blocks: {},", s.blocks);
-        println!("        counters: ProfileCounters {{");
-        for (name, v) in [
-            ("global_load_requests", c.global_load_requests),
-            ("gld_transactions", c.gld_transactions),
-            ("dram_load_sectors", c.dram_load_sectors),
-            ("global_store_requests", c.global_store_requests),
-            ("gst_transactions", c.gst_transactions),
-            ("global_atomic_requests", c.global_atomic_requests),
-            ("dram_atomic_sectors", c.dram_atomic_sectors),
-            ("shared_load_requests", c.shared_load_requests),
-            ("shared_store_requests", c.shared_store_requests),
-            ("shared_atomic_requests", c.shared_atomic_requests),
-            ("compute_slots", c.compute_slots),
-            ("issued_slots", c.issued_slots),
-            ("active_thread_slots", c.active_thread_slots),
-            // The plain device runs no checks.
-            ("race_checks", 0),
-            ("races_detected", 0),
-            ("sanitizer_checks", 0),
-            ("sanitizer_reports", 0),
-            ("lint_checks", 0),
-        ] {
-            println!("            {name}: {v},");
-        }
-        println!("        }},");
+        // Every field, so a counter added to the struct is pinned too.
+        let counters = format!("{:#?}", s.counters).replace('\n', "\n        ");
+        println!("        counters: {counters},");
         println!("    }},");
     }
     println!("];");

@@ -92,9 +92,7 @@ fn every_algorithm_replays_bit_identically_under_every_check() {
         assert!(out.stats.lint.is_some(), "no LintReport attached: {ctx}");
         let masked = ProfileCounters {
             race_checks: 0,
-            races_detected: 0,
             sanitizer_checks: 0,
-            sanitizer_reports: 0,
             lint_checks: 0,
             ..*c
         };

@@ -43,7 +43,6 @@ proptest! {
             );
             let masked = ProfileCounters {
                 sanitizer_checks: 0,
-                sanitizer_reports: 0,
                 lint_checks: 0,
                 ..san.stats.counters
             };
@@ -63,7 +62,6 @@ proptest! {
                 touched == 0 || san.stats.counters.sanitizer_checks > 0,
                 "{}: SimSan never engaged", algo.name()
             );
-            prop_assert_eq!(san.stats.counters.sanitizer_reports, 0u64);
             prop_assert_eq!(plain.stats.counters.sanitizer_checks, 0u64);
         }
     }

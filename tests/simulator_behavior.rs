@@ -3,7 +3,7 @@
 //! profiling analysis depends on.
 
 use tc_compare::sim::{
-    BufId, Device, DeviceMem, KernelConfig, LaneCtx, ProfileCounters, RaceKind, SimError,
+    BlockCtx, BufId, Device, DeviceMem, KernelConfig, LaneCtx, ProfileCounters, RaceKind, SimError,
 };
 
 #[test]
@@ -40,6 +40,99 @@ fn coalesced_loads_beat_scattered_loads() {
         coalesced.counters.gld_transactions
     );
     assert!(scattered.total_block_cycles > coalesced.total_block_cycles);
+}
+
+/// Launches `kernel` on blocks of at most one warp and checks that the
+/// launch's block cycles are its counters priced once. With one warp per
+/// block a phase costs its one warp, so the sum over blocks and phases
+/// is linear in the summed counters: the identity is exact, and it fails
+/// if the replay counts a slot that the price misses.
+fn priced_once<F>(dev: &Device, mem: &DeviceMem, cfg: KernelConfig, kernel: F) -> ProfileCounters
+where
+    F: Fn(&mut BlockCtx<'_>) + Sync,
+{
+    assert!(cfg.block_dim <= 32, "one warp per block");
+    let stats = dev.launch(mem, cfg, kernel).unwrap();
+    assert_eq!(
+        stats.total_block_cycles,
+        dev.config().cost.cycles(&stats.counters)
+    );
+    stats.counters
+}
+
+#[test]
+fn one_warp_blocks_cost_exactly_their_priced_counters() {
+    let dev = Device::v100();
+    let mut mem = DeviceMem::new(&dev);
+    let words: Vec<u32> = (0..32 * 1024).collect();
+    let data = mem.alloc_from_slice(&words, "data").unwrap();
+    let hot = mem.alloc_zeroed(1, "hot").unwrap();
+
+    // A divergent merge: each of 20 lanes merges two sorted runs whose
+    // lengths depend on the lane, re-joining after every step.
+    let c = priced_once(&dev, &mem, KernelConfig::new(3, 20), |blk| {
+        blk.phase(|lane| {
+            let base = lane.tid() as usize * 512;
+            let (n, m) = (1 + lane.tid() as usize % 7, 3 + lane.tid() as usize % 5);
+            let (mut i, mut j) = (0, 0);
+            while i < n && j < m {
+                let (a, b) = (
+                    lane.ld_global(data, base + i),
+                    lane.ld_global(data, base + 256 + j),
+                );
+                lane.compute(2);
+                if a <= b {
+                    i += 1;
+                } else {
+                    j += 1;
+                }
+                lane.converge();
+            }
+        });
+    });
+    assert!(c.warp_execution_efficiency() < 1.0, "{c:?}");
+
+    // Scattered loads, one sector per lane (a stride of 9 sectors keeps
+    // the 32 sectors apart in each warp's L1 slice): the first load of a
+    // sector misses, re-reads hit, and a slot where odd lanes move on to
+    // a fresh sector mixes hits and misses.
+    let c = priced_once(&dev, &mem, KernelConfig::new(2, 32), |blk| {
+        blk.phase(|lane| {
+            let base = lane.tid() as usize * 72;
+            for k in 0..4 {
+                lane.ld_global(data, base + k);
+            }
+            lane.ld_global(data, base + 8 * (lane.tid() as usize % 2));
+        });
+    });
+    assert!(c.global_load_miss_requests > 0, "{c:?}");
+    assert!(
+        c.global_load_miss_requests < c.global_load_requests,
+        "{c:?}"
+    );
+    assert!(c.dram_load_sectors < c.gld_transactions, "{c:?}");
+
+    // A 32-way bank conflict on a store and, a barrier later, on a load.
+    let cfg = KernelConfig::new(2, 32).with_shared_words(32 * 32);
+    let c = priced_once(&dev, &mem, cfg, |blk| {
+        blk.phase(|lane| lane.st_shared(lane.tid() as usize * 32, lane.tid()));
+        blk.phase(|lane| {
+            lane.ld_shared(lane.tid() as usize * 32);
+        });
+    });
+    assert_eq!(c.shared_bank_conflicts, 2 * 2 * 31);
+
+    // Colliding atomics: every lane hits one global word, and groups of
+    // eight lanes hit one of four shared words.
+    let cfg = KernelConfig::new(2, 32).with_shared_words(4);
+    let c = priced_once(&dev, &mem, cfg, |blk| {
+        blk.phase(|lane| {
+            lane.atomic_add_global(hot, 0, 1);
+            lane.atomic_add_shared(lane.tid() as usize % 4, 1);
+        });
+    });
+    assert_eq!(c.global_atomic_collisions, 2 * 31);
+    assert_eq!(c.shared_atomic_collisions, 2 * 7);
 }
 
 #[test]
@@ -424,13 +517,11 @@ fn check_counts_are_exact_and_analyses_are_independent() {
         assert_eq!(stats.lint.is_some(), lint, "{what}");
         let c = stats.counters;
         assert_eq!(c.race_checks, if race { race_checks } else { 0 }, "{what}");
-        assert_eq!(c.races_detected, 0, "{what}");
         assert_eq!(
             c.sanitizer_checks,
             if san { sanitizer_checks } else { 0 },
             "{what}"
         );
-        assert_eq!(c.sanitizer_reports, 0, "{what}");
         assert_eq!(c.lint_checks, if lint { lint_checks } else { 0 }, "{what}");
         let unchecked = ProfileCounters {
             race_checks: 0,
@@ -490,6 +581,5 @@ fn global_race_through_the_lane_path() {
     let (clean, stored) = run(2);
     let c = clean.expect("store after the barrier").counters;
     assert_eq!(c.race_checks, BD as u64 * READS as u64 + 1);
-    assert_eq!(c.races_detected, 0);
     assert_eq!(stored, u32::MAX);
 }
