@@ -77,42 +77,6 @@ impl CostModel {
         }
     }
 
-    /// RTX 4090 (Ada)-flavoured costs, scaled off [`CostModel::v100`]
-    /// with the same single-clock-domain convention (kernel time is
-    /// reported by `cycles_to_ms` at the V100 reference clock, so the
-    /// higher boost clock of Ada is folded into cheaper slots here):
-    ///
-    /// * ALU and shared memory are markedly cheaper — Ada's ~2.5 GHz
-    ///   boost clock and 128 KB unified L1/shared per SM cut both the
-    ///   visible ALU latency and the shared round-trip roughly in half
-    ///   relative to the 1.38 GHz reference clock.
-    /// * L1 hits are cheaper and divergent wavefronts drain faster (the
-    ///   4090's L1 bandwidth per SM is about twice Volta's).
-    /// * DRAM round-trip latency in reference cycles stays V100-like
-    ///   (GDDR6X latency is no better than HBM2), but the *bandwidth*
-    ///   floor is looser: ~1 TB/s at the reference clock is ~24 sectors
-    ///   per cycle, and the 72 MB L2 absorbs enough re-reads that the
-    ///   effective sectors-per-cycle the floor sees is higher still; we
-    ///   use 28.
-    /// * Atomics benefit from the larger L2 slice count: cheaper base
-    ///   cost and milder same-address serialization.
-    pub const fn rtx4090() -> Self {
-        CostModel {
-            compute: 1,
-            global_hit: 18,
-            l1_wavefront: 1,
-            global_issue: 140,
-            global_sector: 12,
-            shared_access: 12,
-            shared_conflict: 4,
-            global_atomic: 80,
-            global_atomic_conflict: 24,
-            shared_atomic: 16,
-            shared_atomic_conflict: 6,
-            dram_sectors_per_cycle: 28,
-        }
-    }
-
     /// The cycles of the slots counted in `c`: each price times the
     /// counter it multiplies. Every slot's price is linear in that
     /// slot's counts, so pricing a warp's summed counters once equals
@@ -253,20 +217,5 @@ mod tests {
         let priced: u64 = slots.iter().map(|s| m.cycles(s)).sum();
         assert_eq!(m.cycles(&sum), priced);
         assert_eq!(m.cycles(&ProfileCounters::default()), 0);
-    }
-
-    #[test]
-    fn rtx4090_is_a_distinct_faster_model() {
-        let v = CostModel::v100();
-        let a = CostModel::rtx4090();
-        assert_ne!(a, v);
-        // Ada: cheaper ALU/shared/L1, looser bandwidth floor...
-        assert!(a.compute < v.compute);
-        assert!(a.cycles(&shared(1)) < v.cycles(&shared(1)));
-        assert!(a.cycles(&load(4, 0)) < v.cycles(&load(4, 0)));
-        assert!(a.dram_sectors_per_cycle > v.dram_sectors_per_cycle);
-        assert!(a.cycles(&global_atomic(32)) < v.cycles(&global_atomic(32)));
-        // ...but no miracle on DRAM round-trip latency.
-        assert!(a.global_issue >= v.global_issue * 9 / 10);
     }
 }

@@ -28,9 +28,10 @@ pub struct Checks {
     pub lint: bool,
 }
 
-/// Static configuration of the simulated GPU.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceConfig {
+/// The simulated GPU: its static geometry, cost model and analyses.
+/// Cheap to construct; owns no memory (see [`DeviceMem`]).
+#[derive(Debug, Clone)]
+pub struct Device {
     /// Number of streaming multiprocessors.
     pub num_sms: u32,
     /// Maximum resident threads per SM (occupancy limit).
@@ -48,15 +49,15 @@ pub struct DeviceConfig {
     pub cost: CostModel,
 }
 
-impl DeviceConfig {
-    /// A Tesla V100 scaled for simulation: the paper's card has 80 SMs,
-    /// 48 KB shared memory per block and 16 GB of HBM2. We keep the SM
-    /// and shared-memory geometry exact and scale global memory down by
-    /// the same ~256x factor as the datasets (Table II stand-ins), so the
-    /// algorithms that exhaust a real V100 on the largest graphs exhaust
-    /// the simulated one on the largest stand-ins.
+impl Device {
+    /// A Tesla V100 scaled for simulation, the paper's platform: the
+    /// card has 80 SMs, 48 KB shared memory per block and 16 GB of HBM2.
+    /// We keep the SM and shared-memory geometry exact and scale global
+    /// memory down by the same ~256x factor as the datasets (Table II
+    /// stand-ins), so the algorithms that exhaust a real V100 on the
+    /// largest graphs exhaust the simulated one on the largest stand-ins.
     pub fn v100() -> Self {
-        DeviceConfig {
+        Device {
             num_sms: 80,
             max_threads_per_sm: 2048,
             max_blocks_per_sm: 32,
@@ -68,88 +69,42 @@ impl DeviceConfig {
         }
     }
 
-    /// An RTX 4090 stand-in (144 SMs, 128 KB shared, 24 GB scaled), with
-    /// the Ada-flavoured [`CostModel::rtx4090`] — see that constructor
-    /// for the calibration rationale.
-    pub fn rtx4090() -> Self {
-        DeviceConfig {
-            num_sms: 144,
-            max_threads_per_sm: 1536,
-            max_blocks_per_sm: 24,
-            shared_mem_words: 128 * 1024 / 4,
-            l1_sectors_per_sm: 128 * 1024 / 32,
-            global_mem_words: 24 * 1024 * 1024,
-            checks: Checks::default(),
-            cost: CostModel::rtx4090(),
-        }
-    }
-}
-
-/// The simulated GPU. Cheap to construct; owns no memory (see
-/// [`DeviceMem`]).
-#[derive(Debug, Clone)]
-pub struct Device {
-    config: DeviceConfig,
-}
-
-impl Device {
-    pub fn new(config: DeviceConfig) -> Self {
-        Device { config }
-    }
-
-    /// Simulated Tesla V100 (the paper's primary platform).
-    pub fn v100() -> Self {
-        Device::new(DeviceConfig::v100())
-    }
-
-    /// Simulated RTX 4090.
-    pub fn rtx4090() -> Self {
-        Device::new(DeviceConfig::rtx4090())
-    }
-
     /// A device with custom global-memory capacity (for tests).
     pub fn with_memory_words(words: u64) -> Self {
-        let mut cfg = DeviceConfig::v100();
-        cfg.global_mem_words = words;
-        Device::new(cfg)
+        Device {
+            global_mem_words: words,
+            ..Device::v100()
+        }
     }
 
     /// Run the data-race detector on every launch on this device.
     pub fn with_race_detection(mut self) -> Self {
-        self.config.checks.race = true;
+        self.checks.race = true;
         self
     }
 
     /// Run SimSan on every launch on this device.
     pub fn with_sanitizer(mut self) -> Self {
-        self.config.checks.san = true;
+        self.checks.san = true;
         self
     }
 
     /// Run SimLint on every launch on this device.
     pub fn with_lints(mut self) -> Self {
-        self.config.checks.lint = true;
+        self.checks.lint = true;
         self
-    }
-
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
     }
 
     /// How many blocks of the given configuration can be resident on one
     /// SM at a time (the CUDA occupancy calculation, simplified to the
     /// thread, block and shared-memory limits).
     pub fn resident_blocks_per_sm(&self, cfg: &KernelConfig) -> u32 {
-        let by_threads = self.config.max_threads_per_sm / cfg.block_dim.max(1);
+        let by_threads = self.max_threads_per_sm / cfg.block_dim.max(1);
         let by_shared = self
-            .config
             .shared_mem_words
             .checked_div(cfg.shared_words)
-            .unwrap_or(self.config.max_blocks_per_sm);
-        by_threads
-            .min(by_shared)
-            .min(self.config.max_blocks_per_sm)
-            .max(1)
+            .unwrap_or(self.max_blocks_per_sm);
+        by_threads.min(by_shared).min(self.max_blocks_per_sm).max(1)
     }
 
     /// Launch a kernel: run `cfg.grid_dim` independent blocks (in parallel
@@ -180,10 +135,10 @@ impl Device {
                 cfg.block_dim
             )));
         }
-        if cfg.shared_words > self.config.shared_mem_words {
+        if cfg.shared_words > self.shared_mem_words {
             return Err(SimError::SharedMemoryExceeded {
                 requested_words: cfg.shared_words,
-                available_words: self.config.shared_mem_words,
+                available_words: self.shared_mem_words,
             });
         }
 
@@ -195,14 +150,13 @@ impl Device {
         // witness on ties), so the report is deterministic regardless of
         // rayon scheduling and only one accumulator outlives its block.
         let lint_acc = self
-            .config
             .checks
             .lint
             .then(|| Mutex::new(LintObserver::default()));
         let per_block = (0..cfg.grid_dim)
             .into_par_iter()
             .map_init(
-                || BlockScratch::new(self.config.checks),
+                || BlockScratch::new(self.checks),
                 |scratch, block_idx| {
                     run_block(
                         self,
@@ -230,9 +184,9 @@ impl Device {
             build_report(&obs, mem)
         });
 
-        let parallel_slots = (self.config.num_sms * self.resident_blocks_per_sm(&cfg)) as usize;
+        let parallel_slots = (self.num_sms * self.resident_blocks_per_sm(&cfg)) as usize;
         let compute_cycles = schedule_blocks(&cycles, parallel_slots);
-        let kernel_cycles = compute_cycles.max(self.config.cost.dram_floor_cycles(&counters));
+        let kernel_cycles = compute_cycles.max(self.cost.dram_floor_cycles(&counters));
         Ok(LaunchStats {
             kernel_cycles,
             total_block_cycles: cycles.iter().sum(),
@@ -358,7 +312,7 @@ mod tests {
         assert_eq!(same.counters.dram_atomic_sectors, grid as u64);
         // Scattered is floor-bound at exactly ceil(sectors / 20): 65536
         // sectors -> 3277 cycles (truncation would say 3276).
-        let cost = dev.config().cost;
+        let cost = dev.cost;
         let d = cost.dram_sectors_per_cycle;
         assert_eq!(
             scattered.kernel_cycles,
@@ -378,8 +332,8 @@ mod tests {
         // Zero out every latency cost so the bandwidth floor is the only
         // term left; a 4-sector load then takes ceil(4/20) = 1 cycle.
         // The old truncating division modelled a free kernel.
-        let mut cfg = DeviceConfig::v100();
-        cfg.cost = CostModel {
+        let mut dev = Device::v100();
+        dev.cost = CostModel {
             compute: 0,
             global_hit: 0,
             l1_wavefront: 0,
@@ -393,7 +347,6 @@ mod tests {
             shared_atomic_conflict: 0,
             dram_sectors_per_cycle: 20,
         };
-        let dev = Device::new(cfg);
         let mut mem = DeviceMem::new(&dev);
         let buf = mem.alloc_zeroed(32, "v").unwrap();
         let stats = dev
@@ -496,13 +449,6 @@ mod tests {
             }
             other => panic!("expected barrier divergence, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn rtx4090_uses_its_own_cost_model() {
-        let dev = Device::rtx4090();
-        assert_eq!(dev.config().cost, CostModel::rtx4090());
-        assert_ne!(dev.config().cost, CostModel::v100());
     }
 
     #[test]

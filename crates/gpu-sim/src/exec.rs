@@ -721,8 +721,8 @@ where
 {
     // Each warp's proportional slice of the SM's L1, direct-mapped,
     // rounded to a power of two (V100: 4096 sectors / 64 warps = 64).
-    let l1_slice = (dev.config().l1_sectors_per_sm as u64 * WARP_SIZE as u64
-        / dev.config().max_threads_per_sm.max(1) as u64)
+    let l1_slice = (dev.l1_sectors_per_sm as u64 * WARP_SIZE as u64
+        / dev.max_threads_per_sm.max(1) as u64)
         .max(16)
         .next_power_of_two() as usize;
     let warps = (cfg.block_dim as usize).div_ceil(WARP_SIZE);
@@ -747,7 +747,7 @@ where
         shared,
         traces,
         step,
-        cost: dev.config().cost,
+        cost: dev.cost,
         check: check.reset(cfg.shared_words as usize, cfg.block_dim),
         retired,
         l1,

@@ -75,7 +75,7 @@ mod trace;
 
 pub use cost::CostModel;
 pub use counters::{LaunchStats, ProfileCounters};
-pub use device::{Checks, Device, DeviceConfig};
+pub use device::{Checks, Device};
 pub use error::SimError;
 pub use exec::{global_thread_id, BlockCtx, BlockScratch, KernelConfig, LaneCtx};
 pub use lint::{Diag, LintReport, LintRule};

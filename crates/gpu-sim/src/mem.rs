@@ -189,7 +189,7 @@ impl DeviceMem {
     pub fn new(device: &Device) -> Self {
         DeviceMem {
             buffers: Vec::new(),
-            capacity_words: device.config().global_mem_words,
+            capacity_words: device.global_mem_words,
             allocated_words: 0,
             next_base: 0,
             free_extents: Vec::new(),

@@ -102,7 +102,9 @@ pub trait TcAlgorithm: Sync {
     /// `Backend::Cpu` execution path — it models nothing (no cycles, no
     /// counters), it just produces the exact count at wall-clock speed.
     ///
-    /// The default is the parallel Forward merge reference; every
+    /// The default is the parallel Forward merge reference. Polak (the
+    /// CPU Forward algorithm it ports) and Green (whose merge-path
+    /// partitioning only balances device lanes) keep it; every other
     /// registered algorithm overrides it with its strategy-matched
     /// kernel. A panic here is isolated by the runner's CPU backend as
     /// `RunOutcome::Failed`, mirroring how device-side faults poison

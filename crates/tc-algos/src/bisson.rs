@@ -249,12 +249,4 @@ mod tests {
             testutil::assert_matches_reference(&Bisson, &testutil::figure1_edges(), o);
         }
     }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = Bisson.meta();
-        assert_eq!(m.year, 2017);
-        assert_eq!(m.iterator, IteratorKind::Vertex);
-        assert_eq!(m.intersection, Intersection::BitMap);
-    }
 }

@@ -372,13 +372,4 @@ mod tests {
             assert_eq!(CoverEdge.count_cpu(&dag), expected, "{label}");
         }
     }
-
-    #[test]
-    fn metadata_row() {
-        let m = CoverEdge.meta();
-        assert_eq!(m.year, 2024);
-        assert_eq!(m.iterator, IteratorKind::Edge);
-        assert_eq!(m.intersection, Intersection::Merge);
-        assert_eq!(m.granularity, Granularity::Coarse);
-    }
 }

@@ -128,7 +128,7 @@ fn launch_bin(
     counter: gpu_sim::BufId,
 ) -> Result<LaunchStats, SimError> {
     let groups_per_block = BLOCK_DIM / group_size;
-    let grid = (4 * dev.config().num_sms).min(n_edges.div_ceil(groups_per_block).max(1));
+    let grid = (4 * dev.num_sms).min(n_edges.div_ceil(groups_per_block).max(1));
     let groups_total = grid * groups_per_block;
     let cfg = KernelConfig::new(grid, BLOCK_DIM);
     dev.launch(mem, cfg, |blk| {
@@ -210,13 +210,5 @@ mod tests {
         ] {
             testutil::assert_matches_reference(&Fox, &testutil::figure1_edges(), o);
         }
-    }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = Fox.meta();
-        assert_eq!(m.year, 2018);
-        assert_eq!(m.intersection, Intersection::MergeOrBinSearch);
-        assert_eq!(m.granularity, Granularity::Fine);
     }
 }

@@ -14,7 +14,6 @@
 //! exceeds the merge itself, so Green lands at the bottom of Figure 11.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
-use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -122,12 +121,6 @@ impl TcAlgorithm for Green {
         mem.free(counter)?;
         Ok(TcOutput { triangles, stats })
     }
-
-    /// Host kernel: Green's merge-path partitioning only balances device
-    /// lanes; on the CPU the same work is a plain parallel forward merge.
-    fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        cpu_ref::forward_parallel(dag, cpu_ref::intersect_merge)
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +153,5 @@ mod tests {
         ] {
             testutil::assert_matches_reference(&Green, &testutil::figure1_edges(), o);
         }
-    }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = Green.meta();
-        assert_eq!(m.year, 2014);
-        assert_eq!(m.iterator, IteratorKind::Edge);
-        assert_eq!(m.granularity, Granularity::Fine);
     }
 }

@@ -154,7 +154,7 @@ pub(crate) fn run_chunked(
         let n = cfg.chunk_size;
         let work_items = edge_ids.map_or(g.num_edges, |(_, len)| len);
         let chunks = work_items.div_ceil(n).max(1);
-        let grid = chunks.min(8 * dev.config().num_sms);
+        let grid = chunks.min(8 * dev.num_sms);
         // Shared layout: META*n edge metadata, then two n-word ping-pong
         // buffers for the key-length prefix scan.
         let scan_a = (META * n) as usize;
@@ -391,14 +391,5 @@ mod tests {
             with.stats.counters.global_load_requests,
             without.stats.counters.global_load_requests
         );
-    }
-
-    #[test]
-    fn metadata_row() {
-        let m = GroupTc::default().meta();
-        assert_eq!(m.name, "GroupTC");
-        assert_eq!(m.iterator, IteratorKind::Edge);
-        assert_eq!(m.intersection, Intersection::BinSearch);
-        assert_eq!(m.granularity, Granularity::Fine);
     }
 }

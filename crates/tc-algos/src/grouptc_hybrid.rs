@@ -154,7 +154,7 @@ fn hash_pass(
     n_edges: u32,
     counter: gpu_sim::BufId,
 ) -> Result<LaunchStats, SimError> {
-    let grid = (24 * dev.config().num_sms).min(n_edges.max(1));
+    let grid = (24 * dev.num_sms).min(n_edges.max(1));
     let rounds = n_edges.div_ceil(grid);
     // len[256] + ROWS rows of 256 + overflow flag.
     let shared_words = BUCKETS * (1 + ROWS) + 1;

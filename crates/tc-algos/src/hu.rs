@@ -84,7 +84,7 @@ impl TcAlgorithm for Hu {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "hu.counter")?;
-        let grid = g.num_vertices.clamp(1, 4 * dev.config().num_sms);
+        let grid = g.num_vertices.clamp(1, 4 * dev.num_sms);
         let cfg = KernelConfig::new(grid, BLOCK_DIM).with_shared_words(CACHE_WORDS);
 
         let stats = dev.launch(mem, cfg, |blk| {
@@ -192,13 +192,5 @@ mod tests {
         ] {
             testutil::assert_matches_reference(&Hu, &testutil::figure1_edges(), o);
         }
-    }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = Hu.meta();
-        assert_eq!(m.year, 2019);
-        assert_eq!(m.iterator, IteratorKind::Vertex);
-        assert_eq!(m.intersection, Intersection::BinSearch);
     }
 }

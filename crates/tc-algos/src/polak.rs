@@ -14,7 +14,6 @@
 //! warp issues per step are scattered).
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
-use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -108,12 +107,6 @@ impl TcAlgorithm for Polak {
         mem.free(counter)?;
         Ok(TcOutput { triangles, stats })
     }
-
-    /// Host kernel: one rayon task per vertex, sequential two-pointer
-    /// merge per out-edge — the CPU Forward algorithm Polak ports.
-    fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        cpu_ref::forward_parallel(dag, cpu_ref::intersect_merge)
-    }
 }
 
 #[cfg(test)]
@@ -164,14 +157,5 @@ mod tests {
         ] {
             crate::testutil::assert_matches_reference(&Polak, &crate::testutil::figure1_edges(), o);
         }
-    }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = Polak.meta();
-        assert_eq!(m.year, 2016);
-        assert_eq!(m.iterator, IteratorKind::Edge);
-        assert_eq!(m.intersection, Intersection::Merge);
-        assert_eq!(m.granularity, Granularity::Coarse);
     }
 }

@@ -41,28 +41,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_pins_the_ten_names_and_years_in_order() {
-        let algos = all_algorithms();
-        let rows: Vec<(&str, u16)> = algos.iter().map(|a| (a.name(), a.meta().year)).collect();
+    fn registry_pins_the_table1_rows_in_order() {
+        use crate::api::{Granularity::*, Intersection::*, IteratorKind::*};
+        let mut algos = all_algorithms();
+        algos.push(Box::new(crate::GroupTcHybrid::default()));
+        let rows: Vec<_> = algos
+            .iter()
+            .map(|a| a.meta())
+            .map(|m| (m.name, m.year, m.iterator, m.intersection, m.granularity))
+            .collect();
         assert_eq!(
             rows,
             vec![
-                ("Green", 2014),
-                ("Polak", 2016),
-                ("Bisson", 2017),
-                ("TriCore", 2018),
-                ("Fox", 2018),
-                ("Hu", 2019),
-                ("H-INDEX", 2019),
-                ("TRUST", 2021),
-                ("GroupTC", 2024),
-                ("CoverEdge", 2024),
+                ("Green", 2014, Edge, Merge, Fine),
+                ("Polak", 2016, Edge, Merge, Coarse),
+                ("Bisson", 2017, Vertex, BitMap, Coarse),
+                ("TriCore", 2018, Edge, BinSearch, Fine),
+                ("Fox", 2018, Edge, MergeOrBinSearch, Fine),
+                ("Hu", 2019, Vertex, BinSearch, Fine),
+                ("H-INDEX", 2019, Edge, Hash, Fine),
+                ("TRUST", 2021, Vertex, Hash, Fine),
+                ("GroupTC", 2024, Edge, BinSearch, Fine),
+                ("CoverEdge", 2024, Edge, Merge, Coarse),
+                ("GroupTC-H", 2024, Edge, Hash, Fine),
             ]
         );
         let mut names: Vec<&str> = rows.iter().map(|r| r.0).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 10, "names must be unique");
+        assert_eq!(names.len(), 11, "names must be unique");
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl TcAlgorithm for TriCore {
         g: &DeviceGraph,
     ) -> Result<TcOutput, SimError> {
         let counter = mem.alloc_zeroed(1, "tricore.counter")?;
-        let grid = (24 * dev.config().num_sms).min(g.num_edges.max(1));
+        let grid = (24 * dev.num_sms).min(g.num_edges.max(1));
         let warps_total = grid * WARPS_PER_BLOCK;
         let rounds = g.num_edges.div_ceil(warps_total);
         let shared_words = WARPS_PER_BLOCK * CACHED_NODES;
@@ -228,13 +228,5 @@ mod tests {
         ] {
             testutil::assert_matches_reference(&TriCore, &testutil::figure1_edges(), o);
         }
-    }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = TriCore.meta();
-        assert_eq!(m.year, 2018);
-        assert_eq!(m.intersection, Intersection::BinSearch);
-        assert_eq!(m.granularity, Granularity::Fine);
     }
 }

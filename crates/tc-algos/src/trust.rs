@@ -171,8 +171,8 @@ fn run_mode(
     let meta_at = flag_at + 1;
     let shared_words = meta_at as u32 + 2 * meta_cap;
     let grid = match mode {
-        Mode::Warp => (24 * dev.config().num_sms).min(n.max(1)),
-        Mode::Block => n.clamp(1, 2 * dev.config().num_sms),
+        Mode::Warp => (24 * dev.num_sms).min(n.max(1)),
+        Mode::Block => n.clamp(1, 2 * dev.num_sms),
     };
     let rounds = n.div_ceil(grid);
     let cfg = KernelConfig::new(grid, block_dim).with_shared_words(shared_words);
@@ -378,14 +378,5 @@ mod tests {
         let dag = orient(&g, Orientation::ById);
         let expected = cpu_ref::forward_merge(&dag);
         assert_eq!(run_checked(&Trust, &dag).unwrap().triangles, expected);
-    }
-
-    #[test]
-    fn metadata_matches_table1() {
-        let m = Trust.meta();
-        assert_eq!(m.year, 2021);
-        assert_eq!(m.iterator, IteratorKind::Vertex);
-        assert_eq!(m.intersection, Intersection::Hash);
-        assert_eq!(m.granularity, Granularity::Fine);
     }
 }

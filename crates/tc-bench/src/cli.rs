@@ -69,7 +69,7 @@ impl Args {
     /// `default` selects all 19 datasets. Options are consumed before
     /// the datasets, so any `--` option still left is unknown (and the
     /// value after it is not taken for a dataset name); every other
-    /// argument left is a dataset name.
+    /// argument left is a dataset name, and naming one twice is an error.
     pub fn datasets(&mut self, default: &[&str]) -> Result<Vec<DatasetSpec>, String> {
         let small = self.flag("--small");
         let medium = self.flag("--medium");
@@ -89,14 +89,18 @@ impl Args {
             (false, false, true) => Args::new(default.iter().map(|s| s.to_string())).datasets(&[]),
             (true, false, true) => Ok(class(|c| c == SizeClass::Small)),
             (false, true, true) => Ok(class(|c| c != SizeClass::Large)),
-            (false, false, false) => names
-                .iter()
-                .map(|name| {
-                    DatasetSpec::by_name(name)
-                        .copied()
-                        .ok_or_else(|| format!("unknown dataset `{name}` (see Table II)"))
-                })
-                .collect(),
+            (false, false, false) => {
+                let mut picked: Vec<DatasetSpec> = Vec::with_capacity(names.len());
+                for name in &names {
+                    let spec = DatasetSpec::by_name(name)
+                        .ok_or_else(|| format!("unknown dataset `{name}` (see Table II)"))?;
+                    if picked.iter().any(|p| p.name == spec.name) {
+                        return Err(format!("dataset `{}` is named twice", spec.name));
+                    }
+                    picked.push(*spec);
+                }
+                Ok(picked)
+            }
             _ => Err("pass dataset names, `--small` or `--medium`, not a mix".to_string()),
         }
     }
@@ -166,6 +170,14 @@ mod tests {
         let ds = args(&["as-caida", "Twitter"]).datasets(&[]).unwrap();
         assert_eq!(ds.len(), 2);
         assert!(args(&["bogus"]).datasets(&[]).is_err());
+    }
+
+    #[test]
+    fn a_repeated_name_is_an_error() {
+        let err = args(&["As-Caida", "Twitter", "as-caida"]).datasets(&[]);
+        assert_eq!(err.unwrap_err(), "dataset `As-Caida` is named twice");
+        let err = args(&["Twitter", "Twitter"]).dataset("Wiki-Talk");
+        assert_eq!(err.unwrap_err(), "dataset `Twitter` is named twice");
     }
 
     #[test]

@@ -470,7 +470,7 @@ pub fn diag(mut args: Args) -> Result<(), Error> {
             }
             Ok(out) => {
                 let c = out.stats.counters;
-                let bw_floor = dev.config().cost.dram_floor_cycles(&c);
+                let bw_floor = dev.cost.dram_floor_cycles(&c);
                 println!(
                     "{:<9} cyc={:>9} blkcyc={:>11} bw_floor={:>9} reqs={:>9} tx={:>9} dram={:>9} eff={:>5.1}% tpr={:>5.2} atom={:>8} sh={:>9} slots={:>10}",
                     algo.name(), out.stats.kernel_cycles, out.stats.total_block_cycles,

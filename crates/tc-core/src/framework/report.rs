@@ -25,14 +25,6 @@ pub fn human_count(n: u64) -> String {
     }
 }
 
-/// Speedup of `ours` over `baseline` (both times; higher = faster us).
-pub fn speedup(baseline: f64, ours: f64) -> f64 {
-    if ours == 0.0 {
-        return f64::INFINITY;
-    }
-    baseline / ours
-}
-
 /// Minimal fixed-width ASCII table builder.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -262,12 +254,6 @@ mod tests {
         assert_eq!(human_count(43_000), "43.0K");
         assert_eq!(human_count(2_400_000), "2.4M");
         assert_eq!(human_count(1_800_000_000), "1.8B");
-    }
-
-    #[test]
-    fn speedups() {
-        assert!((speedup(10.0, 5.0) - 2.0).abs() < 1e-12);
-        assert!(speedup(1.0, 0.0).is_infinite());
     }
 
     #[test]

@@ -53,10 +53,7 @@ where
 {
     assert!(cfg.block_dim <= 32, "one warp per block");
     let stats = dev.launch(mem, cfg, kernel).unwrap();
-    assert_eq!(
-        stats.total_block_cycles,
-        dev.config().cost.cycles(&stats.counters)
-    );
+    assert_eq!(stats.total_block_cycles, dev.cost.cycles(&stats.counters));
     stats.counters
 }
 
