@@ -13,7 +13,7 @@ use rayon::prelude::*;
 /// so benchmark launches pay ~zero cost (one predictable branch per
 /// access). A device-wide switch also covers the launches that
 /// algorithms configure internally, which is how the conformance suite,
-/// `lint_sweep` and the test fixtures run every kernel checked. None of
+/// the lint pin and the test fixtures run every kernel checked. None of
 /// them perturbs results: counters and cycles are byte-identical with
 /// any set of checks on or off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

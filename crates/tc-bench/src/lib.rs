@@ -1,8 +1,8 @@
 //! # tc-bench — benchmark harness
 //!
 //! One `tc` binary regenerates every table and figure of the paper (see
-//! DESIGN.md's experiment index) and runs the benchmark, lint and pin
-//! tools, one subcommand each:
+//! DESIGN.md's experiment index), runs the benchmark sweep and writes
+//! every committed pin ([`pins::PIN_FILES`]), one subcommand each:
 //!
 //! ```sh
 //! cargo run --release -p tc-bench -- <command> [args...]
@@ -14,12 +14,12 @@
 //! Table II names, `--small` (the small class) or `--medium` (small +
 //! medium), each command with its own default.
 
-pub mod bench_json;
 pub mod cli;
+pub mod pins;
 
-use bench_json::LintCell;
 use gpu_sim::{Device, SimError};
 use graph_data::{clean_edges, orient, DatasetSpec};
+use pins::LintCell;
 use tc_algos::all_algorithms;
 use tc_algos::api::{TcAlgorithm, TcOutput};
 use tc_algos::conformance::generator_cases;
@@ -52,8 +52,8 @@ pub fn sweep(
 /// conformance corpus on a V100 with lints forced on, one
 /// leak-checked [`TcAlgorithm::run`] per (algorithm, case) in
 /// registry-major order; each corpus graph is cleaned once and oriented
-/// per algorithm. `tc lint_sweep` renders these cells as
-/// `LINT_sim.json` with [`bench_json::render_lint`].
+/// per algorithm. [`pins::render_lint`] renders these cells as
+/// `LINT_sim.json`.
 pub fn lint_wall() -> Vec<LintCell> {
     let dev = Device::v100().with_lints();
     let cases: Vec<_> = generator_cases()
@@ -85,7 +85,7 @@ const PINNED_CASES: [&str; 3] = ["er-dense", "rmat-skewed", "road-grid"];
 /// on each of the `PINNED_CASES` (case-major), one leak-checked
 /// [`TcAlgorithm::run`] on `dev` under its preferred orientation, as
 /// `(algorithm, case, outcome)`.
-/// `tc pin_replay_snapshots` prints these cells as
+/// [`pins::PIN_FILES`] renders these cells as
 /// `tests/replay_equivalence/pins.rs`, and the replay-equivalence tests
 /// compare them with it. Each cell runs when it is pulled, so a caller
 /// can stop at the first failure.

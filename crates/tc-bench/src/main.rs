@@ -1,14 +1,14 @@
-//! `tc` — every table and figure of the paper, and the benchmark, lint
-//! and pin tools, as subcommands of one binary:
+//! `tc` — every table and figure of the paper, the benchmark sweep and
+//! the pin writer, as subcommands of one binary:
 //!
 //! ```sh
 //! cargo run --release -p tc-bench -- <command> [args...]
 //! ```
 //!
 //! The subcommands live in two modules of this binary: `reports` (the
-//! paper's tables, figures and studies) and `tools` (the CI gates and
-//! the pin generator). Bad input exits 2 with the command's usage; a
-//! failed verification or gate exits 1.
+//! paper's tables, figures and studies) and `tools` (the benchmark sweep
+//! and `tc pins`, which writes every committed pin). Bad input exits 2
+//! with the command's usage; a failed verification exits 1.
 
 mod reports;
 mod tools;
@@ -90,22 +90,15 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bench_sweep",
-        synopsis: "[DATASETS] [--serial] [--reps N] [--backend sim|cpu] [--bench-json PATH]",
-        help: "host wall time and kernel cycles per cell; --bench-json writes \
-               BENCH_sim.json (default Wiki-Talk)",
+        synopsis: "[DATASETS] [--serial] [--reps N] [--backend sim|cpu]",
+        help: "host wall time and kernel cycles per cell (default Wiki-Talk)",
         run: tools::bench_sweep,
     },
     Command {
-        name: "lint_sweep",
+        name: "pins",
         synopsis: "",
-        help: "the SimLint diagnostic wall (LINT_sim.json) on stdout",
-        run: tools::lint_sweep,
-    },
-    Command {
-        name: "pin_replay_snapshots",
-        synopsis: "",
-        help: "regenerate tests/replay_equivalence/pins.rs on stdout",
-        run: tools::pin_replay_snapshots,
+        help: "write every committed pin file, relative to the repo root where it runs",
+        run: tools::pins,
     },
 ];
 

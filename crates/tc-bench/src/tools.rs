@@ -1,18 +1,15 @@
-//! The benchmark and lint gates CI runs, and the replay pin
-//! generator, one `tc` subcommand each. The bench and lint documents and
-//! the replay pins are checked by regenerating them and diffing the
-//! bytes against the committed files.
+//! The benchmark sweep and the pin writer, one `tc` subcommand each.
 
 use std::io::Write;
 use std::time::Instant;
 
 use gpu_sim::Device;
 use tc_algos::all_algorithms;
-use tc_bench::bench_json;
 use tc_bench::cli::{Args, Error};
 use tc_bench::eprint_progress;
+use tc_bench::pins::PIN_FILES;
 use tc_core::framework::backend::{Backend, CpuBackend, SimBackend};
-use tc_core::framework::runner::RunRecord;
+use tc_core::framework::runner::{RunOutcome, RunRecord};
 
 /// Parse the value of option `name` as a positive integer.
 fn positive(name: &str, value: &str) -> Result<u32, String> {
@@ -34,14 +31,9 @@ fn positive(name: &str, value: &str) -> Result<u32, String> {
 /// `--backend` selects the execution substrate of the sweep: `sim`
 /// (default) runs the cycle-modelled simulator, `cpu` runs each
 /// algorithm's native rayon host kernel (kernel cycles report 0). To
-/// compare the two, run the command once per backend.
-///
-/// `--bench-json` writes the modelled results, with a `"device"` header
-/// naming the substrate (`"V100"` or `"cpu"`); the sim document on
-/// Wiki-Talk is committed as `BENCH_sim.json`, and CI diffs a fresh one
-/// against it. A cell that fails, or whose count disagrees with the CPU
-/// reference (`MISCOUNT`), fails the run after the table and the
-/// document are written.
+/// compare the two, run the command once per backend. A cell that
+/// fails, or whose count disagrees with the CPU reference (`MISCOUNT`),
+/// fails the run after the table is printed.
 pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     let serial = args.flag("--serial");
     let reps = match args.value("--reps")? {
@@ -49,7 +41,6 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
         None => 3,
     };
     let backend_arg = args.value("--backend")?;
-    let json_path = args.value("--bench-json")?;
     let datasets = args.datasets(&["Wiki-Talk"])?;
     args.finish()?;
 
@@ -105,17 +96,13 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
             r.dataset,
             r.wall.as_secs_f64() * 1e3,
             r.kernel_cycles().unwrap_or(0),
-            bench_json::label(r)
+            label(r)
         );
     }
     let sweep_wall: f64 = records.iter().map(|r| r.wall.as_secs_f64() * 1e3).sum();
     println!("best-rep sweep wall (sum of cells): {sweep_wall:.1} ms");
     println!("total harness wall ({reps} reps):   {total_wall_ms:.1} ms");
 
-    if let Some(path) = json_path {
-        let text = bench_json::render(device, &records);
-        crate::write_file(&path, |f| f.write_all(text.as_bytes()))?;
-    }
     if !records.iter().all(RunRecord::is_verified) {
         return Err(Error::Failed(
             "one or more cells failed or miscounted".to_string(),
@@ -124,59 +111,62 @@ pub fn bench_sweep(mut args: Args) -> Result<(), Error> {
     Ok(())
 }
 
-/// The SimLint diagnostic wall: every registry algorithm over the full
-/// conformance corpus with lints forced on, rendered as `LINT_sim.json`
-/// on stdout (see `bench_json` for the schema). CI diffs it against the
-/// committed file; redirect it over that file to refresh the pin.
-pub fn lint_sweep(args: Args) -> Result<(), Error> {
-    args.finish()?;
-
-    eprint_progress("lint_sweep: running the registry over the conformance corpus");
-    let cells = tc_bench::lint_wall();
-    let findings: usize = cells.iter().map(|c| c.diags.len()).sum();
-    let clean = cells.iter().filter(|c| c.is_clean()).count();
-    eprint_progress(&format!(
-        "lint_sweep: {} cells, {clean} clean, {findings} findings",
-        cells.len()
-    ));
-    print!("{}", bench_json::render_lint("V100", &cells));
-    Ok(())
+/// The outcome column of `tc bench_sweep`: `ok`, `failed`, or
+/// `MISCOUNT` for a cell that ran but disagrees with the CPU reference.
+fn label(r: &RunRecord) -> &'static str {
+    match r.outcome {
+        RunOutcome::Failed(_) => "failed",
+        _ if r.is_verified() => "ok",
+        _ => "MISCOUNT",
+    }
 }
 
-/// Regenerates the pinned `LaunchStats` table for the cross-engine
-/// equivalence test (`tests/replay_equivalence.rs`): every registered
-/// algorithm over the pinned conformance graphs, on a plain benchmark
-/// V100 (race detector and SimSan off). The simulator is deterministic,
-/// so these values are exact. Re-pin *only* when a change to the memory
-/// system, the replay rules or a kernel is intentional:
-///
-/// ```sh
-/// cargo run --release -p tc-bench -- pin_replay_snapshots \
-///     > tests/replay_equivalence/pins.rs
-/// ```
-pub fn pin_replay_snapshots(args: Args) -> Result<(), Error> {
+/// Write every committed pin ([`PIN_FILES`]) to its path under the
+/// current directory, which is the repo root. A pin whose render fails
+/// is left as it is, and the command fails after the others are written.
+pub fn pins(args: Args) -> Result<(), Error> {
     args.finish()?;
-    let dev = Device::v100();
-
-    println!("// Generated by `cargo run --release -p tc-bench -- pin_replay_snapshots`.");
-    println!("// Exact LaunchStats of every registered algorithm on the pinned");
-    println!("// conformance graphs (plain V100, detector and sanitizer off).");
-    println!("pub const PINS: &[Pin] = &[");
-    for (algo, case, out) in tc_bench::pinned_cells(&dev) {
-        let out = out.map_err(|e| Error::Failed(format!("{algo} failed on {case}: {e}")))?;
-        let s = &out.stats;
-        println!("    Pin {{");
-        println!("        algorithm: {:?},", algo);
-        println!("        case: {:?},", case);
-        println!("        triangles: {},", out.triangles);
-        println!("        kernel_cycles: {},", s.kernel_cycles);
-        println!("        total_block_cycles: {},", s.total_block_cycles);
-        println!("        blocks: {},", s.blocks);
-        // Every field, so a counter added to the struct is pinned too.
-        let counters = format!("{:#?}", s.counters).replace('\n', "\n        ");
-        println!("        counters: {counters},");
-        println!("    }},");
+    let mut failed = Vec::new();
+    for pin in PIN_FILES {
+        match (pin.render)() {
+            Ok(text) => crate::write_file(pin.path, |f| f.write_all(text.as_bytes()))?,
+            Err(e) => {
+                eprint_progress(&format!("{}: {e}", pin.path));
+                failed.push(pin.path);
+            }
+        }
     }
-    println!("];");
-    Ok(())
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(Error::Failed(format!("could not render {failed:?}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn record(outcome: RunOutcome) -> RunRecord {
+        RunRecord {
+            algorithm: "Polak".to_string(),
+            dataset: "tiny-rmat",
+            outcome,
+            wall: Duration::from_millis(1),
+        }
+    }
+
+    #[test]
+    fn failed_and_miscounted_cells_are_labelled() {
+        let ok = |verified| RunOutcome::Ok {
+            triangles: 7,
+            kernel_cycles: 42,
+            counters: Default::default(),
+            verified,
+        };
+        let failed = RunOutcome::Failed(gpu_sim::SimError::KernelFault("x".into()));
+        let labels = [ok(true), ok(false), failed].map(|o| label(&record(o)));
+        assert_eq!(labels, ["ok", "MISCOUNT", "failed"]);
+    }
 }

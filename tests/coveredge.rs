@@ -1,8 +1,9 @@
 //! Test wall for the cover-edge algorithm (Bader et al., arXiv
 //! 2403.02997): property-based differential invariants against the
-//! node-iterator oracle on every generator family, the metamorphic
-//! conformance checks, and a golden counters snapshot of its sim kernel
-//! on the fixed R-MAT graph (the same graph GroupTC's snapshot pins).
+//! node-iterator oracle on every generator family, the cover-set
+//! invariants and the metamorphic conformance checks. Its sim kernel's
+//! exact counters are pinned with every other algorithm's by
+//! `tests/replay_equivalence/pins.rs`.
 
 use proptest::prelude::*;
 
@@ -12,7 +13,6 @@ use tc_compare::algos::conformance::{
 use tc_compare::algos::coveredge::{cover_plan, CoverEdge};
 use tc_compare::algos::TcAlgorithm;
 use tc_compare::graph::{clean_edges, cpu_ref, gen, orient, Orientation};
-use tc_compare::sim::{Device, ProfileCounters};
 
 /// CPU cover-edge count == node-iterator oracle on one raw edge list.
 fn assert_matches_oracle(edges: &tc_compare::graph::EdgeList, label: &str) {
@@ -96,61 +96,4 @@ fn metamorphic_conformance_cases_pass() {
         check_orientation_invariance(&CoverEdge, case);
         check_relabel_invariance(&CoverEdge, case, 0xBADE ^ case.name.len() as u64);
     }
-}
-
-fn run_coveredge(dev: &Device) -> tc_compare::algos::TcOutput {
-    // reproduce with: let edges = gen::rmat(10, 8000, 0.57, 0.19, 0.19, 0.05, 42);
-    let edges = gen::rmat(10, 8000, 0.57, 0.19, 0.19, 0.05, 42);
-    let (g, _) = clean_edges(&edges);
-    let dag = orient(&g, Orientation::ById);
-    CoverEdge.run(dev, &dag).expect("CoverEdge run")
-}
-
-/// The pinned counters of the plain (detector-off, sanitizer-off) run.
-/// Any drift means the modelled memory system, the BFS/cover prepass or
-/// the kernel changed — re-pin deliberately.
-const GOLDEN: ProfileCounters = ProfileCounters {
-    global_load_requests: 49_895,
-    gld_transactions: 341_662,
-    dram_load_sectors: 65_143,
-    global_load_miss_requests: 25_750,
-    global_store_requests: 0,
-    gst_transactions: 0,
-    global_atomic_requests: 120,
-    dram_atomic_sectors: 120,
-    global_atomic_collisions: 0,
-    shared_load_requests: 0,
-    shared_store_requests: 0,
-    shared_bank_conflicts: 0,
-    shared_atomic_requests: 0,
-    shared_atomic_collisions: 0,
-    compute_slots: 37_636,
-    issued_slots: 87_651,
-    active_thread_slots: 1_019_959,
-    race_checks: 0,
-    sanitizer_checks: 0,
-    lint_checks: 0,
-};
-
-#[test]
-fn coveredge_counters_on_fixed_rmat_are_pinned() {
-    let out = run_coveredge(&Device::v100());
-    // Same graph, same count as GroupTC's snapshot — different kernel.
-    assert_eq!(out.triangles, 24_199);
-    assert_eq!(out.stats.kernel_cycles, 109_310);
-    assert_eq!(out.stats.counters, GOLDEN);
-}
-
-#[test]
-fn coveredge_snapshot_is_unchanged_under_the_sanitizer() {
-    let out = run_coveredge(&Device::v100().with_sanitizer());
-    assert!(out.stats.counters.sanitizer_checks > 0);
-    let masked = ProfileCounters {
-        sanitizer_checks: 0,
-        lint_checks: 0,
-        ..out.stats.counters
-    };
-    assert_eq!(masked, GOLDEN);
-    assert_eq!(out.triangles, 24_199);
-    assert_eq!(out.stats.kernel_cycles, 109_310);
 }

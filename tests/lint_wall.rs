@@ -1,23 +1,11 @@
 //! SimLint's findings, pinned on the tier-1 path.
 //!
-//! The diagnostic wall (`LINT_sim.json`, written by `tc lint_sweep`) must
-//! be reproduced byte for byte, and every advisory rule — including the
-//! ones no registry kernel trips on the conformance corpus — must keep
-//! its exact `pc_hint` and detail text.
+//! `tests/pins.rs` reproduces the diagnostic wall (`LINT_sim.json`) byte
+//! for byte; this test pins every advisory rule — including the ones no
+//! registry kernel trips on the conformance corpus — to its exact
+//! `pc_hint` and detail text.
 
 use tc_compare::sim::{Device, DeviceMem, KernelConfig, LintRule};
-
-#[test]
-fn lint_sweep_reproduces_the_committed_wall() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/LINT_sim.json");
-    let committed =
-        std::fs::read_to_string(path).expect("LINT_sim.json is committed at the repo root");
-    let text = tc_bench::bench_json::render_lint("V100", &tc_bench::lint_wall());
-    for (i, (got, want)) in text.lines().zip(committed.lines()).enumerate() {
-        assert_eq!(got, want, "LINT_sim.json line {} differs", i + 1);
-    }
-    assert_eq!(text, committed, "LINT_sim.json differs in length");
-}
 
 /// One two-block launch whose six phases each trip one advisory rule:
 /// scattered loads, scattered stores, a global atomic hot spot, a shared

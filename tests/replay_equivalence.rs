@@ -7,12 +7,9 @@
 //! compute runs, per-worker `BlockScratch` arenas, small-array sector and
 //! bank passes) unchanged — that equivalence is exactly what this test
 //! locks. Any drift means the replay rules or the memory system changed;
-//! re-pin deliberately with:
-//!
-//! ```sh
-//! cargo run --release -p tc-bench -- pin_replay_snapshots \
-//!     > tests/replay_equivalence/pins.rs
-//! ```
+//! re-pin deliberately with `cargo run --release -p tc-bench -- pins`
+//! at the repo root, which rewrites every committed pin (`tests/pins.rs`
+//! checks that the pins file is exactly what it writes).
 
 use tc_compare::algos::TcOutput;
 use tc_compare::sim::{Device, ProfileCounters};
