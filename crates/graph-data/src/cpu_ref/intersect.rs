@@ -35,59 +35,90 @@ pub fn intersect_binsearch(a: &[VertexId], b: &[VertexId]) -> u64 {
         .count() as u64
 }
 
-/// Hash intersection with `buckets` chained buckets (the H-INDEX/TRUST
-/// primitive). The shorter list builds the table.
+/// A chained hash set of one strictly-ascending vertex list, the table
+/// of the H-INDEX/TRUST primitive.
 ///
-/// The table is flat: a counting sort of the build side into one array of
+/// The table is flat: a counting sort of the list into one array of
 /// bucket starts and one array of slots, where bucket `k` is
-/// `slots[starts[k]..starts[k + 1]]`. It lives in a per-thread scratch
-/// that every call reuses and never shrinks, so once the scratch has grown
-/// to a thread's largest lists a call allocates nothing. The bucket count
-/// is rounded up to a power of two (every caller's already is: 32, 256 or
-/// 1024), so a mask picks the bucket; the count does not depend on the
-/// hash. Buckets and the chain scan per probe are those of the GPU
-/// kernels, minus their shared-memory layout.
-pub fn intersect_hash(a: &[VertexId], b: &[VertexId], buckets: usize) -> u64 {
-    let (build, probe) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let buckets = buckets.max(1).next_power_of_two();
-    let mask = buckets - 1;
-    HASH_TABLE.with(|table| {
-        let (starts, slots) = &mut *table.borrow_mut();
+/// `slots[starts[k]..starts[k + 1]]`. A rebuild reuses both arrays and
+/// never shrinks them, so once they have grown to the longest list and
+/// the widest table a build allocates nothing. The bucket count is
+/// rounded up to a power of two (every caller's already is: 32, 256 or
+/// 1024), so a mask picks the bucket; no count depends on the hash.
+/// Buckets and the chain scan per probe are those of the GPU kernels,
+/// minus their shared-memory layout.
+#[derive(Debug, Default)]
+pub struct HashTable {
+    starts: Vec<u32>,
+    slots: Vec<VertexId>,
+    mask: usize,
+}
+
+impl HashTable {
+    /// An empty table, holding no list until the first [`build`](Self::build).
+    pub const fn new() -> Self {
+        HashTable {
+            starts: Vec::new(),
+            slots: Vec::new(),
+            mask: 0,
+        }
+    }
+
+    /// Replace the table's contents with `list`, hashed into `buckets`
+    /// buckets.
+    pub fn build(&mut self, list: &[VertexId], buckets: usize) {
+        let buckets = buckets.max(1).next_power_of_two();
+        self.mask = buckets - 1;
+        let starts = &mut self.starts;
         // Count each bucket's size, prefix-sum the counts into bucket
         // ends, then place every element by decrementing its bucket's
         // end: once all are placed, each end has become its start.
         starts.clear();
         starts.resize(buckets + 1, 0);
-        for &x in build {
-            starts[x as usize & mask] += 1;
+        for &x in list {
+            starts[x as usize & self.mask] += 1;
         }
         let mut end = 0;
         for s in starts.iter_mut() {
             end += *s;
             *s = end;
         }
-        if slots.len() < build.len() {
-            slots.resize(build.len(), 0);
+        if self.slots.len() < list.len() {
+            self.slots.resize(list.len(), 0);
         }
-        for &x in build {
-            let s = &mut starts[x as usize & mask];
+        for &x in list {
+            let s = &mut starts[x as usize & self.mask];
             *s -= 1;
-            slots[*s as usize] = x;
+            self.slots[*s as usize] = x;
         }
-        probe
-            .iter()
-            .filter(|&&x| {
-                let k = x as usize & mask;
-                slots[starts[k] as usize..starts[k + 1] as usize].contains(&x)
-            })
-            .count() as u64
+    }
+
+    /// Whether the last built list holds `x`. Panics before the first
+    /// [`build`](Self::build).
+    #[inline]
+    pub fn contains(&self, x: VertexId) -> bool {
+        let k = x as usize & self.mask;
+        self.slots[self.starts[k] as usize..self.starts[k + 1] as usize].contains(&x)
+    }
+}
+
+/// Hash intersection with `buckets` chained buckets (the H-INDEX and
+/// GroupTC-H primitive): the shorter list builds a [`HashTable`] and the
+/// longer one probes it. The table lives in a per-thread scratch that every call
+/// reuses, so once it has grown to a thread's largest lists a call
+/// allocates nothing.
+pub fn intersect_hash(a: &[VertexId], b: &[VertexId], buckets: usize) -> u64 {
+    let (build, probe) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    HASH_TABLE.with(|table| {
+        let table = &mut *table.borrow_mut();
+        table.build(build, buckets);
+        probe.iter().filter(|&&x| table.contains(x)).count() as u64
     })
 }
 
 thread_local! {
-    /// `intersect_hash`'s bucket starts and slots.
-    static HASH_TABLE: RefCell<(Vec<u32>, Vec<VertexId>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// `intersect_hash`'s table.
+    static HASH_TABLE: RefCell<HashTable> = const { RefCell::new(HashTable::new()) };
 }
 
 /// Bitmap intersection (the Bisson primitive): mark one list in a bitmap
@@ -163,6 +194,16 @@ mod tests {
                     "buckets {buckets}, len {len}, seed {seed}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn hash_table_rebuild_forgets_the_previous_list() {
+        let mut table = HashTable::new();
+        table.build(&ascending(500, 3), 1024);
+        table.build(A, 32);
+        for x in 0..2000 {
+            assert_eq!(table.contains(x), A.contains(&x), "{x}");
         }
     }
 

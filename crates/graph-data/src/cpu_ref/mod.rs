@@ -7,5 +7,7 @@ mod intersect;
 mod itc;
 
 pub use baselines::{matmul_count, node_iterator, subgraph_match};
-pub use intersect::{intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge};
+pub use intersect::{
+    intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge, HashTable,
+};
 pub use itc::{forward_merge, forward_merge_parallel, forward_parallel, per_edge_supports};

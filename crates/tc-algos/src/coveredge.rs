@@ -22,6 +22,12 @@
 //! count is identical under every [`Orientation`]. The level/cover
 //! construction is host work (like Fox's workload binning); the timed
 //! kernel is one coarse thread per cover edge doing a two-pointer merge.
+//!
+//! The prepass ([`cover_plan`]) is linear, like Bader's: it reads the
+//! oriented CSR in place, builds the undirected CSR in one counting pass
+//! (every DAG edge points up, so in-list then out-list is already
+//! sorted), runs one BFS and emits the cover list in CSR order. The
+//! per-edge merges, not the prepass, dominate the native twin's time.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
 use graph_data::{DagGraph, Orientation};
@@ -47,31 +53,45 @@ pub struct CoverPlan {
     pub cover_dst: Vec<u32>,
 }
 
-/// Build the cover plan from one direction of each undirected edge
-/// (duplicate-free, no self-loops — the cleaned-graph invariants).
-pub fn cover_plan(num_vertices: u32, src: &[u32], dst: &[u32]) -> CoverPlan {
-    let nv = num_vertices as usize;
+/// Build the cover plan from the oriented CSR (`offsets`, `targets`):
+/// sorted out-lists whose every edge goes from a smaller id to a larger
+/// one, duplicate-free and loop-free — the [`DagGraph`] invariants under
+/// every [`Orientation`].
+///
+/// Vertex `x`'s undirected list is then its in-list (all `< x`) followed
+/// by its out-list (all `> x`). The in-lists come out of one counting
+/// pass over the edges, each filled from its end in descending source
+/// order, so every list is sorted without a sort and without a copy of
+/// the edge list. The cover list comes out in CSR order, each edge
+/// already normalized (`src < dst`).
+pub fn cover_plan(offsets: &[u32], targets: &[u32]) -> CoverPlan {
+    let nv = offsets.len().saturating_sub(1);
+    let out_list = |u: usize| &targets[offsets[u] as usize..offsets[u + 1] as usize];
 
-    // Symmetrize into a sorted undirected CSR.
-    let mut deg = vec![0u32; nv];
-    for (&u, &v) in src.iter().zip(dst) {
-        deg[u as usize] += 1;
-        deg[v as usize] += 1;
-    }
+    // Count in-degrees, then lay the lists out: copy each out-list to the
+    // end of its vertex's range and leave `und_offsets[x]` at the end of
+    // the in-list, the cursor of the pass below.
     let mut und_offsets = vec![0u32; nv + 1];
-    for i in 0..nv {
-        und_offsets[i + 1] = und_offsets[i] + deg[i];
+    for &v in targets {
+        und_offsets[v as usize] += 1;
     }
-    let mut und_targets = vec![0u32; 2 * src.len()];
-    let mut cursor = und_offsets[..nv].to_vec();
-    for (&u, &v) in src.iter().zip(dst) {
-        und_targets[cursor[u as usize] as usize] = v;
-        cursor[u as usize] += 1;
-        und_targets[cursor[v as usize] as usize] = u;
-        cursor[v as usize] += 1;
+    let mut und_targets = vec![0u32; 2 * targets.len()];
+    let mut end = 0;
+    for x in 0..nv {
+        let out = out_list(x);
+        end += und_offsets[x] + out.len() as u32;
+        und_offsets[x] = end - out.len() as u32;
+        und_targets[und_offsets[x] as usize..end as usize].copy_from_slice(out);
     }
-    for i in 0..nv {
-        und_targets[und_offsets[i] as usize..und_offsets[i + 1] as usize].sort_unstable();
+    und_offsets[nv] = end;
+    // In-lists, back to front: each cursor ends at its list's start.
+    for u in (0..nv).rev() {
+        for &v in out_list(u) {
+            debug_assert!(u < v as usize, "oriented edge ({u},{v}) points down");
+            let cursor = &mut und_offsets[v as usize];
+            *cursor -= 1;
+            und_targets[*cursor as usize] = u as u32;
+        }
     }
 
     // BFS levels, one tree per component (roots in id order).
@@ -99,13 +119,15 @@ pub fn cover_plan(num_vertices: u32, src: &[u32], dst: &[u32]) -> CoverPlan {
         }
     }
 
-    // Cover set: the horizontal edges, endpoints normalized.
+    // Cover set: the horizontal edges, in CSR order.
     let mut cover_src = Vec::new();
     let mut cover_dst = Vec::new();
-    for (&u, &v) in src.iter().zip(dst) {
-        if levels[u as usize] == levels[v as usize] {
-            cover_src.push(u.min(v));
-            cover_dst.push(u.max(v));
+    for u in 0..nv {
+        for &v in out_list(u) {
+            if levels[u] == levels[v as usize] {
+                cover_src.push(u as u32);
+                cover_dst.push(v);
+            }
         }
     }
 
@@ -172,7 +194,7 @@ impl TcAlgorithm for CoverEdge {
     ) -> Result<TcOutput, SimError> {
         // Host prepass, from the planning mirrors (CPU work — real
         // implementations run the linear BFS before the timed kernel).
-        let mut plan = cover_plan(g.num_vertices, &g.host_src, &g.host_dst);
+        let mut plan = cover_plan(&g.host_offsets, &g.host_dst);
         let n_cover = plan.cover_src.len() as u32;
         if plan.cover_src.is_empty() {
             // Keep the launch non-empty on cover-free graphs (paths,
@@ -264,11 +286,12 @@ impl TcAlgorithm for CoverEdge {
         Ok(TcOutput { triangles, stats })
     }
 
-    /// Host kernel: the same BFS/cover prepass, then one rayon task per
-    /// cover edge merging the undirected lists.
+    /// Host kernel: the same BFS/cover prepass, read straight from the
+    /// DAG's CSR, then one rayon item per cover edge merging the
+    /// undirected lists.
     fn count_cpu(&self, dag: &DagGraph) -> u64 {
-        let (src, dst) = dag.edge_arrays();
-        let plan = cover_plan(dag.num_vertices(), &src, &dst);
+        let csr = dag.csr();
+        let plan = cover_plan(csr.offsets(), csr.targets());
         (0..plan.cover_src.len() as u32)
             .into_par_iter()
             .map(|e| {
@@ -288,13 +311,119 @@ mod tests {
     use crate::testutil;
     use graph_data::{clean_edges, cpu_ref, orient, EdgeList};
 
+    /// The prepass as first written: symmetrize one direction of each
+    /// undirected edge with a degree count and a cursor per vertex, sort
+    /// every list, BFS, then normalize each horizontal edge. It is the
+    /// oracle for the CSR-built [`cover_plan`].
+    fn symmetrize_and_sort(num_vertices: u32, src: &[u32], dst: &[u32]) -> CoverPlan {
+        let nv = num_vertices as usize;
+        let mut deg = vec![0u32; nv];
+        for (&u, &v) in src.iter().zip(dst) {
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+        }
+        let mut und_offsets = vec![0u32; nv + 1];
+        for i in 0..nv {
+            und_offsets[i + 1] = und_offsets[i] + deg[i];
+        }
+        let mut und_targets = vec![0u32; 2 * src.len()];
+        let mut cursor = und_offsets[..nv].to_vec();
+        for (&u, &v) in src.iter().zip(dst) {
+            und_targets[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            und_targets[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+        for i in 0..nv {
+            und_targets[und_offsets[i] as usize..und_offsets[i + 1] as usize].sort_unstable();
+        }
+        let mut levels = vec![u32::MAX; nv];
+        let mut queue = Vec::new();
+        for root in 0..nv {
+            if levels[root] != u32::MAX {
+                continue;
+            }
+            levels[root] = 0;
+            queue.clear();
+            queue.push(root as u32);
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head] as usize;
+                head += 1;
+                for &w in &und_targets[und_offsets[u] as usize..und_offsets[u + 1] as usize] {
+                    if levels[w as usize] == u32::MAX {
+                        levels[w as usize] = levels[u] + 1;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+        let mut cover_src = Vec::new();
+        let mut cover_dst = Vec::new();
+        for (&u, &v) in src.iter().zip(dst) {
+            if levels[u as usize] == levels[v as usize] {
+                cover_src.push(u.min(v));
+                cover_dst.push(u.max(v));
+            }
+        }
+        CoverPlan {
+            und_offsets,
+            und_targets,
+            levels,
+            cover_src,
+            cover_dst,
+        }
+    }
+
+    fn plan_of(dag: &DagGraph) -> CoverPlan {
+        cover_plan(dag.csr().offsets(), dag.csr().targets())
+    }
+
+    #[test]
+    fn csr_built_plan_equals_the_symmetrize_and_sort_oracle() {
+        let mut cases = vec![
+            ("empty", EdgeList::new(vec![])),
+            ("one edge", EdgeList::new(vec![(0, 1)])),
+        ];
+        cases.extend(generator_cases());
+        for (label, edges) in cases {
+            let (g, _) = clean_edges(&edges);
+            for o in [
+                Orientation::ById,
+                Orientation::DegreeAsc,
+                Orientation::DegreeDesc,
+            ] {
+                let dag = orient(&g, o);
+                let (src, dst) = dag.edge_arrays();
+                let want = symmetrize_and_sort(dag.num_vertices(), &src, &dst);
+                let got = plan_of(&dag);
+                assert_eq!(got.und_offsets, want.und_offsets, "{label} {o:?}");
+                assert_eq!(got.und_targets, want.und_targets, "{label} {o:?}");
+                assert_eq!(got.levels, want.levels, "{label} {o:?}");
+                assert_eq!(got.cover_src, want.cover_src, "{label} {o:?}");
+                assert_eq!(got.cover_dst, want.cover_dst, "{label} {o:?}");
+            }
+        }
+    }
+
+    fn generator_cases() -> [(&'static str, EdgeList); 3] {
+        [
+            (
+                "rmat",
+                graph_data::gen::rmat(8, 2500, 0.57, 0.19, 0.19, 0.05, 41),
+            ),
+            ("er", graph_data::gen::erdos_renyi(150, 900, 42)),
+            ("ws", graph_data::gen::watts_strogatz(180, 6, 0.1, 43)),
+        ]
+    }
+
     #[test]
     fn bfs_levels_differ_by_at_most_one_across_edges() {
         let edges = graph_data::gen::rmat(7, 600, 0.45, 0.22, 0.22, 0.11, 5);
         let (g, _) = clean_edges(&edges);
         let dag = orient(&g, Orientation::ById);
         let (src, dst) = dag.edge_arrays();
-        let plan = cover_plan(dag.num_vertices(), &src, &dst);
+        let plan = plan_of(&dag);
         for (&u, &v) in src.iter().zip(&dst) {
             let (lu, lv) = (plan.levels[u as usize], plan.levels[v as usize]);
             assert!(lu.abs_diff(lv) <= 1, "edge ({u},{v}): levels {lu},{lv}");
@@ -306,7 +435,7 @@ mod tests {
         let (g, _) = clean_edges(&testutil::figure1_edges());
         let dag = orient(&g, Orientation::ById);
         let (src, dst) = dag.edge_arrays();
-        let plan = cover_plan(dag.num_vertices(), &src, &dst);
+        let plan = plan_of(&dag);
         let horizontal = src
             .iter()
             .zip(&dst)
@@ -358,14 +487,7 @@ mod tests {
 
     #[test]
     fn cpu_kernel_matches_oracle_on_generators() {
-        for (label, edges) in [
-            (
-                "rmat",
-                graph_data::gen::rmat(8, 2500, 0.57, 0.19, 0.19, 0.05, 41),
-            ),
-            ("er", graph_data::gen::erdos_renyi(150, 900, 42)),
-            ("ws", graph_data::gen::watts_strogatz(180, 6, 0.1, 43)),
-        ] {
+        for (label, edges) in generator_cases() {
             let (g, _) = clean_edges(&edges);
             let expected = cpu_ref::node_iterator(&g);
             let dag = orient(&g, Orientation::ById);

@@ -65,7 +65,7 @@ proptest! {
         let (g, _) = clean_edges(&edges);
         let dag = orient(&g, Orientation::ById);
         let (src, dst) = dag.edge_arrays();
-        let plan = cover_plan(dag.num_vertices(), &src, &dst);
+        let plan = cover_plan(dag.csr().offsets(), dag.csr().targets());
         // Levels differ by at most one across every edge (BFS property
         // on the symmetrized graph), so every triangle has a horizontal
         // edge and the cover set really covers.

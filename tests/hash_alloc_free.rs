@@ -1,7 +1,8 @@
-//! The hash primitive allocates nothing per call: the H-INDEX, TRUST and
-//! GroupTC-H host twins call `intersect_hash` once per DAG edge, so a
-//! per-call table allocation is paid hundreds of thousands of times per
-//! count. A counting global allocator checks it on the calling thread.
+//! The hash primitive allocates nothing per call: the H-INDEX and
+//! GroupTC-H host twins call `intersect_hash` once per DAG edge, and
+//! TRUST's rebuilds one `HashTable` per vertex, so a per-call table
+//! allocation is paid hundreds of thousands of times per count. A
+//! counting global allocator checks it on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,5 +68,25 @@ fn intersect_hash_allocates_nothing_after_warm_up() {
         allocations() - before,
         0,
         "intersect_hash allocated after its warm-up call"
+    );
+}
+
+#[test]
+fn hash_table_rebuild_allocates_nothing_after_warm_up() {
+    let a: Vec<u32> = (0..600).map(|x| x * 3).collect();
+    let mut table = cpu_ref::HashTable::new();
+    // One warm-up build at the widest table and the longest list.
+    table.build(&a, 1024);
+
+    let before = allocations();
+    for i in 0..1000 {
+        let len = 1 + i % a.len();
+        table.build(&a[..len], [32, 256, 1024][i % 3]);
+        assert!(table.contains(a[len - 1]) && !table.contains(1));
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "HashTable::build allocated after its warm-up build"
     );
 }
