@@ -98,9 +98,13 @@ pub trait TcAlgorithm: Sync {
     /// Count the triangles of the same oriented DAG natively on the
     /// host: a rayon-parallel CPU kernel mirroring the implementation's
     /// iterator/intersection strategy, usually as the intersection it
-    /// passes to [`graph_data::cpu_ref::forward_parallel`]. This is the
-    /// `Backend::Cpu` execution path — it models nothing (no cycles, no
-    /// counters), it just produces the exact count at wall-clock speed.
+    /// passes to [`graph_data::cpu_ref::forward_parallel`]. A twin may
+    /// swap the primitive it intersects with: Fox's twin routes each
+    /// edge to its own primitive, and CoverEdge's keeps its cover-edge
+    /// iterator and dedup rule but probes a per-vertex bitmap instead
+    /// of merging. This is the `Backend::Cpu` execution path — it
+    /// models nothing (no cycles, no counters), it just produces the
+    /// exact count at wall-clock speed.
     ///
     /// The default is the parallel Forward merge reference. Polak (the
     /// CPU Forward algorithm it ports) and Green (whose merge-path

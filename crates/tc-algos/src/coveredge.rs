@@ -26,8 +26,13 @@
 //! The prepass ([`cover_plan`]) is linear, like Bader's: it reads the
 //! oriented CSR in place, builds the undirected CSR in one counting pass
 //! (every DAG edge points up, so in-list then out-list is already
-//! sorted), runs one BFS and emits the cover list in CSR order. The
-//! per-edge merges, not the prepass, dominate the native twin's time.
+//! sorted), runs one BFS and emits the cover list in CSR order.
+//!
+//! The native twin keeps the cover edges and the dedup rule but not the
+//! merge. On power-law graphs a hub owns many cover edges, so merging
+//! once per cover edge re-reads the hub's list each time. The twin
+//! instead marks each vertex's list in a bitmap once and probes the
+//! lists of the cover edges that vertex owns, as Bisson's twin does.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
 use graph_data::{DagGraph, Orientation};
@@ -75,6 +80,12 @@ pub fn cover_plan(offsets: &[u32], targets: &[u32]) -> CoverPlan {
     for &v in targets {
         und_offsets[v as usize] += 1;
     }
+    assert!(
+        targets.len() <= (u32::MAX / 2) as usize,
+        "cover_plan: {} DAG edges need {} undirected entries, past the u32 offsets",
+        targets.len(),
+        2 * targets.len() as u64
+    );
     let mut und_targets = vec![0u32; 2 * targets.len()];
     let mut end = 0;
     for x in 0..nv {
@@ -138,34 +149,6 @@ pub fn cover_plan(offsets: &[u32], targets: &[u32]) -> CoverPlan {
         cover_src,
         cover_dst,
     }
-}
-
-/// Count the triangles a single cover edge `(u, v)` owns: common
-/// neighbours `w` in the sorted undirected lists, filtered by the
-/// lexicographic dedup rule.
-fn count_cover_edge(plan: &CoverPlan, u: u32, v: u32) -> u64 {
-    let a = &plan.und_targets
-        [plan.und_offsets[u as usize] as usize..plan.und_offsets[u as usize + 1] as usize];
-    let b = &plan.und_targets
-        [plan.und_offsets[v as usize] as usize..plan.und_offsets[v as usize + 1] as usize];
-    let lu = plan.levels[u as usize];
-    let (mut i, mut j) = (0, 0);
-    let mut count = 0u64;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                let w = a[i];
-                if plan.levels[w as usize] != lu || w > v {
-                    count += 1;
-                }
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    count
 }
 
 impl TcAlgorithm for CoverEdge {
@@ -287,20 +270,58 @@ impl TcAlgorithm for CoverEdge {
     }
 
     /// Host kernel: the same BFS/cover prepass, read straight from the
-    /// DAG's CSR, then one rayon item per cover edge merging the
-    /// undirected lists.
+    /// DAG's CSR, then one rayon task per vertex with Bisson's
+    /// build/probe/clear bitmap cycle. Vertex `x` owns each cover edge
+    /// `(x, y)` whose other end ranks below it by `(undirected degree,
+    /// id)`. It marks its own undirected list once, probes the list of
+    /// every `y` it owns against the bitmap, applies the kernel's dedup
+    /// rule with `v = max(x, y)` and clears the bits again. So a hub's
+    /// list is marked once instead of merged once per cover edge.
     fn count_cpu(&self, dag: &DagGraph) -> u64 {
         let csr = dag.csr();
         let plan = cover_plan(csr.offsets(), csr.targets());
-        (0..plan.cover_src.len() as u32)
+        let und = |x: usize| {
+            &plan.und_targets[plan.und_offsets[x] as usize..plan.und_offsets[x + 1] as usize]
+        };
+        let rank = |x: usize| (und(x).len(), x);
+        let words = plan.levels.len().div_ceil(32).max(1);
+        (0..plan.levels.len() as u32)
             .into_par_iter()
-            .map(|e| {
-                count_cover_edge(
-                    &plan,
-                    plan.cover_src[e as usize],
-                    plan.cover_dst[e as usize],
-                )
-            })
+            .map_init(
+                || vec![0u32; words],
+                |bits, x| {
+                    let x = x as usize;
+                    let (nx, lx) = (und(x), plan.levels[x]);
+                    let mut marked = false;
+                    let mut local = 0u64;
+                    for &y in nx {
+                        let y = y as usize;
+                        if plan.levels[y] != lx || rank(y) >= rank(x) {
+                            continue;
+                        }
+                        if !marked {
+                            for &w in nx {
+                                bits[w as usize / 32] |= 1 << (w % 32);
+                            }
+                            marked = true;
+                        }
+                        let v = x.max(y) as u32;
+                        for &w in und(y) {
+                            if bits[w as usize / 32] >> (w % 32) & 1 == 1
+                                && (plan.levels[w as usize] != lx || w > v)
+                            {
+                                local += 1;
+                            }
+                        }
+                    }
+                    if marked {
+                        for &w in nx {
+                            bits[w as usize / 32] &= !(1 << (w % 32));
+                        }
+                    }
+                    local
+                },
+            )
             .sum()
     }
 }
@@ -375,6 +396,35 @@ mod tests {
         }
     }
 
+    /// The sim kernel's per-cover-edge two-pointer merge in host form:
+    /// the common neighbours `w` of the normalized cover edge `(u, v)`
+    /// in the sorted undirected lists, filtered by the dedup rule. It is
+    /// the oracle for the bitmap twin.
+    fn count_cover_edge(plan: &CoverPlan, u: u32, v: u32) -> u64 {
+        let a = &plan.und_targets
+            [plan.und_offsets[u as usize] as usize..plan.und_offsets[u as usize + 1] as usize];
+        let b = &plan.und_targets
+            [plan.und_offsets[v as usize] as usize..plan.und_offsets[v as usize + 1] as usize];
+        let lu = plan.levels[u as usize];
+        let (mut i, mut j) = (0, 0);
+        let mut count = 0u64;
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Equal => {
+                    let w = a[i];
+                    if plan.levels[w as usize] != lu || w > v {
+                        count += 1;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+            }
+        }
+        count
+    }
+
     fn plan_of(dag: &DagGraph) -> CoverPlan {
         cover_plan(dag.csr().offsets(), dag.csr().targets())
     }
@@ -415,6 +465,39 @@ mod tests {
             ("er", graph_data::gen::erdos_renyi(150, 900, 42)),
             ("ws", graph_data::gen::watts_strogatz(180, 6, 0.1, 43)),
         ]
+    }
+
+    #[test]
+    fn twin_equals_the_per_cover_edge_merge() {
+        let mut cases = generator_cases().to_vec();
+        cases.push((
+            "hub-heavy rmat",
+            graph_data::gen::rmat(10, 8000, 0.57, 0.19, 0.19, 0.05, 42),
+        ));
+        for (label, edges) in cases {
+            let (g, _) = clean_edges(&edges);
+            let expected = cpu_ref::node_iterator(&g);
+            for o in [
+                Orientation::ById,
+                Orientation::DegreeAsc,
+                Orientation::DegreeDesc,
+            ] {
+                let dag = orient(&g, o);
+                let plan = plan_of(&dag);
+                let merged: u64 = plan
+                    .cover_src
+                    .iter()
+                    .zip(&plan.cover_dst)
+                    .map(|(&u, &v)| count_cover_edge(&plan, u, v))
+                    .sum();
+                assert_eq!(merged, expected, "{label} {o:?}: merge vs node iterator");
+                assert_eq!(
+                    CoverEdge.count_cpu(&dag),
+                    merged,
+                    "{label} {o:?}: twin vs merge"
+                );
+            }
+        }
     }
 
     #[test]
@@ -483,15 +566,5 @@ mod tests {
         let out = CoverEdge.run(&Device::v100(), &dag).unwrap();
         assert_eq!(out.triangles, 0);
         assert!(out.stats.kernel_cycles > 0);
-    }
-
-    #[test]
-    fn cpu_kernel_matches_oracle_on_generators() {
-        for (label, edges) in generator_cases() {
-            let (g, _) = clean_edges(&edges);
-            let expected = cpu_ref::node_iterator(&g);
-            let dag = orient(&g, Orientation::ById);
-            assert_eq!(CoverEdge.count_cpu(&dag), expected, "{label}");
-        }
     }
 }

@@ -24,7 +24,8 @@
 //! (`count`) and a native rayon host kernel (`count_cpu`, one
 //! [`graph_data::cpu_ref::forward_parallel`] instance per strategy,
 //! except Bisson's bitmap, TRUST's per-vertex table and CoverEdge's
-//! cover pass; Polak and Green
+//! cover pass, which probes a per-vertex bitmap instead of merging;
+//! Polak and Green
 //! keep the trait's default merge) that the
 //! framework's `CpuBackend` and the differential CPU ≡ sim conformance
 //! wall execute. [`all_algorithms`] returns the first ten rows in
