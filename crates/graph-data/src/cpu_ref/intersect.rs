@@ -36,15 +36,17 @@ pub fn intersect_binsearch(a: &[VertexId], b: &[VertexId]) -> u64 {
 }
 
 /// A chained hash set of one strictly-ascending vertex list, the table
-/// of the H-INDEX/TRUST primitive.
+/// of the hash primitive that the H-INDEX, TRUST and GroupTC-H kernels
+/// use. Of the host twins only GroupTC-H's hashes, through
+/// [`intersect_hash`]; the others mark a [`Bitmap`].
 ///
 /// The table is flat: a counting sort of the list into one array of
 /// bucket starts and one array of slots, where bucket `k` is
 /// `slots[starts[k]..starts[k + 1]]`. A rebuild reuses both arrays and
 /// never shrinks them, so once they have grown to the longest list and
 /// the widest table a build allocates nothing. The bucket count is
-/// rounded up to a power of two (every caller's already is: 32, 256 or
-/// 1024), so a mask picks the bucket; no count depends on the hash.
+/// rounded up to a power of two (GroupTC-H's 256 already is), so a
+/// mask picks the bucket; no count depends on the hash.
 /// Buckets and the chain scan per probe are those of the GPU kernels,
 /// minus their shared-memory layout.
 #[derive(Debug, Default)]
@@ -103,10 +105,10 @@ impl HashTable {
 }
 
 /// Hash intersection with `buckets` chained buckets (the H-INDEX and
-/// GroupTC-H primitive): the shorter list builds a [`HashTable`] and the
-/// longer one probes it. The table lives in a per-thread scratch that every call
-/// reuses, so once it has grown to a thread's largest lists a call
-/// allocates nothing.
+/// GroupTC-H kernels' primitive, and the GroupTC-H host twin's): the
+/// shorter list builds a [`HashTable`] and the longer one probes it. The
+/// table lives in a per-thread scratch that every call reuses, so once
+/// it has grown to a thread's largest lists a call allocates nothing.
 pub fn intersect_hash(a: &[VertexId], b: &[VertexId], buckets: usize) -> u64 {
     let (build, probe) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     HASH_TABLE.with(|table| {
@@ -121,17 +123,56 @@ thread_local! {
     static HASH_TABLE: RefCell<HashTable> = const { RefCell::new(HashTable::new()) };
 }
 
+/// A bitmap over the vertex-ID space, one bit per id: the table of the
+/// Bisson primitive and the scratch of the bitmap host twins.
+///
+/// A caller keeps one per worker, marks a list, tests ids against it and
+/// unmarks the same list, which clears only the words that list touched.
+/// So a mark/unmark cycle costs the list's length, not the id space, and
+/// the bitmap is all zeros again between cycles.
+#[derive(Debug)]
+pub struct Bitmap {
+    words: Vec<u32>,
+}
+
+impl Bitmap {
+    /// An all-zero bitmap for the ids `0..id_space`.
+    pub fn new(id_space: u32) -> Self {
+        Bitmap {
+            words: vec![0; (id_space as usize).div_ceil(32)],
+        }
+    }
+
+    /// Set the bit of every id in `list`.
+    #[inline]
+    pub fn mark(&mut self, list: &[VertexId]) {
+        for &x in list {
+            self.words[x as usize / 32] |= 1 << (x % 32);
+        }
+    }
+
+    /// Whether `x`'s bit is set.
+    #[inline]
+    pub fn contains(&self, x: VertexId) -> bool {
+        self.words[x as usize / 32] >> (x % 32) & 1 == 1
+    }
+
+    /// Clear the bit of every id in `list`. Unmarking the list last
+    /// marked leaves the bitmap all zeros.
+    #[inline]
+    pub fn unmark(&mut self, list: &[VertexId]) {
+        for &x in list {
+            self.words[x as usize / 32] &= !(1 << (x % 32));
+        }
+    }
+}
+
 /// Bitmap intersection (the Bisson primitive): mark one list in a bitmap
 /// spanning the vertex-ID space, then test the other.
 pub fn intersect_bitmap(a: &[VertexId], b: &[VertexId], id_space: u32) -> u64 {
-    let words = (id_space as usize).div_ceil(32);
-    let mut bits = vec![0u32; words];
-    for &x in a {
-        bits[x as usize / 32] |= 1 << (x % 32);
-    }
-    b.iter()
-        .filter(|&&x| bits[x as usize / 32] >> (x % 32) & 1 == 1)
-        .count() as u64
+    let mut bits = Bitmap::new(id_space);
+    bits.mark(a);
+    b.iter().filter(|&&x| bits.contains(x)).count() as u64
 }
 
 #[cfg(test)]
@@ -205,6 +246,24 @@ mod tests {
         for x in 0..2000 {
             assert_eq!(table.contains(x), A.contains(&x), "{x}");
         }
+    }
+
+    #[test]
+    fn bitmap_unmark_forgets_the_previous_list() {
+        // The long list spans many words; the short one straddles the
+        // boundary between words 0 and 1 and ends in the last word.
+        let long = ascending(500, 3);
+        let short: &[u32] = &[0, 30, 31, 32, 33, 63, 64, 1999];
+        let mut bits = Bitmap::new(2000);
+        bits.mark(&long);
+        assert!(long.iter().all(|&x| bits.contains(x)));
+        bits.unmark(&long);
+        bits.mark(short);
+        for x in 0..2000 {
+            assert_eq!(bits.contains(x), short.contains(&x), "{x}");
+        }
+        bits.unmark(short);
+        assert!(bits.words.iter().all(|&w| w == 0));
     }
 
     /// Not a correctness test: host cost of one hash probe at the two ends

@@ -3,7 +3,7 @@
 
 use rayon::prelude::*;
 
-use super::intersect::intersect_merge;
+use super::intersect::{intersect_merge, Bitmap};
 use crate::orient::DagGraph;
 use crate::types::VertexId;
 
@@ -19,8 +19,10 @@ pub fn forward_merge(g: &DagGraph) -> u64 {
 /// Rayon-parallel Forward with a caller-chosen intersection: one task
 /// per vertex `u`, summing `intersect(N⁺(u), N⁺(v))` over its out-edges
 /// `(u,v)`. The out-list of `u` is always the first argument. The
-/// native host kernels (`TcAlgorithm::count_cpu` in `tc-algos`) share
-/// this loop and differ only in the `intersect` they pass.
+/// merge, binary-search and GroupTC-H host twins
+/// (`TcAlgorithm::count_cpu` in `tc-algos`) run this loop with their own
+/// `intersect`; the H-INDEX, TRUST and Bisson twins run
+/// [`forward_bitmap_parallel`] instead.
 pub fn forward_parallel(
     g: &DagGraph,
     intersect: impl Fn(&[VertexId], &[VertexId]) -> u64 + Sync,
@@ -40,6 +42,36 @@ pub fn forward_parallel(
 /// Rayon-parallel Forward with the merge primitive.
 pub fn forward_merge_parallel(g: &DagGraph) -> u64 {
     forward_parallel(g, intersect_merge)
+}
+
+/// Rayon-parallel Forward with Bisson's build/probe/clear bitmap cycle:
+/// one task per vertex `u`, each worker owning one [`Bitmap`] over the
+/// vertex-ID space. A task marks `N⁺(u)` once, counts the marked members
+/// of every `N⁺(v)`, `v ∈ N⁺(u)`, then unmarks `N⁺(u)`. Vertices of
+/// out-degree < 2 head no triangle and are skipped.
+pub fn forward_bitmap_parallel(g: &DagGraph) -> u64 {
+    let csr = g.csr();
+    (0..csr.num_vertices())
+        .into_par_iter()
+        .map_init(
+            || Bitmap::new(csr.num_vertices()),
+            |bits, u| {
+                let a = csr.neighbors(u);
+                if a.len() < 2 {
+                    return 0;
+                }
+                bits.mark(a);
+                let mut hits = 0u64;
+                for &v in a {
+                    for &w in csr.neighbors(v) {
+                        hits += u64::from(bits.contains(w));
+                    }
+                }
+                bits.unmark(a);
+                hits
+            },
+        )
+        .sum()
 }
 
 /// Per-DAG-edge triangle supports, in CSR edge order. Used by the k-truss
@@ -90,6 +122,7 @@ mod tests {
         let expected = forward_merge(&g);
         let n = g.num_vertices();
         assert_eq!(forward_merge_parallel(&g), expected);
+        assert_eq!(forward_bitmap_parallel(&g), expected);
         assert_eq!(forward_parallel(&g, intersect_binsearch), expected);
         assert_eq!(
             forward_parallel(&g, |a, b| intersect_hash(a, b, 32)),
@@ -128,6 +161,7 @@ mod tests {
         assert_eq!(forward_merge(&d), 0);
         let n = d.num_vertices();
         assert_eq!(forward_parallel(&d, |a, b| intersect_bitmap(a, b, n)), 0);
+        assert_eq!(forward_bitmap_parallel(&d), 0);
     }
 
     #[test]
@@ -143,5 +177,6 @@ mod tests {
         // C(5,3) = 10 triangles.
         assert_eq!(forward_merge(&d), 10);
         assert_eq!(forward_parallel(&d, |a, b| intersect_hash(a, b, 32)), 10);
+        assert_eq!(forward_bitmap_parallel(&d), 10);
     }
 }

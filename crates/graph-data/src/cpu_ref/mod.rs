@@ -8,6 +8,9 @@ mod itc;
 
 pub use baselines::{matmul_count, node_iterator, subgraph_match};
 pub use intersect::{
-    intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge, HashTable,
+    intersect_binsearch, intersect_bitmap, intersect_hash, intersect_merge, Bitmap, HashTable,
 };
-pub use itc::{forward_merge, forward_merge_parallel, forward_parallel, per_edge_supports};
+pub use itc::{
+    forward_bitmap_parallel, forward_merge, forward_merge_parallel, forward_parallel,
+    per_edge_supports,
+};

@@ -100,8 +100,11 @@ pub trait TcAlgorithm: Sync {
     /// iterator/intersection strategy, usually as the intersection it
     /// passes to [`graph_data::cpu_ref::forward_parallel`]. A twin may
     /// swap the primitive it intersects with: Fox's twin routes each
-    /// edge to its own primitive, and CoverEdge's keeps its cover-edge
-    /// iterator and dedup rule but probes a per-vertex bitmap instead
+    /// edge to its own primitive; H-INDEX's, TRUST's and Bisson's are
+    /// each [`graph_data::cpu_ref::forward_bitmap_parallel`], which
+    /// marks every vertex's out-list once in a per-worker
+    /// [`graph_data::cpu_ref::Bitmap`]; and CoverEdge's keeps its
+    /// cover-edge iterator and dedup rule but probes that bitmap instead
     /// of merging. This is the `Backend::Cpu` execution path — it
     /// models nothing (no cycles, no counters), it just produces the
     /// exact count at wall-clock speed.

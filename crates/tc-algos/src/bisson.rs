@@ -20,7 +20,7 @@
 //! bottom of Figure 11.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
-use rayon::prelude::*;
+use graph_data::cpu_ref;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -185,36 +185,14 @@ impl TcAlgorithm for Bisson {
         Ok(TcOutput { triangles, stats })
     }
 
-    /// Host kernel: each worker thread owns one bitmap spanning the
-    /// vertex-ID space, marks N⁺(u) once, probes every neighbour's
-    /// out-list against it, then clears only the set bits — the
-    /// build/probe/clear cycle of the GPU kernel, with rayon's
-    /// `map_init` standing in for the per-block bitmap arena slot.
+    /// Host kernel: [`cpu_ref::forward_bitmap_parallel`], the GPU
+    /// kernel's build/probe/clear cycle on the host. Each worker thread
+    /// owns one [`cpu_ref::Bitmap`] spanning the vertex-ID space (rayon's
+    /// `map_init` standing in for the per-block bitmap arena slot), marks
+    /// N⁺(u) once, probes every neighbour's out-list against it, then
+    /// clears only the words N⁺(u) touched.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        let csr = dag.csr();
-        let words = (csr.num_vertices() as usize).div_ceil(32).max(1);
-        (0..csr.num_vertices())
-            .into_par_iter()
-            .map_init(
-                || vec![0u32; words],
-                |bits, u| {
-                    let nbrs = csr.neighbors(u);
-                    for &x in nbrs {
-                        bits[x as usize / 32] |= 1 << (x % 32);
-                    }
-                    let mut local = 0u64;
-                    for &v in nbrs {
-                        for &w in csr.neighbors(v) {
-                            local += u64::from(bits[w as usize / 32] >> (w % 32) & 1);
-                        }
-                    }
-                    for &x in nbrs {
-                        bits[x as usize / 32] &= !(1 << (x % 32));
-                    }
-                    local
-                },
-            )
-            .sum()
+        cpu_ref::forward_bitmap_parallel(dag)
     }
 }
 

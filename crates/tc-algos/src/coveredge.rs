@@ -35,7 +35,7 @@
 //! lists of the cover edges that vertex owns, as Bisson's twin does.
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
-use graph_data::{DagGraph, Orientation};
+use graph_data::{cpu_ref::Bitmap, DagGraph, Orientation};
 use rayon::prelude::*;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
@@ -284,11 +284,11 @@ impl TcAlgorithm for CoverEdge {
             &plan.und_targets[plan.und_offsets[x] as usize..plan.und_offsets[x + 1] as usize]
         };
         let rank = |x: usize| (und(x).len(), x);
-        let words = plan.levels.len().div_ceil(32).max(1);
-        (0..plan.levels.len() as u32)
+        let id_space = plan.levels.len() as u32;
+        (0..id_space)
             .into_par_iter()
             .map_init(
-                || vec![0u32; words],
+                || Bitmap::new(id_space),
                 |bits, x| {
                     let x = x as usize;
                     let (nx, lx) = (und(x), plan.levels[x]);
@@ -300,24 +300,18 @@ impl TcAlgorithm for CoverEdge {
                             continue;
                         }
                         if !marked {
-                            for &w in nx {
-                                bits[w as usize / 32] |= 1 << (w % 32);
-                            }
+                            bits.mark(nx);
                             marked = true;
                         }
                         let v = x.max(y) as u32;
                         for &w in und(y) {
-                            if bits[w as usize / 32] >> (w % 32) & 1 == 1
-                                && (plan.levels[w as usize] != lx || w > v)
-                            {
+                            if bits.contains(w) && (plan.levels[w as usize] != lx || w > v) {
                                 local += 1;
                             }
                         }
                     }
                     if marked {
-                        for &w in nx {
-                            bits[w as usize / 32] &= !(1 << (w % 32));
-                        }
+                        bits.unmark(nx);
                     }
                     local
                 },

@@ -165,10 +165,14 @@ impl TcAlgorithm for HIndex {
         Ok(TcOutput { triangles, stats })
     }
 
-    /// Host kernel: 32-bucket chained hash per edge — the same bucket
-    /// count as the warp-mode shared-memory table.
+    /// Host kernel: [`cpu_ref::forward_bitmap_parallel`]. The kernel
+    /// hashes the shorter list of each edge into a 32-bucket table; the
+    /// host twin instead marks each vertex's out-list once in a
+    /// per-worker [`cpu_ref::Bitmap`] and tests every neighbour's
+    /// out-list against it, which counts the same triangles with a
+    /// bit test in place of a chained-hash probe.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        cpu_ref::forward_parallel(dag, |a, b| cpu_ref::intersect_hash(a, b, BUCKETS as usize))
+        cpu_ref::forward_bitmap_parallel(dag)
     }
 }
 

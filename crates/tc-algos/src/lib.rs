@@ -23,9 +23,10 @@
 //! Each implements [`TcAlgorithm`] — both the simulated kernel
 //! (`count`) and a native rayon host kernel (`count_cpu`, one
 //! [`graph_data::cpu_ref::forward_parallel`] instance per strategy,
-//! except Bisson's bitmap, TRUST's per-vertex table and CoverEdge's
-//! cover pass, which probes a per-vertex bitmap instead of merging;
-//! Polak and Green
+//! except H-INDEX, TRUST and Bisson, which each call
+//! [`graph_data::cpu_ref::forward_bitmap_parallel`], and CoverEdge's
+//! cover pass, which probes the same per-worker
+//! [`graph_data::cpu_ref::Bitmap`] instead of merging; Polak and Green
 //! keep the trait's default merge) that the
 //! framework's `CpuBackend` and the differential CPU ≡ sim conformance
 //! wall execute. [`all_algorithms`] returns the first ten rows in

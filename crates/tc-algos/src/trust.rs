@@ -27,7 +27,6 @@
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LaneCtx, LaunchStats, SimError};
 use graph_data::cpu_ref;
-use rayon::prelude::*;
 
 use crate::api::{AlgoMeta, Granularity, Intersection, IteratorKind, TcAlgorithm, TcOutput};
 use crate::device_graph::DeviceGraph;
@@ -101,33 +100,15 @@ impl TcAlgorithm for Trust {
         Ok(TcOutput { triangles, stats })
     }
 
-    /// Host kernel: vertex-iterator hashing, built once per vertex as the
-    /// kernel's build pass is. Each worker keeps one [`cpu_ref::HashTable`]
-    /// (rayon's `map_init` standing in for the block's shared memory),
-    /// hashes `N⁺(u)` into it with TRUST's warp/block bucket choice, and
+    /// Host kernel: [`cpu_ref::forward_bitmap_parallel`], the vertex
+    /// iterator with one table built per vertex, as the kernel's build
+    /// pass is. Each worker keeps one [`cpu_ref::Bitmap`] (rayon's
+    /// `map_init` standing in for the block's shared memory) in place of
+    /// the kernel's warp/block hash table, marks `N⁺(u)` in it, and
     /// probes every `N⁺(v)`, `v ∈ N⁺(u)`, against it. Vertices with
     /// out-degree < 2 are skipped, as the kernel skips them.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
-        let csr = dag.csr();
-        (0..csr.num_vertices())
-            .into_par_iter()
-            .map_init(cpu_ref::HashTable::new, |table, u| {
-                let nbrs = csr.neighbors(u);
-                if nbrs.len() < 2 {
-                    return 0;
-                }
-                let buckets = if nbrs.len() as u32 > BLOCK_DEGREE {
-                    BLOCK_BUCKETS
-                } else {
-                    WARP_BUCKETS
-                };
-                table.build(nbrs, buckets as usize);
-                nbrs.iter()
-                    .flat_map(|&v| csr.neighbors(v))
-                    .filter(|&&w| table.contains(w))
-                    .count() as u64
-            })
-            .sum()
+        cpu_ref::forward_bitmap_parallel(dag)
     }
 }
 

@@ -111,6 +111,9 @@ fn all_host_kernels_agree_with_the_oracle() {
         ("rmat", gen::rmat(8, 2500, 0.57, 0.19, 0.19, 0.05, 31)),
         ("er", gen::erdos_renyi(150, 900, 32)),
         ("ba", gen::barabasi_albert(200, 5, 0.5, 33)),
+        // Hub-heavy: its hubs span many bitmap words and cross TRUST's
+        // warp/block split (out-degree 100), checked below.
+        ("rmat-hub", gen::rmat(11, 16_000, 0.6, 0.18, 0.18, 0.04, 34)),
     ] {
         let (g, _) = clean_edges(&edges);
         let expected = cpu_ref::node_iterator(&g);
@@ -120,6 +123,11 @@ fn all_host_kernels_agree_with_the_oracle() {
             Orientation::DegreeDesc,
         ] {
             let dag = orient(&g, o);
+            if label == "rmat-hub" && o == Orientation::ById {
+                let csr = dag.csr();
+                let max_out = (0..csr.num_vertices()).map(|u| csr.degree(u)).max();
+                assert!(max_out > Some(100), "max out-degree {max_out:?}");
+            }
             for algo in host_kernels() {
                 assert_eq!(
                     algo.count_cpu(&dag),

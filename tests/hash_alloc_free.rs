@@ -1,8 +1,8 @@
-//! The hash primitive allocates nothing per call: the H-INDEX and
-//! GroupTC-H host twins call `intersect_hash` once per DAG edge, and
-//! TRUST's rebuilds one `HashTable` per vertex, so a per-call table
-//! allocation is paid hundreds of thousands of times per count. A
-//! counting global allocator checks it on the calling thread.
+//! The hash primitive allocates nothing per call: the GroupTC-H host
+//! twin calls `intersect_hash` once per heavy DAG edge, so a per-call
+//! table allocation would be paid up to hundreds of thousands of times
+//! per count. A counting global allocator checks it on the calling
+//! thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -28,6 +28,7 @@ proptest! {
             let dag = orient(&g, o);
             let n = dag.num_vertices();
             prop_assert_eq!(cpu_ref::forward_merge(&dag), expected);
+            prop_assert_eq!(cpu_ref::forward_bitmap_parallel(&dag), expected);
             prop_assert_eq!(cpu_ref::forward_parallel(&dag, cpu_ref::intersect_binsearch), expected);
             prop_assert_eq!(
                 cpu_ref::forward_parallel(&dag, |a, b| cpu_ref::intersect_hash(a, b, 32)),
